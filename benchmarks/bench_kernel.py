@@ -1,8 +1,8 @@
-"""Compare the pure-Python and compiled reduction kernels.
+"""Time the reduction kernel on a fixed ideal.
 
-Times the two kernels on a fixed nontrivial ideal: computing its reduced
-Groebner basis (pair handling lives outside the kernel, so gains are modest)
-and a batch of deep normal forms against that basis (kernel-bound).  Run with
+Times computing the ideal's reduced Groebner basis (the Buchberger driver's
+pair handling dominates) and a batch of deep normal forms against that basis
+(kernel-bound), best of ``--repeat`` runs.  Run with
 
     python3 benchmarks/bench_kernel.py [--repeat 3] [--elements 300] [--factors 12]
 """
@@ -11,7 +11,6 @@ import argparse
 import random
 import time
 
-from subtlesw import backend
 from subtlesw.grobner import groebner_basis, normal_form
 from subtlesw.poly import bso_ring, parse_poly
 
@@ -58,19 +57,8 @@ def main():
         (f"normal_form x{args.elements}", lambda: [normal_form(x, gb) for x in elems]),
     ]
 
-    names = backend.available()
-    if "compiled" not in names:
-        print("compiled kernel not built; timing the pure kernel only")
-    print(f"{'workload':<24}" + "".join(f"{nm:>12}" for nm in names) + f"{'speedup':>10}")
     for label, fn in workloads:
-        row = {}
-        for nm in names:
-            with backend.use(nm):
-                row[nm] = best_of(args.repeat, fn)
-        line = f"{label:<24}" + "".join(f"{row[nm]:>11.3f}s" for nm in names)
-        if "compiled" in row:
-            line += f"{row['pure'] / row['compiled']:>9.1f}x"
-        print(line)
+        print(f"{label:<24}{best_of(args.repeat, fn):>9.3f}s")
 
 
 if __name__ == "__main__":

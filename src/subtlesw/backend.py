@@ -1,58 +1,20 @@
-"""Reduction-kernel selection.
+"""The reduction kernel in use.
 
-The compiled kernel is used when the extension built; the pure-Python kernel
-is the fallback and the reference.  Set SUBTLESW_BACKEND=pure (or =compiled)
-to force a choice at import time.  Both kernels count division steps
-identically, so budget behaviour does not depend on the selection.
+There is one kernel, :mod:`subtlesw._reduction`.  These two functions name
+it for tools that report or instrument it; the Groebner layer looks
+``normal_form_terms`` up on that module at every call, so a wrapper bound
+there sees every reduction.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-
-from . import _reduction as _pure
-
-try:
-    from . import _reduction_c as _fast
-except ImportError:
-    _fast = None
-
-_FORCED = os.environ.get("SUBTLESW_BACKEND", "")
-if _FORCED == "compiled" and _fast is None:
-    raise ImportError("SUBTLESW_BACKEND=compiled but the extension is not built")
-
-_active = _pure if (_FORCED == "pure" or _fast is None) else _fast
+from . import _reduction
 
 
 def active():
     """The module providing ``normal_form_terms``."""
-    return _active
+    return _reduction
 
 
 def name():
-    return "compiled" if _active is _fast else "pure"
-
-
-def available():
-    return ("pure", "compiled") if _fast is not None else ("pure",)
-
-
-@contextlib.contextmanager
-def use(which):
-    """Temporarily force a backend ("pure" or "compiled"); not thread-safe."""
-    global _active
-    if which == "pure":
-        chosen = _pure
-    elif which == "compiled":
-        if _fast is None:
-            raise ValueError("compiled kernel is not available")
-        chosen = _fast
-    else:
-        raise ValueError(f"unknown backend {which!r}")
-    prev = _active
-    _active = chosen
-    try:
-        yield
-    finally:
-        _active = prev
+    return "pure"

@@ -20,7 +20,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, formsf2, spaces
 from .grobner import DEFAULT_BUDGET, BudgetExceeded
@@ -89,31 +88,16 @@ def _emit_table(args, rows, meta, columns, streamed):
 
 
 def _table_rows(args, keys, row_fn):
-    """Compute rows (optionally in parallel), streaming jsonl in key order."""
-    jobs = max(1, getattr(args, "jobs", 1))
+    """Compute rows in key order, streaming each one under jsonl."""
     stream = args.format == "jsonl"
     rows, rows_ms = [], {}
-
-    def compute(key):
+    for key in keys:
         r0 = time.monotonic()
         row = row_fn(key)
-        return row, round((time.monotonic() - r0) * 1000, 3)
-
-    def take(key, result):
-        row, ms = result
         rows.append(row)
-        rows_ms[str(key)] = ms
+        rows_ms[str(key)] = round((time.monotonic() - r0) * 1000, 3)
         if stream:
             print(_jval(row), flush=True)
-
-    if jobs == 1:
-        for key in keys:
-            take(key, compute(key))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            futures = {key: ex.submit(compute, key) for key in keys}
-            for key in keys:
-                take(key, futures[key].result())
     return rows, rows_ms, stream
 
 
@@ -277,14 +261,12 @@ def _build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, budget=False, jobs=False):
+    def add_common(sp, budget=False):
         sp.add_argument(
             "--format", choices=["json", "jsonl", "csv", "text"], default="text"
         )
         if budget:
             sp.add_argument("--budget", type=int, default=None, help="reduction-step budget per Groebner run")
-        if jobs:
-            sp.add_argument("--jobs", type=int, default=1, help="rows computed concurrently")
 
     sp = sub.add_parser("sq", help="apply Sq^k to a polynomial")
     sp.add_argument("--flavor", choices=["bo", "bso", "top"], default="bso")
@@ -305,14 +287,14 @@ def _build_parser():
     sp.add_argument("--from", dest="from_n", type=int, default=2)
     sp.add_argument("--to", dest="to_n", type=int, default=10)
     sp.add_argument("--verify", action="store_true", help="exit 1 on any mismatch")
-    add_common(sp, budget=True, jobs=True)
+    add_common(sp, budget=True)
     sp.set_defaults(func=_cmd_ktable)
 
     sp = sub.add_parser("htable", help="expected vs radical-computed h(n)")
     sp.add_argument("--from", dest="from_n", type=int, default=2)
     sp.add_argument("--to", dest="to_n", type=int, default=200)
     sp.add_argument("--verify", action="store_true", help="exit 1 on any mismatch")
-    add_common(sp, jobs=True)
+    add_common(sp)
     sp.set_defaults(func=_cmd_htable)
 
     sp = sub.add_parser("verify", help="certify the theta data for one n")

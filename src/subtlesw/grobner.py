@@ -2,9 +2,9 @@
 
 The engine is Buchberger's algorithm with the sugar selection strategy and the
 two classical pair criteria (coprime leading terms; the chain criterion).
-Reduction runs in the kernel selected by :mod:`subtlesw.backend`.  Bases are
-fully interreduced, so each ideal has one canonical basis for the ring's
-monomial order regardless of generator order or kernel choice.
+Reduction runs in :mod:`subtlesw._reduction`.  Bases are fully interreduced,
+so each ideal has one canonical basis for the ring's monomial order
+regardless of generator order.
 
 Hilbert series of quotients are exact bivariate rational functions computed
 from the leading-term ideal by the standard pivot recursion on monomial
@@ -18,10 +18,8 @@ f's bidegree, which is decided by exact numerator comparison.
 from __future__ import annotations
 
 import functools
-import threading
 
-from . import backend
-from ._reduction import _merge_xor
+from . import _reduction
 from .poly import INHOMOGENEOUS, Poly, RingError, ZERO_DEGREE
 
 DEFAULT_BUDGET = 10**7
@@ -95,7 +93,7 @@ def _divides(lt, m, L):
 
 
 def _kernel_nf(terms, basis, L, budget):
-    nf, steps = backend.active().normal_form_terms(terms, basis, L, budget.remaining)
+    nf, steps = _reduction.normal_form_terms(terms, basis, L, budget.remaining)
     if steps:
         budget.charge(steps)
     if nf is None:
@@ -159,7 +157,7 @@ def _buchberger(ring, key_polys, budget):
         qg = tuple(lcm[r] - ltj[r] for r in range(L))
         fa = [tuple(t[r] + qf[r] for r in range(L)) for t in G[i]]
         fb = [tuple(t[r] + qg[r] for r in range(L)) for t in G[j]]
-        spoly = tuple(_merge_xor(fa, 0, fb))
+        spoly = tuple(sorted(set(fa) ^ set(fb), reverse=True))
         if not spoly:
             continue
         nf = _kernel_nf(spoly, G, L, budget)
@@ -252,19 +250,16 @@ def ideal_member(x, gb, budget=None):
 
 
 _gb_cache = {}
-_gb_lock = threading.Lock()
 
 
 def cached_groebner_basis(ring, gens):
     """Default-budget basis, memoized on (ring, canonicalized generators)."""
     key = (ring, tuple(sorted(g.terms for g in gens if g)))
-    with _gb_lock:
-        hit = _gb_cache.get(key)
+    hit = _gb_cache.get(key)
     if hit is not None:
         return hit
     gb = groebner_basis(ring, gens)
-    with _gb_lock:
-        _gb_cache[key] = gb
+    _gb_cache[key] = gb
     return gb
 
 

@@ -12,7 +12,6 @@ topological flavors.
 from __future__ import annotations
 
 import functools
-import threading
 from typing import NamedTuple
 
 from . import formsf2
@@ -50,7 +49,6 @@ def _wrap_budget(n, budget):
 
 
 _k_cache = {}
-_k_lock = threading.Lock()
 
 
 def k_computed(n, budget=None):
@@ -64,8 +62,7 @@ def k_computed(n, budget=None):
     # only the default-budget path is cached: an explicit budget must
     # actually bound the work, not be short-circuited by earlier runs
     if budget is None:
-        with _k_lock:
-            hit = _k_cache.get(n)
+        hit = _k_cache.get(n)
         if hit is not None:
             return hit
     budget = _wrap_budget(n, budget)
@@ -79,8 +76,7 @@ def k_computed(n, budget=None):
         raise ArithmeticError(
             f"theta_{j} ends the regular sequence but is not in the ideal (n={n})"
         )
-    with _k_lock:
-        _k_cache[n] = j
+    _k_cache[n] = j
     return j
 
 

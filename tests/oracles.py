@@ -91,6 +91,72 @@ def macaulay_member(x, gens):
     return _row_reduce(rows, set(x.terms))
 
 
+# The list-merge reduction kernel, kept as the reference for the heap kernel
+# in subtlesw._reduction: same contract, same reducer choice, same steps.
+
+
+def _merge_xor(a, start, b):
+    """XOR-merge the descending lists a[start:] and b into a fresh list."""
+    out = []
+    i, j = start, 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ta, tb = a[i], b[j]
+        if ta == tb:
+            i += 1
+            j += 1
+        elif ta > tb:
+            out.append(ta)
+            i += 1
+        else:
+            out.append(tb)
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return out
+
+
+def normal_form_terms(terms, basis, L, max_steps):
+    """Fully reduce ``terms`` by ``basis``; return (result, steps).
+
+    ``terms``: monomial key tuples sorted descending.  ``basis``: list of such
+    tuples-of-tuples, each nonzero with its leading key first.  One step is
+    one leading-term elimination; when ``steps`` would exceed ``max_steps``
+    the result slot is None and the caller decides what the exhaustion means.
+    """
+    lts = [g[0] for g in basis]
+    nb = len(basis)
+    work = list(terms)
+    out = []
+    steps = 0
+    s = 0
+    while s < len(work):
+        head = work[s]
+        hit = -1
+        for b in range(nb):
+            lt = lts[b]
+            for r in range(1, L):
+                if lt[r] < head[r]:
+                    break
+            else:
+                hit = b
+                break
+        if hit < 0:
+            out.append(head)
+            s += 1
+            continue
+        if steps >= max_steps:
+            return None, steps
+        steps += 1
+        g = basis[hit]
+        lt = g[0]
+        quot = tuple(head[r] - lt[r] for r in range(L))
+        shifted = [tuple(t[r] + quot[r] for r in range(L)) for t in g[1:]]
+        work = _merge_xor(work, s + 1, shifted)
+        s = 0
+    return tuple(out), steps
+
+
 def classical_sq_gen(ring, k, m, n):
     """Textbook Wu formula for Sq^k w_m with classes truncated above n.
 

@@ -1,131 +1,85 @@
-"""The two reduction kernels must be interchangeable, step counts included."""
+"""The reduction kernel against the list-merge reference, step counts included."""
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import subtlesw
-from subtlesw import backend
-from subtlesw.grobner import DEFAULT_BUDGET, groebner_basis, normal_form
+import oracles
+from subtlesw import _reduction, spaces
+from subtlesw.grobner import DEFAULT_BUDGET, Budget, BudgetExceeded, groebner_basis, normal_form
 from subtlesw.poly import bso_ring, parse_poly
 
-from oracles import random_bihomogeneous
+# the fixed ideal of benchmarks/bench_kernel.py, in bso_ring(8)
+BENCH_GENS = (
+    "u2^6*u4*u7+t^2*u2^4*u3^5",
+    "u4^2*u8+t*u2^3*u3*u7",
+    "u2^8*u3^3+u2*u3^3*u6*u8+u2^2*u3^2*u7*u8",
+    "u2^2*u3+u3*u4+u2*u5+u7",
+)
 
 
-def test_selection_api():
-    assert backend.name() in ("pure", "compiled")
-    assert "pure" in backend.available()
-    with backend.use("pure"):
-        assert backend.name() == "pure"
-        assert hasattr(backend.active(), "normal_form_terms")
-    with pytest.raises(ValueError):
-        with backend.use("nonsense"):
-            pass
-
-
-def _import_in_child(**env_overrides):
-    """Import the subtlesw under test in a fresh interpreter.
-
-    The child inherits this process's environment, with ``env_overrides``
-    applied (``None`` removes a variable), and finds the package through
-    ``PYTHONPATH`` whether it was put on ``sys.path`` by ``PYTHONPATH``,
-    by pytest's ``pythonpath`` option or by an install.  It prints the
-    selected backend and the file it imported ``subtlesw`` from.
-    """
-    env = dict(os.environ)
-    for key, value in env_overrides.items():
-        if value is None:
-            env.pop(key, None)
-        else:
-            env[key] = value
-    package_root = str(Path(subtlesw.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    code = "import subtlesw; from subtlesw import backend; print(backend.name()); print(subtlesw.__file__)"
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-
-
-def test_env_var_forces_pure():
-    out = _import_in_child(SUBTLESW_BACKEND="pure")
-    assert out.returncode == 0, out.stderr
-    name, path = out.stdout.splitlines()
-    assert name == "pure"
-    # the child ran the copy under test, not another one found on sys.path
-    assert Path(path).resolve() == Path(subtlesw.__file__).resolve()
-
-    # the variable is read: without it the compiled kernel wins when built,
-    # and forcing a kernel that is not built is an import error
-    if "compiled" in backend.available():
-        out = _import_in_child(SUBTLESW_BACKEND=None)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[0] == "compiled"
-    else:
-        out = _import_in_child(SUBTLESW_BACKEND="compiled")
-        assert out.returncode != 0
-        assert "ImportError: SUBTLESW_BACKEND=compiled but the extension is not built" in out.stderr
-
-
-@pytest.mark.skipif("compiled" not in backend.available(), reason="extension not built")
 def test_kernels_agree_on_random_reductions():
     rng = random.Random(2024)
-    ring = bso_ring(5)
-    pure = backend._pure.normal_form_terms
-    fast = backend._fast.normal_form_terms
-    L = ring._key_len
-    mismatch = 0
-    for _ in range(300):
-        x = random_bihomogeneous(ring, rng, max_factors=5, max_terms=4)
-        basis = []
-        for _ in range(rng.randint(1, 3)):
-            g = random_bihomogeneous(ring, rng, max_factors=3, max_terms=3)
-            if g.terms:
-                basis.append(tuple(ring.sort_key(m) for m in g.terms))
-        terms = tuple(ring.sort_key(m) for m in x.terms)
-        for cap in (0, 1, 3, 10**6):
-            a = pure(terms, basis, L, cap)
-            b = fast(terms, basis, L, cap)
-            if a != b:
-                mismatch += 1
+    mismatch = stopped = reduced = 0
+    # small bases first, then longer ones whose products collide more often
+    for ring, n_gens, size in ((bso_ring(5), 3, 3), (bso_ring(7), 6, 5)):
+        L = ring._key_len
+        for _ in range(300):
+            x = oracles.random_bihomogeneous(ring, rng, max_factors=5, max_terms=2 * size)
+            basis = []
+            for _ in range(rng.randint(1, n_gens)):
+                g = oracles.random_bihomogeneous(ring, rng, max_factors=3, max_terms=size)
+                if g.terms:
+                    basis.append(tuple(ring.sort_key(m) for m in g.terms))
+            terms = tuple(ring.sort_key(m) for m in x.terms)
+            for cap in (0, 1, 3, 10**6):
+                got = _reduction.normal_form_terms(terms, basis, L, cap)
+                if got != oracles.normal_form_terms(terms, basis, L, cap):
+                    mismatch += 1
+                stopped += got[0] is None
+                reduced += got[1] > 0
     assert mismatch == 0
+    # the sample reaches both the cap and real reductions
+    assert stopped > 0 and reduced > 0
 
 
-@pytest.mark.skipif("compiled" not in backend.available(), reason="extension not built")
-def test_identical_groebner_runs_and_budgets():
+def test_identical_groebner_runs_and_budgets(monkeypatch):
     ring = bso_ring(6)
     gens = [parse_poly(ring, s) for s in ("u2", "u3", "u2*u3+u5", "t*u3^2+u4*u3")]
-    from subtlesw.grobner import Budget, BudgetExceeded
 
-    results = {}
-    steps = {}
-    for which in ("pure", "compiled"):
-        with backend.use(which):
-            b = Budget(10**6)
-            gb = groebner_basis(ring, gens, budget=b)
-            results[which] = tuple(str(g) for g in gb)
-            steps[which] = 10**6 - b.remaining
-    assert results["pure"] == results["compiled"]
-    assert steps["pure"] == steps["compiled"] > 0
+    def run():
+        b = Budget(10**6)
+        gb = groebner_basis(ring, gens, budget=b)
+        with pytest.raises(BudgetExceeded) as info:
+            groebner_basis(ring, gens, budget=Budget(b.used - 1))
+        return tuple(str(g) for g in gb), b.used, (info.value.used, info.value.limit)
 
-    # step accounting must agree exactly, so budget failures are reproducible
-    for which in ("pure", "compiled"):
-        with backend.use(which):
-            with pytest.raises(BudgetExceeded) as info:
-                groebner_basis(ring, gens, budget=Budget(steps["pure"] - 1))
-            results[which] = (info.value.used, info.value.limit)
-    assert results["pure"] == results["compiled"]
+    kernel = run()
+    with monkeypatch.context() as m:
+        m.setattr(_reduction, "normal_form_terms", oracles.normal_form_terms)
+        assert run() == kernel == (("u5", "u3", "u2"), 3, (3, 2))
+
+    # budget use of the benchmark ideal and of the k(n) certificates
+    ring = bso_ring(8)
+    b = Budget(10**6)
+    gb = groebner_basis(ring, [parse_poly(ring, s) for s in BENCH_GENS], budget=b)
+    assert (len(gb), b.used) == (129, 24710)
+    used = {}
+    for n in (8, 10, 11):
+        b = Budget()
+        spaces.k_computed(n, b)
+        used[n] = b.used
+    assert used == {8: 13, 10: 305, 11: 1941}
 
 
-def test_normal_form_same_under_both_backends():
+def test_normal_form_same_under_both_backends(monkeypatch):
+    # the kernel and the reference give the same remainder through grobner
     ring = bso_ring(7)
     gb = groebner_basis(ring, [parse_poly(ring, "u2"), parse_poly(ring, "u3")])
     x = parse_poly(ring, "u2*u3+u5")
-    answers = set()
-    for which in backend.available():
-        with backend.use(which):
-            answers.add(str(normal_form(x, gb)))
+    answers = {str(normal_form(x, gb))}
+    monkeypatch.setattr(_reduction, "normal_form_terms", oracles.normal_form_terms)
+    answers.add(str(normal_form(x, gb)))
     assert answers == {"u5"}
 
 

@@ -75,18 +75,6 @@ def test_csv_format(capsys):
     assert lines[1] == "2,1,1,true"
 
 
-def test_jobs_parallel_rows_match(capsys):
-    def rows(jobs):
-        code, out, _ = run(
-            capsys,
-            ["ktable", "--from", "2", "--to", "8", "--jobs", jobs, "--format", "json"],
-        )
-        assert code == 0
-        return json.loads(out)["rows"]
-
-    assert rows("1") == rows("3")
-
-
 def test_verify_failure_exit_code(capsys):
     code, out, _ = run(capsys, ["verify", "--n", "3", "--k", "3"])
     assert code == 1
