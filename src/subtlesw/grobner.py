@@ -18,6 +18,7 @@ f's bidegree, which is decided by exact numerator comparison.
 from __future__ import annotations
 
 import functools
+import heapq
 
 from . import _reduction
 from .poly import INHOMOGENEOUS, Poly, RingError, ZERO_DEGREE
@@ -116,7 +117,8 @@ def _buchberger(ring, key_polys, budget):
 
     G = []
     sugars = []
-    pairs = {}
+    pairs = set()  # open pairs (i, j), read by the chain criterion
+    queue = []  # the same pairs as a heap of (sugar, lcm, (i, j))
 
     def add_pairs(j):
         ltj = G[j][0]
@@ -126,7 +128,8 @@ def _buchberger(ring, key_polys, budget):
                 sugars[i] + lcm[0] - G[i][0][0],
                 sugars[j] + lcm[0] - ltj[0],
             )
-            pairs[(i, j)] = (s, lcm)
+            pairs.add((i, j))
+            heapq.heappush(queue, (s, lcm, (i, j)))
 
     for f in sorted(key_polys):
         nf = _kernel_nf(f, G, L, budget)
@@ -135,9 +138,9 @@ def _buchberger(ring, key_polys, budget):
             sugars.append(nf[0][0])
             add_pairs(len(G) - 1)
 
-    while pairs:
-        (i, j) = min(pairs, key=lambda ij: (pairs[ij][0], pairs[ij][1], ij))
-        sugar, lcm = pairs.pop((i, j))
+    while queue:
+        sugar, lcm, (i, j) = heapq.heappop(queue)
+        pairs.remove((i, j))
         lti, ltj = G[i][0], G[j][0]
         if all(lti[r] == 0 or ltj[r] == 0 for r in range(1, L)):
             continue  # coprime leading terms reduce to zero

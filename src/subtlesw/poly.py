@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import re
+from operator import add
 from typing import Iterable, NamedTuple
 
 MAX_EXPONENT = 2**32 - 1
@@ -210,12 +211,23 @@ class Ring:
         return Poly(self, (tuple(e),))
 
     def poly(self, monos):
-        """Canonical Poly from an iterable of exponent tuples (XOR semantics)."""
-        acc = set()
-        for m in monos:
-            m = tuple(m)
-            acc ^= {m}
-        return Poly(self, tuple(sorted(acc, key=self.sort_key, reverse=True)))
+        """Canonical Poly from monomials counted mod 2; sorts the terms once.
+
+        ``monos`` is either a set of exponent tuples, taken as an F2 sum that
+        is already collected (for instance with ``symmetric_difference_update``),
+        or any other iterable of exponent sequences, in which a monomial
+        listed twice cancels.
+        """
+        if not isinstance(monos, (set, frozenset)):
+            acc = set()
+            for m in monos:
+                m = tuple(m)
+                if m in acc:
+                    acc.remove(m)
+                else:
+                    acc.add(m)
+            monos = acc
+        return Poly(self, tuple(sorted(monos, key=self.sort_key, reverse=True)))
 
 
 class Poly:
@@ -252,22 +264,21 @@ class Poly:
 
     def __add__(self, other):
         self._check_ring(other)
-        acc = set(self.terms) ^ set(other.terms)
-        return Poly(self.ring, tuple(sorted(acc, key=self.ring.sort_key, reverse=True)))
+        return self.ring.poly(set(self.terms).symmetric_difference(other.terms))
 
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other):
         self._check_ring(other)
-        acc = set()
-        for a in self.terms:
-            for b in other.terms:
-                m = tuple(x + y for x, y in zip(a, b))
-                for e in m:
-                    if e > MAX_EXPONENT:
-                        raise ExponentOverflow("monomial exponent exceeds 32 bits")
-                acc ^= {m}
-        return Poly(self.ring, tuple(sorted(acc, key=self.ring.sort_key, reverse=True)))
+        if self.terms and other.terms:
+            # some product overflows exactly when, at some position, the
+            # largest exponents of the two factors add past the limit
+            for x, y in zip(map(max, zip(*self.terms)), map(max, zip(*other.terms))):
+                if x + y > MAX_EXPONENT:
+                    raise ExponentOverflow("monomial exponent exceeds 32 bits")
+        return self.ring.poly(
+            tuple(map(add, a, b)) for a in self.terms for b in other.terms
+        )
 
     def __pow__(self, n):
         if n < 0:
@@ -366,7 +377,7 @@ def parse_poly(ring, text):
         raise ParseError("empty polynomial")
     pos = 0
     n = len(ring.names)
-    acc = set()
+    monos = []
 
     def peek():
         return toks[pos] if pos < len(toks) else (None, None)
@@ -403,7 +414,7 @@ def parse_poly(ring, text):
                 continue
             break
         if not dead:
-            acc ^= {tuple(exps)}
+            monos.append(tuple(exps))
         kind, val = peek()
         if (kind, val) == ("op", "+"):
             pos += 1
@@ -411,7 +422,7 @@ def parse_poly(ring, text):
         if kind is None:
             break
         raise ParseError(f"unexpected token {val!r}")
-    return Poly(ring, tuple(sorted(acc, key=ring.sort_key, reverse=True)))
+    return ring.poly(monos)
 
 
 # -- ring homomorphisms -------------------------------------------------------
@@ -456,7 +467,7 @@ def apply_map(f, x):
         for img, e in zip(f.images, mono):
             if e:
                 prod = prod * img**e
-        acc ^= set(prod.terms)
+        acc.symmetric_difference_update(prod.terms)
     return f.target.poly(acc)
 
 

@@ -260,9 +260,11 @@ def torsor_relations(n, max_j=None, include_u2=True):
     j = 0
     while (1 << j) + 1 <= n and (max_j is None or j <= max_j):
         w = 1 << j
-        rel = ctx.ring.zero
+        acc = set()
         for h in range(w + 1):
-            rel = rel + ctx.class_poly(w - h) * ctx.class_poly(w + 1 + h)
+            part = ctx.class_poly(w - h) * ctx.class_poly(w + 1 + h)
+            acc.symmetric_difference_update(part.terms)
+        rel = ctx.ring.poly(acc)
         diff = theta(ctx, j + 1) + rel
         ok = all(
             any(all(a >= b for a, b in zip(term, mono)) for mono in ideal)

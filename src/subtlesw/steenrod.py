@@ -140,6 +140,23 @@ def _tau_shift(ctx, x):
     return Poly(ctx.ring, (tuple(t),)) * x
 
 
+def _cartan_sum(ctx, parts):
+    """F2 sum of Cartan parts ``(a, b, Sq^a-side * Sq^b-side)``.
+
+    In the motivic flavor a part with a and b both odd carries a factor of
+    tau; those parts are collected apart and shifted by tau once.
+    """
+    ring = ctx.ring
+    plain, twisted = set(), set()
+    for a, b, part in parts:
+        odd = ctx.motivic and (a & 1) and (b & 1)
+        (twisted if odd else plain).symmetric_difference_update(part.terms)
+    total = ring.poly(plain)
+    if twisted:
+        total = total + _tau_shift(ctx, ring.poly(twisted))
+    return total
+
+
 @functools.lru_cache(maxsize=None)
 def _sq_gen(ctx, k, m):
     """Sq^k on the single index-m class, by the Wu formula."""
@@ -150,13 +167,12 @@ def _sq_gen(ctx, k, m):
     if k == m:
         c = ctx.class_poly(m)
         return c * c
-    acc = ctx.ring.zero
+    acc = set()
     for j in range(k + 1):
-        if not binom_mod2(m + j - k - 1, j):
-            continue
-        term = ctx.class_poly(k - j) * ctx.class_poly(m + j)
-        acc = acc + term
-    return acc
+        if binom_mod2(m + j - k - 1, j):
+            part = ctx.class_poly(k - j) * ctx.class_poly(m + j)
+            acc.symmetric_difference_update(part.terms)
+    return ctx.ring.poly(acc)
 
 
 @functools.lru_cache(maxsize=None)
@@ -190,19 +206,15 @@ def _sq_mono(ctx, k, mono):
     rest = list(mono)
     rest[pos] -= 1
     rest = tuple(rest)
-    acc = ring.zero
+    parts = []
     for a in range(min(k, m) + 1):
         left = _sq_gen(ctx, a, m)
         if not left:
             continue
         right = _sq_mono(ctx, k - a, rest)
-        if not right:
-            continue
-        part = left * right
-        if ctx.motivic and (a & 1) and ((k - a) & 1):
-            part = _tau_shift(ctx, part)
-        acc = acc + part
-    return acc
+        if right:
+            parts.append((a, k - a, left * right))
+    return _cartan_sum(ctx, parts)
 
 
 def sq(ctx, k, x):
@@ -214,27 +226,23 @@ def sq(ctx, k, x):
     if k < 0:
         raise ValueError("Sq index must be nonnegative")
     ctx._check_argument(x)
-    acc = ctx.ring.zero
+    acc = set()
     for mono in x.terms:
-        acc = acc + _sq_mono(ctx, k, mono)
-    return acc
+        acc.symmetric_difference_update(_sq_mono(ctx, k, mono).terms)
+    return ctx.ring.poly(acc)
 
 
 def cartan(ctx, k, x, y):
     """The Cartan expansion sum_{a+b=k} tau^(a,b both odd) Sq^a x * Sq^b y."""
-    acc = ctx.ring.zero
+    parts = []
     for a in range(k + 1):
         left = sq(ctx, a, x)
         if not left:
             continue
         right = sq(ctx, k - a, y)
-        if not right:
-            continue
-        part = left * right
-        if ctx.motivic and (a & 1) and ((k - a) & 1):
-            part = _tau_shift(ctx, part)
-        acc = acc + part
-    return acc
+        if right:
+            parts.append((a, k - a, left * right))
+    return _cartan_sum(ctx, parts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -312,16 +320,12 @@ def thom_sq(ctx, k, e):
         raise ValueError("Sq index must be nonnegative")
     if e.ctx != ctx:
         raise RingError("element lies over a different context")
-    acc = ctx.ring.zero
+    parts = []
     for b in range(min(k, ctx.n) + 1):
         factor = ctx.class_poly(b)
         if not factor:
             continue
         left = sq(ctx, k - b, e.coefficient)
-        if not left:
-            continue
-        part = left * factor
-        if ctx.motivic and ((k - b) & 1) and (b & 1):
-            part = _tau_shift(ctx, part)
-        acc = acc + part
-    return ThomModuleElement(ctx, acc)
+        if left:
+            parts.append((k - b, b, left * factor))
+    return ThomModuleElement(ctx, _cartan_sum(ctx, parts))

@@ -5,6 +5,7 @@ linear algebra, textbook formulas) and shares no code with the kernels under
 test, so agreement is meaningful.
 """
 
+import functools
 import math
 
 
@@ -216,3 +217,95 @@ def random_bihomogeneous(ring, rng, max_factors=4, max_terms=4):
     rng.shuffle(pool)
     take = pool[: rng.randint(1, min(max_terms, len(pool)))]
     return ring.poly(take)
+
+
+# -- Steenrod squares by the termwise fold ------------------------------------
+# The Wu/Cartan recursion with every F2 sum built as a fold ``acc = acc + part``,
+# which re-sorts the whole running sum after each part.  subtlesw.steenrod
+# collects each sum in one set and sorts it once; the results must be equal.
+
+
+def _fold_binom(a, b):
+    return math.comb(a, b) % 2 if 0 <= b <= a else 0
+
+
+def _fold_tau(ctx, x):
+    return ctx.ring.gen("t") * x
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_gen(ctx, k, m):
+    if k == 0:
+        return ctx.class_poly(m)
+    if k > m:
+        return ctx.ring.zero
+    if k == m:
+        c = ctx.class_poly(m)
+        return c * c
+    acc = ctx.ring.zero
+    for j in range(k + 1):
+        if _fold_binom(m + j - k - 1, j):
+            acc = acc + ctx.class_poly(k - j) * ctx.class_poly(m + j)
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_mono(ctx, k, mono):
+    ring = ctx.ring
+    if ctx.motivic and mono[ring.tau_index]:
+        rest = list(mono)
+        rest[ring.tau_index] = 0
+        return ring.monomial({"t": mono[ring.tau_index]}) * _fold_mono(ctx, k, tuple(rest))
+    if k == 0:
+        return ring.poly([mono])
+    if k > sum(e * bd.p for e, bd in zip(mono, ring.bidegrees)):
+        return ring.zero
+    odd = [pos for pos, e in enumerate(mono) if e & 1]
+    if not odd:
+        if k & 1:
+            return ring.zero
+        c = k >> 1
+        inner = _fold_mono(ctx, c, tuple(e >> 1 for e in mono))
+        res = inner * inner
+        return _fold_tau(ctx, res) if ctx.motivic and c & 1 else res
+    pos = odd[0]
+    m = ring.bidegrees[pos].p
+    rest = list(mono)
+    rest[pos] -= 1
+    acc = ring.zero
+    for a in range(min(k, m) + 1):
+        part = _fold_gen(ctx, a, m) * _fold_mono(ctx, k - a, tuple(rest))
+        if ctx.motivic and a & 1 and (k - a) & 1:
+            part = _fold_tau(ctx, part)
+        acc = acc + part
+    return acc
+
+
+def sq_by_fold(ctx, k, x):
+    """Sq^k x as the termwise fold over the monomials of x."""
+    acc = ctx.ring.zero
+    for mono in x.terms:
+        acc = acc + _fold_mono(ctx, k, mono)
+    return acc
+
+
+def cartan_by_fold(ctx, k, x, y):
+    """sum_{a+b=k} tau^(a,b both odd) Sq^a x * Sq^b y, folded part by part."""
+    acc = ctx.ring.zero
+    for a in range(k + 1):
+        part = sq_by_fold(ctx, a, x) * sq_by_fold(ctx, k - a, y)
+        if ctx.motivic and a & 1 and (k - a) & 1:
+            part = _fold_tau(ctx, part)
+        acc = acc + part
+    return acc
+
+
+def thom_sq_by_fold(ctx, k, w):
+    """The coefficient of Sq^k(w * alpha), with Sq^b alpha = (index-b class) alpha."""
+    acc = ctx.ring.zero
+    for b in range(min(k, ctx.n) + 1):
+        part = sq_by_fold(ctx, k - b, w) * ctx.class_poly(b)
+        if ctx.motivic and (k - b) & 1 and b & 1:
+            part = _fold_tau(ctx, part)
+        acc = acc + part
+    return acc

@@ -41,8 +41,8 @@ from subtlesw.spaces import (
 )
 from subtlesw.steenrod import bso_context, bso_top_context, cartan, sq, theta
 
-K_TABLE = {2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 3, 8: 3, 9: 4, 10: 5}
-K_STRETCH = {11: 6, 12: 6}
+K_TABLE = {2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 3, 8: 3, 9: 4, 10: 5, 11: 6, 12: 6, 13: 7, 14: 7}
+K_STRETCH = {15: 7, 16: 7}
 
 
 def test_criterion_01_k_table():

@@ -105,6 +105,26 @@ def test_parse_exponent_overflow():
     assert parse_poly(ring, f"u2^{2**32 - 1}")
 
 
+def test_product_overflow_is_per_position():
+    ring = bso_ring(3)
+    big = 2**31
+    with pytest.raises(ExponentOverflow):
+        parse_poly(ring, f"u3+u2^{big}") * parse_poly(ring, f"t+u2^{big}")
+    # each factor's largest exponent sits at another generator: no overflow
+    prod = parse_poly(ring, f"u3^{big}+u2") * parse_poly(ring, f"u2^{big}+u3")
+    assert str(prod) == f"u2^{big}*u3^{big}+u3^{big + 1}+u2^{big + 1}+u2*u3"
+
+
+def test_ring_poly_counts_monomials_mod_2():
+    ring = bso_ring(3)
+    t, u2, u3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    assert ring.poly([u2, u3, u2]) == ring.poly([u3]) == ring.poly({u3})
+    assert ring.poly(iter([u2, u2])) == ring.zero
+    x = ring.poly({t, u2, u3})
+    assert x.terms == (u3, u2, t)
+    assert x == ring.poly([list(t), list(u3), list(u2)])
+
+
 def test_bidegree_of_markers():
     ring = bso_ring(3)
     assert bidegree_of(ring.gen("t")) == Bidegree(0, 1)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -18,7 +19,13 @@ from subtlesw.steenrod import (
     thom_sq,
 )
 
-from oracles import monomials_of_bidegree, random_bihomogeneous
+from oracles import (
+    cartan_by_fold,
+    monomials_of_bidegree,
+    random_bihomogeneous,
+    sq_by_fold,
+    thom_sq_by_fold,
+)
 
 
 def test_binom_mod2_matches_math_comb():
@@ -267,3 +274,31 @@ def test_thom_bidegree_shift():
     s = thom_sq(ctx, 4, e)
     assert str(s) == "(u2^3+u2*u4+t*u3^2)*alpha"
     assert s.bidegree() == e.bidegree() + Bidegree(4, 2)
+
+
+def test_theta_13_byte_identical():
+    # term counts and the SHA-256 of str(theta_7), recorded when every Steenrod
+    # sum was still a termwise fold
+    ctx = bso_context(13)
+    assert [len(theta(ctx, j).terms) for j in range(8)] == [1, 1, 2, 7, 35, 207, 1295, 8271]
+    digest = hashlib.sha256(str(theta(ctx, 7)).encode()).hexdigest()
+    assert digest == "2e7d77909e6c2204f616841091691ae20ba0509717db61ffaf60631e3edebc1a"
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [bso_context(n) for n in range(5, 10)]
+    + [bo_context(6), bso_top_context(7), bo_top_context(6)],
+    ids=lambda ctx: f"{ctx.flavor}{ctx.n}",
+)
+def test_squares_match_termwise_fold(ctx):
+    rng = random.Random(ctx.n * 101 + len(ctx.ring))
+    ring = ctx.ring
+    for _ in range(25):
+        # the sum of two random bihomogeneous terms mixes bidegrees
+        x = random_bihomogeneous(ring, rng, 4, 6) + random_bihomogeneous(ring, rng, 4, 6)
+        y = random_bihomogeneous(ring, rng, 2, 3)
+        k = rng.randint(0, 12)
+        assert sq(ctx, k, x) == sq_by_fold(ctx, k, x)
+        assert cartan(ctx, k, x, y) == cartan_by_fold(ctx, k, x, y)
+        assert thom_sq(ctx, k, thom_element(ctx, x)).coefficient == thom_sq_by_fold(ctx, k, x)
