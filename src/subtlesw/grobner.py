@@ -21,6 +21,7 @@ import functools
 import heapq
 
 from . import _reduction
+from ._reduction import DivisorTable
 from .poly import INHOMOGENEOUS, Poly, RingError, ZERO_DEGREE
 
 DEFAULT_BUDGET = 10**7
@@ -73,28 +74,23 @@ def _resolve_budget(budget):
     return Budget(int(budget))
 
 
-# -- key-space helpers ---------------------------------------------------------
+# -- key space -----------------------------------------------------------------
+# The Groebner layer works on tuples of packed keys (see poly.Ring): one int
+# per monomial, sorted descending, so native int order is the monomial order.
+# A shift by a monomial is one addition per term, and divisibility is the
+# guard-bit test of a DivisorTable, which is kept beside every basis.
 
 
 def _to_keys(x):
-    key = x.ring.sort_key
-    return tuple(key(m) for m in x.terms)
+    return tuple(map(x.ring.sort_key, x.terms))
 
 
 def _from_keys(ring, terms):
-    unkey = ring.from_sort_key
-    return Poly(ring, tuple(unkey(k) for k in terms))
+    return Poly(ring, tuple(map(ring.from_sort_key, terms)))
 
 
-def _divides(lt, m, L):
-    for r in range(1, L):
-        if lt[r] < m[r]:
-            return False
-    return True
-
-
-def _kernel_nf(terms, basis, L, budget):
-    nf, steps = _reduction.normal_form_terms(terms, basis, L, budget.remaining)
+def _kernel_nf(terms, basis, table, budget):
+    nf, steps = _reduction.normal_form_terms(terms, basis, table, budget.remaining)
     if steps:
         budget.charge(steps)
     if nf is None:
@@ -105,48 +101,43 @@ def _kernel_nf(terms, basis, L, budget):
 
 def _buchberger(ring, key_polys, budget):
     """Reduced Groebner basis in key space from nonzero key polynomials."""
-    L = ring._key_len
-    dperm = ring._dperm
-
-    def lcm_of(a, b):
-        body = tuple(min(a[r], b[r]) for r in range(1, L))
-        w = 0
-        for r in range(L - 1):
-            w -= dperm[r] * body[r]
-        return (w,) + body
-
+    one, guard = ring.unit_key, ring.guard_mask
+    lcm_of, degree = ring.key_lcm, ring.key_degree
     G = []
+    table = DivisorTable(ring)  # grows with G
+    leads = table.leads  # G's leading keys with the guard bits set
     sugars = []
     pairs = set()  # open pairs (i, j), read by the chain criterion
     queue = []  # the same pairs as a heap of (sugar, lcm, (i, j))
 
-    def add_pairs(j):
-        ltj = G[j][0]
+    def add(f, sugar):
+        G.append(f)
+        table.append(f[0])
+        sugars.append(sugar)
+        j = len(G) - 1
+        ltj = f[0]
         for i in range(j):
-            lcm = lcm_of(G[i][0], ltj)
-            s = max(
-                sugars[i] + lcm[0] - G[i][0][0],
-                sugars[j] + lcm[0] - ltj[0],
-            )
+            lti = G[i][0]
+            lcm = lcm_of(lti, ltj)
+            w = degree(lcm)
+            s = max(sugars[i] + w - degree(lti), sugar + w - degree(ltj))
             pairs.add((i, j))
             heapq.heappush(queue, (s, lcm, (i, j)))
 
     for f in sorted(key_polys):
-        nf = _kernel_nf(f, G, L, budget)
+        nf = _kernel_nf(f, G, table, budget)
         if nf:
-            G.append(nf)
-            sugars.append(nf[0][0])
-            add_pairs(len(G) - 1)
+            add(nf, degree(nf[0]))
 
     while queue:
         sugar, lcm, (i, j) = heapq.heappop(queue)
         pairs.remove((i, j))
         lti, ltj = G[i][0], G[j][0]
-        if all(lti[r] == 0 or ltj[r] == 0 for r in range(1, L)):
+        if lti + ltj - one == lcm:
             continue  # coprime leading terms reduce to zero
         skip = False
-        for k in range(len(G)):
-            if k in (i, j) or not _divides(G[k][0], lcm, L):
+        for k, lead in enumerate(leads):
+            if k in (i, j) or (lead - lcm) & guard != guard:
                 continue
             a = (i, k) if i < k else (k, i)
             b = (j, k) if j < k else (k, j)
@@ -156,31 +147,28 @@ def _buchberger(ring, key_polys, budget):
         if skip:
             continue
         budget.charge(1)
-        qf = tuple(lcm[r] - lti[r] for r in range(L))
-        qg = tuple(lcm[r] - ltj[r] for r in range(L))
-        fa = [tuple(t[r] + qf[r] for r in range(L)) for t in G[i]]
-        fb = [tuple(t[r] + qg[r] for r in range(L)) for t in G[j]]
-        spoly = tuple(sorted(set(fa) ^ set(fb), reverse=True))
+        qf = lcm - lti
+        qg = lcm - ltj
+        spoly = tuple(sorted({t + qf for t in G[i]} ^ {t + qg for t in G[j]}, reverse=True))
         if not spoly:
             continue
-        nf = _kernel_nf(spoly, G, L, budget)
+        nf = _kernel_nf(spoly, G, table, budget)
         if nf:
-            G.append(nf)
-            sugars.append(sugar)
-            add_pairs(len(G) - 1)
+            add(nf, sugar)
 
     # Minimal generators: ascending scan keeps only underivable leading terms.
-    order = sorted(range(len(G)), key=lambda k: G[k][0])
     keep = []
-    for k in order:
+    for k in sorted(range(len(G)), key=lambda k: G[k][0]):
         lt = G[k][0]
-        if not any(_divides(G[m][0], lt, L) for m in keep):
+        if not any((leads[m] - lt) & guard == guard for m in keep):
             keep.append(k)
-    final = []
-    for k in keep:
-        others = [G[m] for m in keep if m != k]
-        final.append(_kernel_nf(G[k], others, L, budget))
-    final.sort(key=lambda f: f[0], reverse=True)
+    minimal = [G[k] for k in keep]
+    table = DivisorTable(ring, [f[0] for f in minimal])
+    final = [
+        _kernel_nf(f, minimal[:k] + minimal[k + 1 :], table.without(k), budget)
+        for k, f in enumerate(minimal)
+    ]
+    final.sort(reverse=True)
     return final
 
 
@@ -190,17 +178,27 @@ def _buchberger(ring, key_polys, budget):
 class GroebnerBasis:
     """Reduced basis; the tuple of polynomials is sorted by leading term."""
 
-    __slots__ = ("ring", "polys", "_keys")
+    __slots__ = ("ring", "polys", "_keys", "_table")
 
     def __init__(self, ring, polys):
         self.ring = ring
         self.polys = tuple(polys)
         self._keys = None
+        self._table = None
+
+    @classmethod
+    def _of_keys(cls, ring, keys):
+        gb = cls(ring, [_from_keys(ring, f) for f in keys])
+        gb._keys = keys
+        return gb
 
     def _key_basis(self):
+        """The basis in key space and its divisor table, built once."""
         if self._keys is None:
             self._keys = [_to_keys(p) for p in self.polys]
-        return self._keys
+        if self._table is None:
+            self._table = DivisorTable(self.ring, [f[0] for f in self._keys])
+        return self._keys, self._table
 
     def lead_exponents(self):
         return [p.lead_monomial() for p in self.polys]
@@ -234,8 +232,7 @@ def groebner_basis(ring, gens, budget=None):
             raise RingError("generator lies in a different ring")
         if g:
             keys.append(_to_keys(g))
-    basis = _buchberger(ring, keys, budget)
-    return GroebnerBasis(ring, [_from_keys(ring, f) for f in basis])
+    return GroebnerBasis._of_keys(ring, _buchberger(ring, keys, budget))
 
 
 def normal_form(x, gb, budget=None):
@@ -243,7 +240,7 @@ def normal_form(x, gb, budget=None):
     if x.ring != gb.ring:
         raise RingError("polynomial lies in a different ring")
     budget = _resolve_budget(budget)
-    nf = _kernel_nf(_to_keys(x), gb._key_basis(), x.ring._key_len, budget)
+    nf = _kernel_nf(_to_keys(x), *gb._key_basis(), budget)
     return _from_keys(x.ring, nf)
 
 
@@ -510,7 +507,7 @@ class RegularSequenceChecker:
 
     @property
     def basis(self):
-        return GroebnerBasis(self.ring, [_from_keys(self.ring, f) for f in self._keys])
+        return GroebnerBasis._of_keys(self.ring, self._keys)
 
 
 def is_regular_sequence(ring, seq, budget=None):

@@ -18,10 +18,17 @@ from __future__ import annotations
 
 import functools
 import re
-from operator import add
+from operator import add, mul
 from typing import Iterable, NamedTuple
 
 MAX_EXPONENT = 2**32 - 1
+
+#: Width of one exponent field of a packed key, and its largest value.  A
+#: field holds any sum of two exponents up to MAX_EXPONENT, so a product of
+#: two in-range monomials never wraps.
+FIELD_BITS = 33
+FIELD_MAX = 2**FIELD_BITS - 1
+_FIELD_WIDTH = FIELD_BITS + 1  # the field and its guard bit
 
 #: Markers returned by :func:`bidegree_of` for the two degenerate cases.
 INHOMOGENEOUS = "inhomogeneous"
@@ -94,10 +101,23 @@ class Ring:
     """An ordered list of bigraded generators and the induced monomial order.
 
     Monomials are exponent tuples aligned with the generator list.  The sort
-    key of a monomial is ``(d, -e[perm[0]], -e[perm[1]], ...)`` where ``perm``
-    runs through the generators in reversed tie-break order (``t`` first, then
-    the list reversed); lexicographic comparison of keys realises the graded
-    reverse lexicographic order.
+    key of a monomial packs it into one nonnegative int whose native order is
+    the graded reverse lexicographic order (Bachmann & Schoenemann, "Monomial
+    representations for Groebner bases computations", ISSAC 1998).  The
+    combined degree sits in the top, unbounded field.  Below it lies one
+    ``FIELD_BITS``-bit field per generator, in reversed tie-break order (``t``
+    first, then the list reversed), holding ``FIELD_MAX - e``; one zero guard
+    bit sits above each field.  With exponents at most ``FIELD_MAX``:
+
+    * the key of a product is ``a + b - unit_key``, where ``unit_key`` is the
+      key of the monomial 1 (every field ``FIELD_MAX``, degree 0);
+    * ``a`` divides ``b`` exactly when
+      ``((a | guard_mask) - b) & guard_mask == guard_mask``: a field borrows
+      from its guard bit exactly when ``a``'s exponent there exceeds ``b``'s;
+    * ``((a ^ unit_key) + unit_key) & guard_mask`` keeps the guard bits of
+      the fields whose exponent is nonzero (the support of ``a``);
+    * ``a & limit_mask == limit_mask`` exactly when no exponent of ``a``
+      exceeds ``MAX_EXPONENT``.
     """
 
     __slots__ = (
@@ -105,10 +125,13 @@ class Ring:
         "bidegrees",
         "_index",
         "tau_index",
-        "_d",
-        "_perm",
-        "_dperm",
-        "_key_len",
+        "unit_key",
+        "guard_mask",
+        "limit_mask",
+        "degree_shift",
+        "_steps",
+        "_shifts",
+        "_field_weights",
         "_hash",
     )
 
@@ -127,13 +150,22 @@ class Ring:
         self.bidegrees = tuple(bd for _, bd in gens)
         self._index = {name: i for i, name in enumerate(names)}
         self.tau_index = self._index.get("t")
-        self._d = tuple(bd.p + bd.q for bd in self.bidegrees)
+        d = [bd.p + bd.q for bd in self.bidegrees]
         tiebreak = [i for i in range(len(names)) if i != self.tau_index]
         if self.tau_index is not None:
             tiebreak.append(self.tau_index)
-        self._perm = tuple(reversed(tiebreak))
-        self._dperm = tuple(self._d[i] for i in self._perm)
-        self._key_len = len(names) + 1
+        # the last generator to break ties owns the most significant field
+        shifts = [0] * len(names)
+        for r, i in enumerate(tiebreak):
+            shifts[i] = r * _FIELD_WIDTH
+        self._shifts = tuple(shifts)
+        self.degree_shift = top = len(names) * _FIELD_WIDTH
+        self.unit_key = sum(FIELD_MAX << s for s in shifts)
+        self.guard_mask = sum(1 << s + FIELD_BITS for s in shifts)
+        self.limit_mask = sum(1 << s + FIELD_BITS - 1 for s in shifts)
+        # one more power of a generator: its degree up, its field one down
+        self._steps = tuple((w << top) - (1 << s) for w, s in zip(d, shifts))
+        self._field_weights = tuple(zip(shifts, d))
         self._hash = hash((self.names, self.bidegrees))
 
     # -- basic queries -----------------------------------------------------
@@ -174,17 +206,26 @@ class Ring:
     # -- monomial order ----------------------------------------------------
 
     def sort_key(self, mono):
-        w = 0
-        for e, d in zip(mono, self._d):
-            if e:
-                w += e * d
-        return (w,) + tuple(-mono[i] for i in self._perm)
+        """The packed key of an exponent tuple; see the class docstring."""
+        return sum(map(mul, mono, self._steps), self.unit_key)
 
     def from_sort_key(self, key):
-        exps = [0] * len(self.names)
-        for r, i in enumerate(self._perm):
-            exps[i] = -key[1 + r]
-        return tuple(exps)
+        """The exponent tuple of a packed key."""
+        return tuple(FIELD_MAX - (key >> s & FIELD_MAX) for s in self._shifts)
+
+    def key_degree(self, key):
+        """Combined degree of the monomial with packed key ``key``."""
+        return key >> self.degree_shift
+
+    def key_lcm(self, a, b):
+        """Packed key of the least common multiple of two packed keys."""
+        # guard bits of the fields where a's exponent is at most b's, widened
+        # to masks of those fields: lcm takes b's field there, a's elsewhere
+        ge = ((a | self.guard_mask) - b) & self.guard_mask
+        take_b = ge - (ge >> FIELD_BITS)
+        body = (b & take_b) | (a & (self.unit_key ^ take_b))
+        w = sum(d * (FIELD_MAX - (body >> s & FIELD_MAX)) for s, d in self._field_weights)
+        return (w << self.degree_shift) | body
 
     # -- element construction ----------------------------------------------
 

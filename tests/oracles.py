@@ -92,8 +92,35 @@ def macaulay_member(x, gens):
     return _row_reduce(rows, set(x.terms))
 
 
+# -- the monomial order as key tuples -----------------------------------------
+# subtlesw packs each monomial into one int; these tuple keys realise the same
+# graded reverse lexicographic order by plain tuple comparison, and are the
+# reference the packed keys are checked against.
+
+
+def _reversed_tiebreak(ring):
+    """Generator indices from the first to break ties (t) to the last."""
+    tiebreak = [i for i, name in enumerate(ring.names) if name != "t"]
+    if ring.has("t"):
+        tiebreak.append(ring.index("t"))
+    return tiebreak[::-1]
+
+
+def grevlex_key(ring, mono):
+    """``(d, -e[perm[0]], -e[perm[1]], ...)``, perm the reversed tie-break."""
+    w = sum(e * (bd.p + bd.q) for e, bd in zip(mono, ring.bidegrees))
+    return (w,) + tuple(-mono[i] for i in _reversed_tiebreak(ring))
+
+
+def from_grevlex_key(ring, key):
+    exps = [0] * len(ring)
+    for r, i in enumerate(_reversed_tiebreak(ring)):
+        exps[i] = -key[1 + r]
+    return tuple(exps)
+
+
 # The list-merge reduction kernel, kept as the reference for the heap kernel
-# in subtlesw._reduction: same contract, same reducer choice, same steps.
+# in subtlesw._reduction: same reducer choice, same steps, on key tuples.
 
 
 def _merge_xor(a, start, b):
@@ -156,6 +183,25 @@ def normal_form_terms(terms, basis, L, max_steps):
         work = _merge_xor(work, s + 1, shifted)
         s = 0
     return tuple(out), steps
+
+
+def packed_normal_form_terms(terms, basis, table, max_steps):
+    """The reference under the packed-key kernel's contract.
+
+    Unpacks the keys, reduces their tuple keys with ``normal_form_terms`` and
+    packs the remainder again.
+    """
+    ring = table.ring
+
+    def key(k):
+        return grevlex_key(ring, ring.from_sort_key(k))
+
+    nf, steps = normal_form_terms(
+        tuple(map(key, terms)), [tuple(map(key, g)) for g in basis], len(ring) + 1, max_steps
+    )
+    if nf is None:
+        return None, steps
+    return tuple(ring.sort_key(from_grevlex_key(ring, k)) for k in nf), steps
 
 
 def classical_sq_gen(ring, k, m, n):

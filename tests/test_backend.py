@@ -6,8 +6,9 @@ import pytest
 
 import oracles
 from subtlesw import _reduction, spaces
+from subtlesw._reduction import DivisorTable
 from subtlesw.grobner import DEFAULT_BUDGET, Budget, BudgetExceeded, groebner_basis, normal_form
-from subtlesw.poly import bso_ring, parse_poly
+from subtlesw.poly import MAX_EXPONENT, ExponentOverflow, bso_ring, parse_poly
 
 # the fixed ideal of benchmarks/bench_kernel.py, in bso_ring(8)
 BENCH_GENS = (
@@ -23,18 +24,33 @@ def test_kernels_agree_on_random_reductions():
     mismatch = stopped = reduced = 0
     # small bases first, then longer ones whose products collide more often
     for ring, n_gens, size in ((bso_ring(5), 3, 3), (bso_ring(7), 6, 5)):
-        L = ring._key_len
+        L = len(ring) + 1
+
+        def ref_key(m):
+            return oracles.grevlex_key(ring, m)
+
         for _ in range(300):
             x = oracles.random_bihomogeneous(ring, rng, max_factors=5, max_terms=2 * size)
-            basis = []
+            gens = []
             for _ in range(rng.randint(1, n_gens)):
                 g = oracles.random_bihomogeneous(ring, rng, max_factors=3, max_terms=size)
                 if g.terms:
-                    basis.append(tuple(ring.sort_key(m) for m in g.terms))
-            terms = tuple(ring.sort_key(m) for m in x.terms)
+                    gens.append(g.terms)
+            # the kernel gets packed keys, the reference tuple keys, each
+            # sorted by its own order
+            basis = [tuple(sorted(map(ring.sort_key, g), reverse=True)) for g in gens]
+            table = DivisorTable(ring, [g[0] for g in basis])
+            terms = tuple(sorted(map(ring.sort_key, x.terms), reverse=True))
+            ref_basis = [tuple(sorted(map(ref_key, g), reverse=True)) for g in gens]
+            ref_terms = tuple(sorted(map(ref_key, x.terms), reverse=True))
             for cap in (0, 1, 3, 10**6):
-                got = _reduction.normal_form_terms(terms, basis, L, cap)
-                if got != oracles.normal_form_terms(terms, basis, L, cap):
+                got = _reduction.normal_form_terms(terms, basis, table, cap)
+                want = oracles.normal_form_terms(ref_terms, ref_basis, L, cap)
+                if got[0] is not None:
+                    got = tuple(map(ring.from_sort_key, got[0])), got[1]
+                if want[0] is not None:
+                    want = tuple(oracles.from_grevlex_key(ring, k) for k in want[0]), want[1]
+                if got != want:
                     mismatch += 1
                 stopped += got[0] is None
                 reduced += got[1] > 0
@@ -56,7 +72,7 @@ def test_identical_groebner_runs_and_budgets(monkeypatch):
 
     kernel = run()
     with monkeypatch.context() as m:
-        m.setattr(_reduction, "normal_form_terms", oracles.normal_form_terms)
+        m.setattr(_reduction, "normal_form_terms", oracles.packed_normal_form_terms)
         assert run() == kernel == (("u5", "u3", "u2"), 3, (3, 2))
 
     # budget use of the benchmark ideal and of the k(n) certificates
@@ -65,11 +81,11 @@ def test_identical_groebner_runs_and_budgets(monkeypatch):
     gb = groebner_basis(ring, [parse_poly(ring, s) for s in BENCH_GENS], budget=b)
     assert (len(gb), b.used) == (129, 24710)
     used = {}
-    for n in (8, 10, 11):
+    for n in (8, 10, 11, 12, 13):
         b = Budget()
         spaces.k_computed(n, b)
         used[n] = b.used
-    assert used == {8: 13, 10: 305, 11: 1941}
+    assert used == {8: 13, 10: 305, 11: 1941, 12: 2316, 13: 59688}
 
 
 def test_normal_form_same_under_both_backends(monkeypatch):
@@ -78,10 +94,28 @@ def test_normal_form_same_under_both_backends(monkeypatch):
     gb = groebner_basis(ring, [parse_poly(ring, "u2"), parse_poly(ring, "u3")])
     x = parse_poly(ring, "u2*u3+u5")
     answers = {str(normal_form(x, gb))}
-    monkeypatch.setattr(_reduction, "normal_form_terms", oracles.normal_form_terms)
+    monkeypatch.setattr(_reduction, "normal_form_terms", oracles.packed_normal_form_terms)
     answers.add(str(normal_form(x, gb)))
     assert answers == {"u5"}
 
 
 def test_default_budget_is_large():
     assert DEFAULT_BUDGET == 10**7
+
+
+def test_exponents_past_the_limit_raise_instead_of_wrapping():
+    ring = bso_ring(3)
+    top = MAX_EXPONENT
+    g = (ring.sort_key((0, top, 0)), ring.sort_key((top, 0, 0)))  # u2^top + t^top
+    table = DivisorTable(ring, [g[0]])
+    # in range: u2^top reduces to t^top in one step
+    assert _reduction.normal_form_terms((g[0],), [g], table, 10) == ((g[1],), 1)
+    # a term at 2 * top, against a tail at top: the product would need 3 * top
+    term = ring.sort_key((2 * top, top, 0))
+    with pytest.raises(ExponentOverflow):
+        _reduction.normal_form_terms((term,), [g], table, 10)
+    # an in-range head whose product lands past the limit
+    x = parse_poly(ring, f"t*u2^{top}")
+    gb = groebner_basis(ring, [parse_poly(ring, f"u2^{top}+t^{top}")])
+    with pytest.raises(ExponentOverflow):
+        normal_form(x, gb)

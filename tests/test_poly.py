@@ -1,9 +1,11 @@
 import random
+from operator import add, le
 
 import pytest
 
 from subtlesw.poly import (
     INHOMOGENEOUS,
+    MAX_EXPONENT,
     ZERO_DEGREE,
     Bidegree,
     ExponentOverflow,
@@ -21,7 +23,7 @@ from subtlesw.poly import (
     ring_new,
 )
 
-from oracles import random_bihomogeneous
+from oracles import from_grevlex_key, grevlex_key, random_bihomogeneous
 
 
 def test_bidegree_basics():
@@ -139,6 +141,91 @@ def test_monomial_order_tau_is_cheapest():
     assert str(parse_poly(ring, "t^3+u2")) == "u2+t^3"
     assert str(parse_poly(ring, "u2*u5+u3*u4")) == "u3*u4+u2*u5"
     assert str(parse_poly(ring, "t^2*u4+u3^2")) == "u3^2+t^2*u4"
+
+
+# -- packed monomial keys -------------------------------------------------------
+
+
+def _key_rings():
+    rings = [bso_ring(n) for n in range(2, 17)]
+    rings += [bo_ring(6), bso_top_ring(7)]
+    base = bso_ring(9)  # the BSpin_9 ambient ring adjoins v16 in (8)[16]
+    rings.append(ring_new(list(zip(base.names, base.bidegrees)) + [("v16", Bidegree(16, 8))]))
+    rings.append(ring_new([("x1", (1, 0)), ("y1", (0, 1)), ("x2", (2, 3)), ("y2", (1, 1))]))
+    rings.append(ring_new([]))
+    return rings
+
+
+def _random_exponents(ring, rng):
+    """Exponents from 0 to MAX_EXPONENT, the extremes included often."""
+    pool = (0, 0, 1, 2, MAX_EXPONENT, MAX_EXPONENT - 1)
+    return tuple(
+        rng.choice(pool) if rng.random() < 0.6 else rng.randint(0, MAX_EXPONENT)
+        for _ in range(len(ring))
+    )
+
+
+def _key_pairs(seed, count=60):
+    rng = random.Random(seed)
+    for ring in _key_rings():
+        for _ in range(count):
+            yield ring, _random_exponents(ring, rng), _random_exponents(ring, rng)
+
+
+def test_packed_order_is_the_reference_grevlex_order():
+    rng = random.Random(21)
+    for ring in _key_rings():
+        monos = [_random_exponents(ring, rng) for _ in range(40)]
+        monos += [tuple(map(min, a, b)) for a, b in zip(monos, monos[1:])]
+        monos += [tuple(e >> 31 for e in m) for m in monos]  # small exponents tie on degree
+        packed = sorted(monos, key=ring.sort_key)
+        assert packed == sorted(monos, key=lambda m: grevlex_key(ring, m))
+        for a, b in zip(monos, reversed(monos)):
+            ka, kb = ring.sort_key(a), ring.sort_key(b)
+            ra, rb = grevlex_key(ring, a), grevlex_key(ring, b)
+            assert (ka < kb, ka == kb) == (ra < rb, ra == rb)
+
+
+def test_packed_keys_unpack_and_multiply_by_adding():
+    for ring, a, b in _key_pairs(22):
+        ab = tuple(map(add, a, b))  # up to 2 * MAX_EXPONENT
+        for m in (a, b, ab):
+            key = ring.sort_key(m)
+            assert key >= 0
+            assert ring.from_sort_key(key) == m
+            assert from_grevlex_key(ring, grevlex_key(ring, m)) == m
+            assert ring.key_degree(key) == grevlex_key(ring, m)[0]
+            assert (key & ring.limit_mask == ring.limit_mask) == (max(m, default=0) <= MAX_EXPONENT)
+        assert ring.sort_key(a) + ring.sort_key(b) - ring.unit_key == ring.sort_key(ab)
+        assert ring.key_lcm(ring.sort_key(a), ring.sort_key(b)) == ring.sort_key(tuple(map(max, a, b)))
+    assert ring_new([]).sort_key(()) == ring_new([]).unit_key == 0
+
+
+def test_guard_test_is_exponentwise_divisibility():
+    divisible = 0
+    for i, (ring, a, c) in enumerate(_key_pairs(23)):
+        # b is a multiple of a every other time; products reach 2 * MAX_EXPONENT
+        b = tuple(map(add, a, c)) if i % 2 else c
+        a2 = tuple(map(add, a, a))
+        guard = ring.guard_mask
+        for x, y in ((a, b), (b, a), (a2, a), (a, a2), (a, a)):
+            kx, ky = ring.sort_key(x), ring.sort_key(y)
+            divides = all(map(le, x, y))
+            assert (((kx | guard) - ky) & guard == guard) == divides
+            divisible += divides
+    assert divisible > 1000
+
+
+def test_support_mask_marks_nonzero_exponents():
+    for ring, a, b in _key_pairs(24):
+        def support(m):
+            return ((ring.sort_key(m) ^ ring.unit_key) + ring.unit_key) & ring.guard_mask
+
+        sa, sb = support(a), support(b)
+        assert sa & ~ring.guard_mask == 0
+        assert bin(sa).count("1") == sum(1 for e in a if e)
+        assert (not sa & ~sb) == all(y or not x for x, y in zip(a, b))
+        assert support(tuple(map(add, a, b))) == sa | sb
 
 
 def test_lead_monomial():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from subtlesw.grobner import groebner_basis, hilbert_series, ideal_member, normal_form
+from subtlesw.grobner import HilbertSeries, groebner_basis, hilbert_series, ideal_member, normal_form
 from subtlesw.poly import Bidegree, bso_ring, bso_top_ring, parse_poly, ring_new
 from subtlesw.steenrod import bso_context, bso_top_context, theta
 from subtlesw.spaces import (
@@ -179,6 +179,21 @@ def test_bspin_series_match_stated_free_algebras():
         p = present("BSpin", n)
         free = ring_new(gens)
         assert hilbert_series(p.relations) == hilbert_series(groebner_basis(free, []))
+
+
+def test_bspin_series_match_the_closed_form():
+    # theta_0..theta_{k-1} is regular, so the quotient's series is the free
+    # series of the ambient ring (BSO_n and v) times (1 - T^p S^q) per theta
+    for n in range(8, 17):
+        p = present("BSpin", n)
+        ctx = bso_context(n)
+        num = HilbertSeries({(0, 0): 1}, ())
+        for j in range(p.k):
+            bd = theta(ctx, j).bidegree()
+            num = num.times_factor(bd.p, bd.q)
+        closed = HilbertSeries(num.numerator, [(bd.p, bd.q) for bd in p.ring.bidegrees])
+        assert p.ring.names == bso_ring(n).names + (f"v{1 << p.k}",)
+        assert hilbert_series(p.relations) == closed, n
 
 
 def test_torsor_relation_literals():
