@@ -2,7 +2,8 @@
 
 Times computing the ideal's reduced Groebner basis (the Buchberger driver's
 pair handling dominates) and a batch of deep normal forms against that basis
-(kernel-bound), best of ``--repeat`` runs.  Run with
+(kernel-bound), best of ``--repeat`` runs, and the reduction steps of the
+batch.  Run with
 
     python3 benchmarks/bench_kernel.py [--repeat 3] [--elements 300] [--factors 12]
 """
@@ -11,7 +12,7 @@ import argparse
 import random
 import time
 
-from subtlesw.grobner import groebner_basis, normal_form
+from subtlesw.grobner import Budget, groebner_basis, normal_form
 from subtlesw.poly import bso_ring, parse_poly
 
 # a fixed bihomogeneous ideal with a 129-element reduced basis
@@ -59,6 +60,10 @@ def main():
 
     for label, fn in workloads:
         print(f"{label:<24}{best_of(args.repeat, fn):>9.3f}s")
+    budget = Budget()
+    for x in elems:
+        normal_form(x, gb, budget)
+    print(f"{'normal_form steps':<24}{budget.used:>9}")
 
 
 if __name__ == "__main__":

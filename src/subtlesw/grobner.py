@@ -99,14 +99,23 @@ def _kernel_nf(terms, basis, table, budget):
     return nf
 
 
-def _buchberger(ring, key_polys, budget):
-    """Reduced Groebner basis in key space from nonzero key polynomials."""
+def _buchberger(ring, key_polys, budget, known=()):
+    """Reduced Groebner basis in key space, smallest leading term first.
+
+    Returns the basis and its divisor table.  ``key_polys`` are nonzero key
+    polynomials.  ``known`` is a reduced basis of homogeneous polynomials, as
+    this function returns it, that the ideal already contains: it seeds G,
+    and pairs are formed only with the new elements.  Every pair of
+    ``known`` already reduces to zero by ``known``, whose elements stay in G
+    until the final interreduction, so the chain criterion may count those
+    pairs as treated.
+    """
     one, guard = ring.unit_key, ring.guard_mask
     lcm_of, degree = ring.key_lcm, ring.key_degree
-    G = []
-    table = DivisorTable(ring)  # grows with G
+    G = list(known)
+    table = DivisorTable(ring, [f[0] for f in G])  # grows with G
     leads = table.leads  # G's leading keys with the guard bits set
-    sugars = []
+    sugars = [degree(f[0]) for f in G]  # homogeneous: sugar is the degree
     pairs = set()  # open pairs (i, j), read by the chain criterion
     queue = []  # the same pairs as a heap of (sugar, lcm, (i, j))
 
@@ -157,6 +166,7 @@ def _buchberger(ring, key_polys, budget):
             add(nf, sugar)
 
     # Minimal generators: ascending scan keeps only underivable leading terms.
+    # Interreduction keeps the leading terms, so the result stays ascending.
     keep = []
     for k in sorted(range(len(G)), key=lambda k: G[k][0]):
         lt = G[k][0]
@@ -168,15 +178,20 @@ def _buchberger(ring, key_polys, budget):
         _kernel_nf(f, minimal[:k] + minimal[k + 1 :], table.without(k), budget)
         for k, f in enumerate(minimal)
     ]
-    final.sort(reverse=True)
-    return final
+    return final, table
 
 
 # -- public objects ------------------------------------------------------------
 
 
 class GroebnerBasis:
-    """Reduced basis; the tuple of polynomials is sorted by leading term."""
+    """Reduced basis; the tuple of polynomials is sorted by leading term.
+
+    ``polys`` lists the largest leading term first.  The basis in key space
+    lists the smallest first: the kernel reduces by the first element in
+    list order whose leading term divides, so the smallest reducer is tried
+    first, which takes fewer steps to the same unique remainder.
+    """
 
     __slots__ = ("ring", "polys", "_keys", "_table")
 
@@ -187,15 +202,17 @@ class GroebnerBasis:
         self._table = None
 
     @classmethod
-    def _of_keys(cls, ring, keys):
-        gb = cls(ring, [_from_keys(ring, f) for f in keys])
+    def _of_keys(cls, ring, keys, table):
+        """The basis of ``_buchberger``'s result: keys ascending, and their table."""
+        gb = cls(ring, [_from_keys(ring, f) for f in reversed(keys)])
         gb._keys = keys
+        gb._table = table
         return gb
 
     def _key_basis(self):
-        """The basis in key space and its divisor table, built once."""
+        """The basis in key space, ascending, and its divisor table, built once."""
         if self._keys is None:
-            self._keys = [_to_keys(p) for p in self.polys]
+            self._keys = sorted(map(_to_keys, self.polys))
         if self._table is None:
             self._table = DivisorTable(self.ring, [f[0] for f in self._keys])
         return self._keys, self._table
@@ -232,7 +249,7 @@ def groebner_basis(ring, gens, budget=None):
             raise RingError("generator lies in a different ring")
         if g:
             keys.append(_to_keys(g))
-    return GroebnerBasis._of_keys(ring, _buchberger(ring, keys, budget))
+    return GroebnerBasis._of_keys(ring, *_buchberger(ring, keys, budget))
 
 
 def normal_form(x, gb, budget=None):
@@ -471,19 +488,22 @@ class RegularSequenceChecker:
     """Incremental regular-sequence certifier.
 
     ``append(f)`` decides whether f is a nonzerodivisor on the current
-    quotient by the exact Hilbert-series drop; on success the ideal grows by
-    f, on failure the state is unchanged.  ``basis`` exposes the reduced
-    basis of the ideal accumulated so far.
+    quotient R/J.  An f that reduces to zero lies in J, so it is a zero
+    divisor, because R/J is not 0 (J is generated in positive degree).
+    Otherwise the basis grows by f's pairs only, and the exact Hilbert-series
+    drop decides.  On success the ideal grows by f, on failure the state is
+    unchanged.  ``basis`` is the reduced basis of the ideal accumulated so
+    far, built once per successful append.
     """
 
-    __slots__ = ("ring", "budget", "_bidegs", "_num", "_keys", "length")
+    __slots__ = ("ring", "budget", "_bidegs", "_num", "_basis", "length")
 
     def __init__(self, ring, budget=None):
         self.ring = ring
         self.budget = _resolve_budget(budget)
         self._bidegs = [(bd.p, bd.q) for bd in ring.bidegrees]
         self._num = {(0, 0): 1}
-        self._keys = []
+        self._basis = GroebnerBasis(ring, ())
         self.length = 0
 
     def append(self, f):
@@ -496,18 +516,23 @@ class RegularSequenceChecker:
             return False
         if bd.d <= 0:
             raise ValueError("sequence elements must have positive combined degree")
-        basis = _buchberger(self.ring, self._keys + [_to_keys(f)], self.budget)
+        keys, table = self._basis._key_basis()
+        nf = _kernel_nf(_to_keys(f), keys, table, self.budget)
+        if not nf:
+            return False
+        basis, table = _buchberger(self.ring, [nf], self.budget, known=keys)
         lt_exps = [self.ring.from_sort_key(g[0]) for g in basis]
         num = _lt_numerator(lt_exps, self._bidegs)
         if num != _p2_mul(self._num, _one_minus(bd.p, bd.q)):
             return False
-        self._num, self._keys = num, basis
+        self._num = num
+        self._basis = GroebnerBasis._of_keys(self.ring, basis, table)
         self.length += 1
         return True
 
     @property
     def basis(self):
-        return GroebnerBasis._of_keys(self.ring, self._keys)
+        return self._basis
 
 
 def is_regular_sequence(ring, seq, budget=None):

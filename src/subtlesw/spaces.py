@@ -52,10 +52,12 @@ _k_cache = {}
 
 
 def k_computed(n, budget=None):
-    """Recompute k(n): extend theta while regular, then certify membership.
+    """Recompute k(n): append theta_j while it is not in the ideal so far.
 
     The answer is the unique k with theta_0..theta_{k-1} regular and
-    theta_k in the ideal they generate.
+    theta_k in the ideal they generate.  Each theta_j is tested for
+    membership first and appended only when it lies outside the ideal, where
+    it must be certified regular; so theta_k is reduced to zero once.
     """
     if n < 2:
         raise ValueError("k(n) is defined for n >= 2")
@@ -70,12 +72,12 @@ def k_computed(n, budget=None):
     ctx = bso_context(n)
     checker = RegularSequenceChecker(ring, budget)
     j = 0
-    while checker.append(theta(ctx, j)):
+    while not ideal_member(theta(ctx, j), checker.basis, budget):
+        if not checker.append(theta(ctx, j)):
+            raise ArithmeticError(
+                f"theta_{j} ends the regular sequence but is not in the ideal (n={n})"
+            )
         j += 1
-    if not ideal_member(theta(ctx, j), checker.basis, budget):
-        raise ArithmeticError(
-            f"theta_{j} ends the regular sequence but is not in the ideal (n={n})"
-        )
     _k_cache[n] = j
     return j
 

@@ -80,12 +80,21 @@ def test_identical_groebner_runs_and_budgets(monkeypatch):
     b = Budget(10**6)
     gb = groebner_basis(ring, [parse_poly(ring, s) for s in BENCH_GENS], budget=b)
     assert (len(gb), b.used) == (129, 24710)
-    used = {}
-    for n in (8, 10, 11, 12, 13):
-        b = Budget()
-        spaces.k_computed(n, b)
-        used[n] = b.used
-    assert used == {8: 13, 10: 305, 11: 1941, 12: 2316, 13: 59688}
+
+    def k_units(ns):
+        used = {}
+        for n in ns:
+            b = Budget()
+            spaces.k_computed(n, b)
+            used[n] = b.used
+        return used
+
+    used = k_units((8, 10, 11, 12, 13))
+    assert used == {8: 8, 10: 205, 11: 1262, 12: 1475, 13: 27897}
+    # the reference spends the same units, step for step
+    with monkeypatch.context() as m:
+        m.setattr(_reduction, "normal_form_terms", oracles.packed_normal_form_terms)
+        assert k_units((8, 10, 11, 12)) == {n: used[n] for n in (8, 10, 11, 12)}
 
 
 def test_normal_form_same_under_both_backends(monkeypatch):
@@ -97,6 +106,34 @@ def test_normal_form_same_under_both_backends(monkeypatch):
     monkeypatch.setattr(_reduction, "normal_form_terms", oracles.packed_normal_form_terms)
     answers.add(str(normal_form(x, gb)))
     assert answers == {"u5"}
+
+
+def test_divisor_table_without_matches_a_fresh_table():
+    rng = random.Random(77)
+    ring = bso_ring(7)
+    for _ in range(60):
+        def key(max_factors):
+            return ring.sort_key(oracles.random_monomial(ring, rng, max_factors))
+
+        leads = [key(4) for _ in range(rng.randint(1, 12))]
+        full = DivisorTable(ring, leads)
+        heads = [full.support(key(8)) for _ in range(20)]
+        # warm part of the full table's cache, so both derivation paths run
+        for s in heads[::2]:
+            full.candidates(s)
+        for k in range(len(leads)):
+            cut = full.without(k)
+            fresh = DivisorTable(ring, leads[:k] + leads[k + 1 :])
+            assert (cut.leads, cut.supports) == (fresh.leads, fresh.supports)
+            for s in heads:
+                assert cut.candidates(s) == fresh.candidates(s)
+    # a cut table that grows stops deriving from the full one
+    full = DivisorTable(ring, leads)
+    cut = full.without(0)
+    cut.append(leads[0])
+    fresh = DivisorTable(ring, leads[1:] + leads[:1])
+    for s in heads:
+        assert cut.candidates(s) == fresh.candidates(s)
 
 
 def test_default_budget_is_large():

@@ -19,6 +19,7 @@ from subtlesw.grobner import (
     krull_dimension,
     normal_form,
 )
+from subtlesw.spaces import k_expected
 from subtlesw.steenrod import bso_context, theta
 
 from oracles import count_standard_monomials, macaulay_member, random_bihomogeneous
@@ -225,6 +226,60 @@ def test_checker_incremental_state():
     assert chk.basis == groebner_basis(ring, [ring.gen("u2"), ring.gen("u3")])
     assert chk.append(ring.gen("u4"))
     assert chk.length == 3
+
+
+def test_checker_basis_is_built_once_per_accepted_append():
+    ring = bso_ring(5)
+    chk = RegularSequenceChecker(ring)
+    first = chk.basis
+    assert chk.basis is first
+    assert chk.append(ring.gen("u2"))
+    second = chk.basis
+    assert second is not first and chk.basis is second
+    assert not chk.append(ring.gen("u2") * ring.gen("u3"))  # in the ideal
+    assert not chk.append(ring.zero)
+    assert chk.basis is second
+
+
+def check_incremental_bases(ring, seq):
+    """Append ``seq``; after each accepted append the basis must equal the
+    from-scratch basis of the accepted prefix.  Returns how many elements
+    were accepted, rejected as ideal members, and rejected by the Hilbert
+    series."""
+    chk = RegularSequenceChecker(ring)
+    accepted = []
+    counts = [0, 0, 0]
+    for f in seq:
+        member = ideal_member(f, chk.basis)
+        if chk.append(f):
+            accepted.append(f)
+            gb = groebner_basis(ring, accepted)
+            assert chk.basis == gb
+            assert chk.basis._key_basis()[0] == gb._key_basis()[0]
+            counts[0] += 1
+        else:
+            counts[1 if member else 2] += 1
+    return counts
+
+
+def test_incremental_bases_equal_from_scratch_random():
+    rng = random.Random(31)
+    totals = [0, 0, 0]
+    for n in (4, 5, 6):
+        ring = bso_ring(n)
+        for _ in range(30):
+            seq = [random_bihomogeneous(ring, rng, 3, 4) for _ in range(rng.randint(1, 5))]
+            counts = check_incremental_bases(ring, seq)
+            totals = [t + c for t, c in zip(totals, counts)]
+    # the sample takes every path of append
+    assert all(totals)
+
+
+def test_incremental_bases_equal_from_scratch_theta():
+    for n in range(2, 13):
+        ctx = bso_context(n)
+        k = k_expected(n)
+        assert check_incremental_bases(ctx.ring, [theta(ctx, j) for j in range(k)]) == [k, 0, 0]
 
 
 def test_complete_intersection_numerator():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from subtlesw.grobner import HilbertSeries, groebner_basis, hilbert_series, ideal_member, normal_form
+from subtlesw import _reduction
+from subtlesw.grobner import Budget, HilbertSeries, groebner_basis, hilbert_series, ideal_member, normal_form
 from subtlesw.poly import Bidegree, bso_ring, bso_top_ring, parse_poly, ring_new
 from subtlesw.steenrod import bso_context, bso_top_context, theta
 from subtlesw.spaces import (
@@ -316,6 +317,25 @@ def test_tables():
     assert len(ht.rows) == 49
     row = k_row(5)
     assert row == {"n": 5, "expected": 3, "computed": 3, "ok": True}
+
+
+def test_k_computed_reduces_theta_k_once(monkeypatch):
+    ctx = bso_context(13)
+    theta7 = theta(ctx, 7)
+    assert len(theta7.terms) == 8271
+    theta7_keys = tuple(map(ctx.ring.sort_key, theta7.terms))
+    kernel = _reduction.normal_form_terms
+    results = []
+
+    def record(terms, basis, table, max_steps):
+        nf, steps = kernel(terms, basis, table, max_steps)
+        if terms == theta7_keys:
+            results.append(nf)
+        return nf, steps
+
+    monkeypatch.setattr(_reduction, "normal_form_terms", record)
+    assert k_computed(13, Budget()) == 7
+    assert results == [()]
 
 
 def test_theta_k_membership_across_n():
