@@ -3,8 +3,10 @@
 For n = 13..16, with every cache cleared first, times theta_0..theta_7 in
 bso_context(n) and then k_computed(n).  k(n) = 7 for these n, so k_computed
 reuses the thetas just built and its time is the Groebner part alone.  Prints
-one line per n, with the budget units (pairs plus reduction steps) that
-k_computed spent.  Run with
+one line per n, with the number of ``_sq_mono`` cache entries the thetas left
+and the budget units (pairs plus reduction steps) that k_computed spent.  A
+last row times theta_0..theta_8 at n = 17, the theta layer at the wall; k(17)
+itself is out of reach, so that row certifies nothing.  Run with
 
     PYTHONPATH=src python3 benchmarks/bench_theta.py
 """
@@ -18,6 +20,7 @@ from subtlesw.steenrod import bso_context, theta
 
 NS = range(13, 17)
 J = 7  # k(n) for every n in NS
+WALL_N, WALL_J = 17, 8
 
 
 def clear_caches():
@@ -27,20 +30,35 @@ def clear_caches():
     grobner._gb_cache.clear()
 
 
+def time_thetas(n, last):
+    """Seconds for theta_0..theta_last from cold caches, and the last one's terms."""
+    clear_caches()
+    ctx = bso_context(n)
+    t0 = time.perf_counter()
+    terms = [len(theta(ctx, j).keys) for j in range(last + 1)]
+    return time.perf_counter() - t0, terms[-1]
+
+
+def cache_size():
+    return steenrod._sq_mono.cache_info().currsize
+
+
 def main():
     for n in NS:
-        clear_caches()
-        ctx = bso_context(n)
-        t0 = time.perf_counter()
-        terms = [len(theta(ctx, j).terms) for j in range(J + 1)]
-        t1 = time.perf_counter()
+        seconds, terms = time_thetas(n, J)
+        entries = cache_size()
         budget = Budget()
+        t1 = time.perf_counter()
         k = k_computed(n, budget)
         t2 = time.perf_counter()
         print(
-            f"n={n:<3} theta_0..{J} {t1 - t0:8.3f}s ({terms[-1]} terms)"
+            f"n={n:<3} theta_0..{J} {seconds:8.3f}s ({terms} terms, {entries} _sq_mono entries)"
             f"   k={k} {t2 - t1:8.3f}s ({budget.used} units)"
         )
+    seconds, terms = time_thetas(WALL_N, WALL_J)
+    print(
+        f"n={WALL_N:<3} theta_0..{WALL_J} {seconds:8.3f}s ({terms} terms, {cache_size()} _sq_mono entries)"
+    )
 
 
 if __name__ == "__main__":

@@ -75,18 +75,10 @@ def _resolve_budget(budget):
 
 
 # -- key space -----------------------------------------------------------------
-# The Groebner layer works on tuples of packed keys (see poly.Ring): one int
-# per monomial, sorted descending, so native int order is the monomial order.
-# A shift by a monomial is one addition per term, and divisibility is the
-# guard-bit test of a DivisorTable, which is kept beside every basis.
-
-
-def _to_keys(x):
-    return tuple(map(x.ring.sort_key, x.terms))
-
-
-def _from_keys(ring, terms):
-    return Poly(ring, tuple(map(ring.from_sort_key, terms)))
+# The Groebner layer works on Poly.keys, tuples of packed keys (see poly.Ring):
+# one int per monomial, sorted descending, so native int order is the monomial
+# order.  A shift by a monomial is one addition per term, and divisibility is
+# the guard-bit test of a DivisorTable, which is kept beside every basis.
 
 
 def _kernel_nf(terms, basis, table, budget):
@@ -204,7 +196,7 @@ class GroebnerBasis:
     @classmethod
     def _of_keys(cls, ring, keys, table):
         """The basis of ``_buchberger``'s result: keys ascending, and their table."""
-        gb = cls(ring, [_from_keys(ring, f) for f in reversed(keys)])
+        gb = cls(ring, [Poly(ring, f) for f in reversed(keys)])
         gb._keys = keys
         gb._table = table
         return gb
@@ -212,7 +204,7 @@ class GroebnerBasis:
     def _key_basis(self):
         """The basis in key space, ascending, and its divisor table, built once."""
         if self._keys is None:
-            self._keys = sorted(map(_to_keys, self.polys))
+            self._keys = sorted(p.keys for p in self.polys)
         if self._table is None:
             self._table = DivisorTable(self.ring, [f[0] for f in self._keys])
         return self._keys, self._table
@@ -248,7 +240,7 @@ def groebner_basis(ring, gens, budget=None):
         if g.ring != ring:
             raise RingError("generator lies in a different ring")
         if g:
-            keys.append(_to_keys(g))
+            keys.append(g.keys)
     return GroebnerBasis._of_keys(ring, *_buchberger(ring, keys, budget))
 
 
@@ -257,8 +249,7 @@ def normal_form(x, gb, budget=None):
     if x.ring != gb.ring:
         raise RingError("polynomial lies in a different ring")
     budget = _resolve_budget(budget)
-    nf = _kernel_nf(_to_keys(x), *gb._key_basis(), budget)
-    return _from_keys(x.ring, nf)
+    return Poly(x.ring, _kernel_nf(x.keys, *gb._key_basis(), budget))
 
 
 def ideal_member(x, gb, budget=None):
@@ -271,7 +262,7 @@ _gb_cache = {}
 
 def cached_groebner_basis(ring, gens):
     """Default-budget basis, memoized on (ring, canonicalized generators)."""
-    key = (ring, tuple(sorted(g.terms for g in gens if g)))
+    key = (ring, tuple(sorted(g.keys for g in gens if g)))
     hit = _gb_cache.get(key)
     if hit is not None:
         return hit
@@ -517,7 +508,7 @@ class RegularSequenceChecker:
         if bd.d <= 0:
             raise ValueError("sequence elements must have positive combined degree")
         keys, table = self._basis._key_basis()
-        nf = _kernel_nf(_to_keys(f), keys, table, self.budget)
+        nf = _kernel_nf(f.keys, keys, table, self.budget)
         if not nf:
             return False
         basis, table = _buchberger(self.ring, [nf], self.budget, known=keys)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import re
-from operator import add, mul
+from operator import and_, mul
 from typing import Iterable, NamedTuple
 
 MAX_EXPONENT = 2**32 - 1
@@ -100,14 +100,15 @@ def _check_generator(name, bd):
 class Ring:
     """An ordered list of bigraded generators and the induced monomial order.
 
-    Monomials are exponent tuples aligned with the generator list.  The sort
-    key of a monomial packs it into one nonnegative int whose native order is
-    the graded reverse lexicographic order (Bachmann & Schoenemann, "Monomial
-    representations for Groebner bases computations", ISSAC 1998).  The
-    combined degree sits in the top, unbounded field.  Below it lies one
-    ``FIELD_BITS``-bit field per generator, in reversed tie-break order (``t``
-    first, then the list reversed), holding ``FIELD_MAX - e``; one zero guard
-    bit sits above each field.  With exponents at most ``FIELD_MAX``:
+    A monomial is an exponent tuple aligned with the generator list.  Its
+    sort key, the form a :class:`Poly` stores, packs it into one nonnegative
+    int whose native order is the graded reverse lexicographic order
+    (Bachmann & Schoenemann, "Monomial representations for Groebner bases
+    computations", ISSAC 1998).  The combined degree sits in the top,
+    unbounded field.  Below it lies one ``FIELD_BITS``-bit field per
+    generator, in reversed tie-break order (``t`` first, then the list
+    reversed), holding ``FIELD_MAX - e``; one zero guard bit sits above each
+    field.  With exponents at most ``FIELD_MAX``:
 
     * the key of a product is ``a + b - unit_key``, where ``unit_key`` is the
       key of the monomial 1 (every field ``FIELD_MAX``, degree 0);
@@ -129,7 +130,7 @@ class Ring:
         "guard_mask",
         "limit_mask",
         "degree_shift",
-        "_steps",
+        "steps",
         "_shifts",
         "_field_weights",
         "_hash",
@@ -163,8 +164,8 @@ class Ring:
         self.unit_key = sum(FIELD_MAX << s for s in shifts)
         self.guard_mask = sum(1 << s + FIELD_BITS for s in shifts)
         self.limit_mask = sum(1 << s + FIELD_BITS - 1 for s in shifts)
-        # one more power of a generator: its degree up, its field one down
-        self._steps = tuple((w << top) - (1 << s) for w, s in zip(d, shifts))
+        # steps[i] multiplies by generator i: its degree up, its field one down
+        self.steps = tuple((w << top) - (1 << s) for w, s in zip(d, shifts))
         self._field_weights = tuple(zip(shifts, d))
         self._hash = hash((self.names, self.bidegrees))
 
@@ -207,11 +208,11 @@ class Ring:
 
     def sort_key(self, mono):
         """The packed key of an exponent tuple; see the class docstring."""
-        return sum(map(mul, mono, self._steps), self.unit_key)
+        return sum(map(mul, mono, self.steps), self.unit_key)
 
     def from_sort_key(self, key):
         """The exponent tuple of a packed key."""
-        return tuple(FIELD_MAX - (key >> s & FIELD_MAX) for s in self._shifts)
+        return tuple([FIELD_MAX - (key >> s & FIELD_MAX) for s in self._shifts])
 
     def key_degree(self, key):
         """Combined degree of the monomial with packed key ``key``."""
@@ -235,12 +236,10 @@ class Ring:
 
     @property
     def one(self):
-        return Poly(self, ((0,) * len(self.names),))
+        return Poly(self, (self.unit_key,))
 
     def gen(self, name):
-        exps = [0] * len(self.names)
-        exps[self.index(name)] = 1
-        return Poly(self, (tuple(exps),))
+        return Poly(self, (self.unit_key + self.steps[self.index(name)],))
 
     def monomial(self, exps):
         """Poly with the single monomial given by a name -> exponent mapping."""
@@ -249,53 +248,70 @@ class Ring:
             if k < 0 or k > MAX_EXPONENT:
                 raise ExponentOverflow(f"exponent {k} for {name} out of range")
             e[self.index(name)] = k
-        return Poly(self, (tuple(e),))
+        return Poly(self, (self.sort_key(e),))
 
     def poly(self, monos):
-        """Canonical Poly from monomials counted mod 2; sorts the terms once.
+        """Canonical Poly from exponent sequences counted mod 2.
 
-        ``monos`` is either a set of exponent tuples, taken as an F2 sum that
-        is already collected (for instance with ``symmetric_difference_update``),
-        or any other iterable of exponent sequences, in which a monomial
-        listed twice cancels.
+        A monomial listed twice cancels.  Every sequence must have one
+        exponent per generator, each in 0..``MAX_EXPONENT``.
         """
-        if not isinstance(monos, (set, frozenset)):
-            acc = set()
-            for m in monos:
-                m = tuple(m)
-                if m in acc:
-                    acc.remove(m)
-                else:
-                    acc.add(m)
-            monos = acc
-        return Poly(self, tuple(sorted(monos, key=self.sort_key, reverse=True)))
+        n = len(self.names)
+        acc = set()
+        for m in monos:
+            m = tuple(m)
+            if len(m) != n:
+                raise RingError(f"monomial {m} needs {n} exponents")
+            if m and (min(m) < 0 or max(m) > MAX_EXPONENT):
+                raise ExponentOverflow(f"monomial {m} has an exponent outside 0..{MAX_EXPONENT}")
+            k = self.sort_key(m)
+            if k in acc:
+                acc.remove(k)
+            else:
+                acc.add(k)
+        return self.poly_of_keys(acc)
+
+    def poly_of_keys(self, keys):
+        """Canonical Poly from a set of packed keys, an F2 sum already
+        collected (for instance with ``symmetric_difference_update``)."""
+        return Poly(self, tuple(sorted(keys, reverse=True)))
 
 
 class Poly:
-    """Immutable F2 polynomial: a tuple of monomials sorted descending.
+    """Immutable F2 polynomial: a tuple of packed keys sorted descending.
 
-    Do not build directly from unsorted data; use the Ring helpers,
-    :func:`parse_poly`, or arithmetic.
+    ``keys`` is the stored form (see :class:`Ring`); native int order is the
+    monomial order, so the largest monomial comes first.  ``terms`` is the
+    same monomials as exponent tuples, in the same order, decoded on first
+    use.  Build through the Ring helpers, :func:`parse_poly`, or arithmetic;
+    ``Poly(ring, keys)`` takes keys that are already canonical.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "keys", "_terms")
 
-    def __init__(self, ring, terms):
+    def __init__(self, ring, keys):
         self.ring = ring
-        self.terms = terms
+        self.keys = keys
+        self._terms = None
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = tuple(map(self.ring.from_sort_key, self.keys))
+        return self._terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.keys)
 
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
             and self.ring == other.ring
-            and self.terms == other.terms
+            and self.keys == other.keys
         )
 
     def __hash__(self):
-        return hash((self.ring, self.terms))
+        return hash((self.ring, self.keys))
 
     def _check_ring(self, other):
         if not isinstance(other, Poly):
@@ -305,21 +321,36 @@ class Poly:
 
     def __add__(self, other):
         self._check_ring(other)
-        return self.ring.poly(set(self.terms).symmetric_difference(other.terms))
+        return self.ring.poly_of_keys(set(self.keys).symmetric_difference(other.keys))
 
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other):
         self._check_ring(other)
-        if self.terms and other.terms:
-            # some product overflows exactly when, at some position, the
-            # largest exponents of the two factors add past the limit
-            for x, y in zip(map(max, zip(*self.terms)), map(max, zip(*other.terms))):
-                if x + y > MAX_EXPONENT:
-                    raise ExponentOverflow("monomial exponent exceeds 32 bits")
-        return self.ring.poly(
-            tuple(map(add, a, b)) for a in self.terms for b in other.terms
-        )
+        ring = self.ring
+        one, limit = ring.unit_key, ring.limit_mask
+        seen = limit  # AND of every product key, before any cancels
+        acc = set()
+        for a in self.keys:
+            a -= one
+            row = [a + b for b in other.keys]
+            seen = functools.reduce(and_, row, seen)
+            acc.symmetric_difference_update(row)
+        if seen != limit:
+            raise ExponentOverflow("monomial exponent exceeds 32 bits")
+        return ring.poly_of_keys(acc)
+
+    def shifted(self, step):
+        """This polynomial times the monomial with key ``unit_key + step``.
+
+        Adding one constant keeps the order, so nothing is multiplied or
+        sorted; the exponent limit is checked as in a product.
+        """
+        keys = tuple(k + step for k in self.keys)
+        limit = self.ring.limit_mask
+        if functools.reduce(and_, keys, limit) != limit:
+            raise ExponentOverflow("monomial exponent exceeds 32 bits")
+        return Poly(self.ring, keys)
 
     def __pow__(self, n):
         if n < 0:
@@ -335,22 +366,23 @@ class Poly:
         return result
 
     def lead_monomial(self):
-        if not self.terms:
+        if not self.keys:
             raise ValueError("the zero polynomial has no leading monomial")
-        return self.terms[0]
+        return self.ring.from_sort_key(self.keys[0])
 
     def bidegree(self):
         """Common Bidegree, ZERO_DEGREE for 0, or INHOMOGENEOUS."""
-        if not self.terms:
+        if not self.keys:
             return ZERO_DEGREE
-        bd = self.ring.monomial_bidegree(self.terms[0])
-        for m in self.terms[1:]:
+        terms = self.terms
+        bd = self.ring.monomial_bidegree(terms[0])
+        for m in terms[1:]:
             if self.ring.monomial_bidegree(m) != bd:
                 return INHOMOGENEOUS
         return bd
 
     def __str__(self):
-        if not self.terms:
+        if not self.keys:
             return "0"
         names = self.ring.names
         parts = []
@@ -508,8 +540,8 @@ def apply_map(f, x):
         for img, e in zip(f.images, mono):
             if e:
                 prod = prod * img**e
-        acc.symmetric_difference_update(prod.terms)
-    return f.target.poly(acc)
+        acc.symmetric_difference_update(prod.keys)
+    return f.target.poly_of_keys(acc)
 
 
 # -- standard rings -----------------------------------------------------------

@@ -265,8 +265,8 @@ def torsor_relations(n, max_j=None, include_u2=True):
         acc = set()
         for h in range(w + 1):
             part = ctx.class_poly(w - h) * ctx.class_poly(w + 1 + h)
-            acc.symmetric_difference_update(part.terms)
-        rel = ctx.ring.poly(acc)
+            acc.symmetric_difference_update(part.keys)
+        rel = ctx.ring.poly_of_keys(acc)
         diff = theta(ctx, j + 1) + rel
         ok = all(
             any(all(a >= b for a, b in zip(term, mono)) for mono in ideal)
@@ -334,7 +334,7 @@ def h_map(x):
     tpos = target.tau_index
     out = []
     for mono in x.terms:
-        im = f(Poly(x.ring, (mono,))).lead_monomial()
+        im = f(x.ring.poly((mono,))).lead_monomial()
         bd = target.monomial_bidegree(im)
         c = bd.p // 2 - bd.q
         if c < 0:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import re
+from operator import and_
 
 from .poly import Poly, RingError, bo_ring, bo_top_ring, bso_ring, bso_top_ring
 
@@ -40,7 +41,9 @@ class SteenrodContext:
     O-flavor, otherwise SO-flavor where the index-1 class is the constant 0.
     """
 
-    __slots__ = ("ring", "n", "letter", "motivic", "start", "_class_pos", "_allowed", "_hash")
+    __slots__ = (
+        "ring", "n", "letter", "motivic", "start", "_class_pos", "_allowed", "_forbidden", "_hash"
+    )
 
     def __init__(self, ring, n=None):
         self.ring = ring
@@ -71,6 +74,10 @@ class SteenrodContext:
         if self.motivic:
             allowed.add(ring.tau_index)
         self._allowed = frozenset(allowed)
+        # guard bits of the generators the action is undefined on
+        one = ring.unit_key
+        off = ring.sort_key([0 if pos in allowed else 1 for pos in range(len(ring))])
+        self._forbidden = ((off ^ one) + one) & ring.guard_mask
         self._hash = hash((ring, n, self.letter))
 
     @property
@@ -87,11 +94,16 @@ class SteenrodContext:
             return self.ring.zero
         e = [0] * len(self.ring)
         e[self._class_pos[i]] = 1
-        return Poly(self.ring, (tuple(e),))
+        return self.ring.poly((e,))
 
     def _check_argument(self, x):
         if x.ring != self.ring:
             raise RingError("polynomial lies outside the context ring")
+        # a field of the AND of all keys stays all ones where every exponent is 0
+        one = self.ring.unit_key
+        seen = functools.reduce(and_, x.keys, one)
+        if not ((seen ^ one) + one) & self._forbidden:
+            return
         for mono in x.terms:
             for pos, e in enumerate(mono):
                 if e and pos not in self._allowed:
@@ -135,9 +147,7 @@ def bo_top_context(n):
 
 def _tau_shift(ctx, x):
     # multiply by tau; only ever called in the motivic flavor
-    t = [0] * len(ctx.ring)
-    t[ctx.ring.tau_index] = 1
-    return Poly(ctx.ring, (tuple(t),)) * x
+    return x.shifted(ctx.ring.steps[ctx.ring.tau_index])
 
 
 def _cartan_sum(ctx, parts):
@@ -150,10 +160,10 @@ def _cartan_sum(ctx, parts):
     plain, twisted = set(), set()
     for a, b, part in parts:
         odd = ctx.motivic and (a & 1) and (b & 1)
-        (twisted if odd else plain).symmetric_difference_update(part.terms)
-    total = ring.poly(plain)
+        (twisted if odd else plain).symmetric_difference_update(part.keys)
+    total = ring.poly_of_keys(plain)
     if twisted:
-        total = total + _tau_shift(ctx, ring.poly(twisted))
+        total = total + _tau_shift(ctx, ring.poly_of_keys(twisted))
     return total
 
 
@@ -171,22 +181,21 @@ def _sq_gen(ctx, k, m):
     for j in range(k + 1):
         if binom_mod2(m + j - k - 1, j):
             part = ctx.class_poly(k - j) * ctx.class_poly(m + j)
-            acc.symmetric_difference_update(part.terms)
-    return ctx.ring.poly(acc)
+            acc.symmetric_difference_update(part.keys)
+    return ctx.ring.poly_of_keys(acc)
 
 
 @functools.lru_cache(maxsize=None)
-def _sq_mono(ctx, k, mono):
+def _sq_mono(ctx, k, key):
+    """Sq^k on the monomial with packed key ``key``."""
     ring = ctx.ring
+    mono = ring.from_sort_key(key)
     if ctx.motivic and mono[ring.tau_index]:
-        a = mono[ring.tau_index]
-        rest = list(mono)
-        rest[ring.tau_index] = 0
-        t = [0] * len(ring)
-        t[ring.tau_index] = a
-        return Poly(ring, (tuple(t),)) * _sq_mono(ctx, k, tuple(rest))
+        # split off tau^a: Sq acts on the rest, tau^a shifts every key
+        step = mono[ring.tau_index] * ring.steps[ring.tau_index]
+        return _sq_mono(ctx, k, key - step).shifted(step)
     if k == 0:
-        return Poly(ring, (mono,))
+        return Poly(ring, (key,))
     p = sum(e * bd.p for e, bd in zip(mono, ring.bidegrees) if e)
     if k > p:
         return ring.zero  # instability; also forced by the recursion below
@@ -194,18 +203,15 @@ def _sq_mono(ctx, k, mono):
     if not odd:
         if k & 1:
             return ring.zero
-        half = tuple(e >> 1 for e in mono)
         c = k >> 1
-        inner = _sq_mono(ctx, c, half)
+        inner = _sq_mono(ctx, c, ring.sort_key([e >> 1 for e in mono]))
         res = inner * inner
         if ctx.motivic and (c & 1) and res:
             res = _tau_shift(ctx, res)
         return res
     pos = odd[0]
     m = ring.bidegrees[pos].p  # class index of the split-off generator
-    rest = list(mono)
-    rest[pos] -= 1
-    rest = tuple(rest)
+    rest = key - ring.steps[pos]
     parts = []
     for a in range(min(k, m) + 1):
         left = _sq_gen(ctx, a, m)
@@ -227,9 +233,9 @@ def sq(ctx, k, x):
         raise ValueError("Sq index must be nonnegative")
     ctx._check_argument(x)
     acc = set()
-    for mono in x.terms:
-        acc.symmetric_difference_update(_sq_mono(ctx, k, mono).terms)
-    return ctx.ring.poly(acc)
+    for key in x.keys:
+        acc.symmetric_difference_update(_sq_mono(ctx, k, key).keys)
+    return ctx.ring.poly_of_keys(acc)
 
 
 def cartan(ctx, k, x, y):

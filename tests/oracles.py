@@ -119,6 +119,37 @@ def from_grevlex_key(ring, key):
     return tuple(exps)
 
 
+# -- Poly arithmetic on exponent tuples ---------------------------------------
+# The textbook F2 rules on exponent tuples, listed largest first by the tuple
+# key above.  subtlesw.poly stores packed keys and adds them instead; the terms
+# of its sums and products must equal these.
+
+
+def _descending(ring, monos):
+    return tuple(sorted(monos, key=lambda m: grevlex_key(ring, m), reverse=True))
+
+
+def add_terms(ring, x, y):
+    """Terms of x + y: the symmetric difference of the two term sets."""
+    return _descending(ring, set(x) ^ set(y))
+
+
+def mul_terms(ring, x, y, max_exponent):
+    """Terms of x * y: every pairwise exponent sum, counted mod 2.
+
+    Raises OverflowError when any of those sums, cancelled or not, has an
+    exponent above ``max_exponent``.
+    """
+    acc = set()
+    for a in x:
+        for b in y:
+            m = tuple(i + j for i, j in zip(a, b))
+            if any(e > max_exponent for e in m):
+                raise OverflowError(f"{a} * {b} exceeds {max_exponent}")
+            acc ^= {m}
+    return _descending(ring, acc)
+
+
 # The list-merge reduction kernel, kept as the reference for the heap kernel
 # in subtlesw._reduction: same reducer choice, same steps, on key tuples.
 

@@ -23,7 +23,7 @@ from subtlesw.poly import (
     ring_new,
 )
 
-from oracles import from_grevlex_key, grevlex_key, random_bihomogeneous
+from oracles import add_terms, from_grevlex_key, grevlex_key, mul_terms, random_bihomogeneous
 
 
 def test_bidegree_basics():
@@ -127,6 +127,24 @@ def test_ring_poly_counts_monomials_mod_2():
     assert x == ring.poly([list(t), list(u3), list(u2)])
 
 
+def test_ring_poly_rejects_exponents_outside_the_fields():
+    ring = bso_ring(3)
+    for bad in ((0, -1, 0), (0, 2**40, 0), (MAX_EXPONENT + 1, 0, 0)):
+        with pytest.raises(ExponentOverflow):
+            ring.poly([bad])
+        with pytest.raises(ExponentOverflow):
+            ring.poly([(0, 1, 0), bad, bad])  # checked before it cancels
+    for bad in ((0, 1), (0, 1, 0, 0), ()):
+        with pytest.raises(RingError):
+            ring.poly([bad])
+    with pytest.raises(RingError):
+        ring_new([]).poly([(0,)])
+    top = ring.poly([(MAX_EXPONENT, 0, MAX_EXPONENT)])
+    assert top.terms == ((MAX_EXPONENT, 0, MAX_EXPONENT),)
+    assert str(top) == f"t^{MAX_EXPONENT}*u3^{MAX_EXPONENT}"
+    assert ring_new([]).poly([()]) == ring_new([]).one
+
+
 def test_bidegree_of_markers():
     ring = bso_ring(3)
     assert bidegree_of(ring.gen("t")) == Bidegree(0, 1)
@@ -226,6 +244,74 @@ def test_support_mask_marks_nonzero_exponents():
         assert bin(sa).count("1") == sum(1 for e in a if e)
         assert (not sa & ~sb) == all(y or not x for x, y in zip(a, b))
         assert support(tuple(map(add, a, b))) == sa | sb
+
+
+def _random_poly(ring, rng):
+    """Up to five terms, mostly small powers of the first three generators,
+    so sums cancel and products collide; a quarter of the terms also take an
+    exponent near MAX_EXPONENT / 2 or MAX_EXPONENT, so some products overflow."""
+    n = len(ring)
+    half = MAX_EXPONENT // 2
+    monos = []
+    for _ in range(rng.randint(0, 5)):
+        e = [0] * n
+        for _ in range(rng.randint(0, 3) if n else 0):
+            e[rng.randrange(min(n, 3))] += 1
+        if n and rng.random() < 0.25:
+            e[rng.randrange(n)] = rng.choice((half, half + 1, MAX_EXPONENT - 1, MAX_EXPONENT))
+        monos.append(e)
+    return ring.poly(monos)
+
+
+def test_add_and_mul_match_the_tuple_reference():
+    rng = random.Random(31)
+    raised = cancelled = 0
+    for ring in _key_rings():
+        for _ in range(40):
+            x, y = _random_poly(ring, rng), _random_poly(ring, rng)
+            assert (x + y).terms == add_terms(ring, x.terms, y.terms)
+            try:
+                want = mul_terms(ring, x.terms, y.terms, MAX_EXPONENT)
+            except OverflowError:
+                with pytest.raises(ExponentOverflow):
+                    x * y
+                raised += 1
+                continue
+            assert (x * y).terms == want
+            cancelled += len(want) < len(x.terms) * len(y.terms)
+    assert raised > 50 and cancelled > 20
+
+
+def test_terms_are_the_decoded_keys_in_the_same_order():
+    rng = random.Random(32)
+    for ring in _key_rings():
+        for _ in range(20):
+            x = _random_poly(ring, rng) + _random_poly(ring, rng)
+            assert list(x.keys) == sorted(set(x.keys), reverse=True)
+            assert x.terms == tuple(map(ring.from_sort_key, x.keys))
+            assert x.terms == add_terms(ring, x.terms, ())
+            assert ring.poly(x.terms) == x and hash(ring.poly(x.terms)) == hash(x)
+            if x:
+                assert x.lead_monomial() == x.terms[0]
+    with pytest.raises(AttributeError):
+        bso_ring(3).one.terms = ()
+
+
+def test_product_overflow_counts_terms_that_cancel():
+    # u2^M * u2*u3 and u2^M*u3 * u2 are the same overflowing term and cancel;
+    # a product always keeps some overflowing term (the product of the terms
+    # largest at that exponent), here u2^(M+1), so it raises
+    ring = bso_ring(3)
+    m = MAX_EXPONENT
+    x = ring.poly([(0, m, 0), (0, m, 1)])
+    y = ring.poly([(0, 1, 1), (0, 1, 0)])
+    with pytest.raises(OverflowError):
+        mul_terms(ring, x.terms, y.terms, m)
+    with pytest.raises(ExponentOverflow):
+        x * y
+    with pytest.raises(ExponentOverflow):
+        ring.gen("u2").shifted(m * ring.steps[ring.index("u2")])
+    assert ring.gen("u2").shifted((m - 1) * ring.steps[1]) == ring.poly([(0, m, 0)])
 
 
 def test_lead_monomial():

@@ -60,7 +60,11 @@ def test_sq_rejects_foreign_generators():
     ctx = SteenrodContext(ring, n=3)
     with pytest.raises(RingError):
         sq(ctx, 1, ring.gen("v4"))
+    for text in ("u3^2+t*u2*v4", "t^7*u2^3*u3+v4^5", "u2+u3+t*v4"):
+        with pytest.raises(RingError):
+            sq(ctx, 1, parse_poly(ring, text))  # v4 in any term, at any power
     sq(ctx, 1, ring.gen("u2"))  # plain classes still fine
+    sq(ctx, 2, parse_poly(ring, "t^7*u2^3*u3+u3^2+t"))
 
 
 def test_wu_examples_on_generators():
