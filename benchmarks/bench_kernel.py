@@ -1,9 +1,10 @@
 """Time the reduction kernel on a fixed ideal.
 
 Times computing the ideal's reduced Groebner basis (the Buchberger driver's
-pair handling dominates) and a batch of deep normal forms against that basis
-(kernel-bound), best of ``--repeat`` runs, and the reduction steps of the
-batch.  Run with
+pair handling dominates), a batch of deep normal forms against that basis
+(kernel-bound), and the Hilbert series and Krull dimension of the quotient
+(the monomial-ideal recursions on the basis's leading keys), best of
+``--repeat`` runs, and the reduction steps of the batch.  Run with
 
     python3 benchmarks/bench_kernel.py [--repeat 3] [--elements 300] [--factors 12]
 """
@@ -12,7 +13,7 @@ import argparse
 import random
 import time
 
-from subtlesw.grobner import Budget, groebner_basis, normal_form
+from subtlesw.grobner import Budget, groebner_basis, hilbert_series, krull_dimension, normal_form
 from subtlesw.poly import bso_ring, parse_poly
 
 # a fixed bihomogeneous ideal with a 129-element reduced basis
@@ -56,6 +57,8 @@ def main():
     workloads = [
         ("groebner basis", lambda: groebner_basis(ring, gens)),
         (f"normal_form x{args.elements}", lambda: [normal_form(x, gb) for x in elems]),
+        ("hilbert_series", lambda: hilbert_series(gb)),
+        ("krull_dimension", lambda: krull_dimension(gb)),
     ]
 
     for label, fn in workloads:

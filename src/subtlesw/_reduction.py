@@ -36,54 +36,34 @@ class DivisorTable:
     ``fits`` maps the support of a head to the indices, in basis order, of
     the elements whose leading support lies inside it.  ``append`` adds an
     element at the end of the basis and extends every cached list, so a
-    table kept beside a growing basis never goes stale.  A table made by
-    ``without`` derives its lists from the full table's, which caches them.
+    table kept beside a growing basis never goes stale.
     """
 
-    __slots__ = ("ring", "leads", "supports", "fits", "_full", "_left_out")
+    __slots__ = ("ring", "leads", "supports", "fits")
 
     def __init__(self, ring, leads=()):
         self.ring = ring
         self.leads = []
         self.supports = []
         self.fits = {}
-        self._full = None  # the table this one was cut from, if any
-        self._left_out = None
         for lead in leads:
             self.append(lead)
 
-    def support(self, key):
-        one = self.ring.unit_key
-        return ((key ^ one) + one) & self.ring.guard_mask
-
     def append(self, lead):
         b = len(self.leads)
-        support = self.support(lead)
+        support = self.ring.support(lead)
         self.leads.append(lead | self.ring.guard_mask)
         self.supports.append(support)
-        self._full = None  # the full table's lists no longer cover this basis
         for head_support, candidates in self.fits.items():
             if not support & ~head_support:
                 candidates.append(b)
-
-    def without(self, b):
-        """The table of the same basis with element b left out."""
-        table = DivisorTable(self.ring)
-        table.leads = self.leads[:b] + self.leads[b + 1 :]
-        table.supports = self.supports[:b] + self.supports[b + 1 :]
-        table._full, table._left_out = self, b
-        return table
 
     def candidates(self, support):
         """Elements whose leading support lies inside ``support``, cached."""
         found = self.fits.get(support)
         if found is None:
-            if self._full is None:
-                miss = ~support
-                found = [b for b, s in enumerate(self.supports) if not s & miss]
-            else:  # drop the left-out index and shift the later ones down
-                k = self._left_out
-                found = [b - (b > k) for b in self._full.candidates(support) if b != k]
+            miss = ~support
+            found = [b for b, s in enumerate(self.supports) if not s & miss]
             self.fits[support] = found
         return found
 

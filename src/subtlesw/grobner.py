@@ -66,12 +66,12 @@ class Budget:
             raise BudgetExceeded(self.used, self.limit, self.context)
 
 
-def _resolve_budget(budget):
-    if budget is None:
-        return Budget()
+def _resolve_budget(budget, context=""):
+    """``budget`` itself if it is a Budget, else a new one of that limit
+    (the default for None) that names ``context`` when it runs out."""
     if isinstance(budget, Budget):
         return budget
-    return Budget(int(budget))
+    return Budget(DEFAULT_BUDGET if budget is None else int(budget), context)
 
 
 # -- key space -----------------------------------------------------------------
@@ -157,19 +157,17 @@ def _buchberger(ring, key_polys, budget, known=()):
         if nf:
             add(nf, sugar)
 
-    # Minimal generators: ascending scan keeps only underivable leading terms.
-    # Interreduction keeps the leading terms, so the result stays ascending.
-    keep = []
-    for k in sorted(range(len(G)), key=lambda k: G[k][0]):
-        lt = G[k][0]
-        if not any((leads[m] - lt) & guard == guard for m in keep):
-            keep.append(k)
-    minimal = [G[k] for k in keep]
+    # Minimal generators, ascending; every element of G was reduced by the
+    # ones before it, so no two share a leading term.  Interreduction keeps
+    # the leading terms, so the result stays ascending.
+    by_lead = {f[0]: f for f in G}
+    minimal = [by_lead[lt] for lt in _minimalize(ring, by_lead)]
     table = DivisorTable(ring, [f[0] for f in minimal])
-    final = [
-        _kernel_nf(f, minimal[:k] + minimal[k + 1 :], table.without(k), budget)
-        for k, f in enumerate(minimal)
-    ]
+    # In a graded order a monomial never divides a smaller one, so f's own
+    # lead never reduces its tail or any term the tail produces: reducing
+    # the tail by the whole basis takes the reducers and steps it would take
+    # with f left out.
+    final = [(f[0],) + _kernel_nf(f[1:], minimal, table, budget) for f in minimal]
     return final, table
 
 
@@ -305,63 +303,61 @@ def _one_minus(p, q):
     return {(0, 0): 1, (p, q): -1}
 
 
-def _minimalize(monos):
-    def div(a, b):
-        return all(x <= y for x, y in zip(a, b))
+def _minimalize(ring, keys):
+    """Minimal generators of the monomial ideal of ``keys``, ascending.
 
-    out = []
-    for g in sorted(set(monos), key=lambda t: (sum(t), t)):
-        if not any(div(h, g) for h in out):
-            out.append(g)
-    return out
+    The order is graded, so every divisor of a key sorts before it, and one
+    ascending pass with the guard test keeps exactly the minimal ones.
+    """
+    guard = ring.guard_mask
+    out, leads = [], []
+    for k in sorted(set(keys)):
+        if not any((h - k) & guard == guard for h in leads):
+            out.append(k)
+            leads.append(k | guard)
+    return tuple(out)
 
 
-def _lt_numerator(lt_exps, bidegs):
-    """Numerator of the Hilbert series of R/(monomial ideal)."""
-
-    def bideg(g):
-        p = q = 0
-        for e, (bp, bq) in zip(g, bidegs):
-            p += e * bp
-            q += e * bq
-        return p, q
-
+def _lt_numerator(ring, leads):
+    """Numerator of the Hilbert series of R/(monomial ideal of ``leads``)."""
+    one = ring.unit_key
+    support, degree = ring.support, ring.key_degree
+    bidegs = [(bd.p, bd.q) for bd in ring.bidegrees]
+    bits = [support(one + step) for step in ring.steps]  # in ring order
+    generator_of = {bit: i for i, bit in enumerate(bits)}
     memo = {}
 
     def rec(gens):
-        key = tuple(gens)
-        hit = memo.get(key)
+        hit = memo.get(gens)
         if hit is not None:
             return hit
+        sups = [support(g) for g in gens]
+        mixed = [s for s in sups if s & (s - 1)]
         if not gens:
             res = {(0, 0): 1}
-        elif any(sum(g) == 0 for g in gens):
-            res = {}
+        elif gens[0] == one:
+            res = {}  # the whole ring
+        elif not mixed:
+            res = {(0, 0): 1}
+            for g, s in zip(gens, sups):
+                p, q = bidegs[generator_of[s]]
+                e = degree(g) // (p + q)
+                res = _p2_mul(res, _one_minus(e * p, e * q))
         else:
-            npure = [g for g in gens if sum(1 for e in g if e) > 1]
-            if not npure:
-                res = {(0, 0): 1}
-                for g in gens:
-                    p, q = bideg(g)
-                    res = _p2_mul(res, _one_minus(p, q))
-            else:
-                counts = {}
-                for g in npure:
-                    for i, e in enumerate(g):
-                        if e:
-                            counts[i] = counts.get(i, 0) + 1
-                j = max(sorted(counts), key=lambda i: counts[i])
-                pivot = tuple(1 if i == j else 0 for i in range(len(bidegs)))
-                plus = _minimalize([g for g in gens if g[j] == 0] + [pivot])
-                colon = _minimalize(
-                    [tuple(e - 1 if i == j and e else e for i, e in enumerate(g)) for g in gens]
-                )
-                pj, qj = bideg(pivot)
-                res = _p2_add(rec(tuple(plus)), _p2_shift(rec(tuple(colon)), pj, qj))
-        memo[key] = res
+            # the first generator, in ring order, in the most mixed supports
+            counts = [sum(1 for s in mixed if s & bit) for bit in bits]
+            j = counts.index(max(counts))
+            bit, step = bits[j], ring.steps[j]
+            plus = [g for g, s in zip(gens, sups) if not s & bit] + [one + step]
+            colon = [g - step if s & bit else g for g, s in zip(gens, sups)]
+            res = _p2_add(
+                rec(_minimalize(ring, plus)),
+                _p2_shift(rec(_minimalize(ring, colon)), *bidegs[j]),
+            )
+        memo[gens] = res
         return res
 
-    return rec(tuple(_minimalize(lt_exps)))
+    return rec(_minimalize(ring, leads))
 
 
 class HilbertSeries:
@@ -441,33 +437,31 @@ def hilbert_series(gb):
     for p in gb.polys:
         if p.bidegree() is INHOMOGENEOUS:
             raise InhomogeneousError(f"ideal generator {p} is not bihomogeneous")
-    bidegs = [(bd.p, bd.q) for bd in ring.bidegrees]
-    num = _lt_numerator(gb.lead_exponents(), bidegs)
-    return HilbertSeries(num, bidegs)
+    num = _lt_numerator(ring, [p.keys[0] for p in gb.polys])
+    return HilbertSeries(num, [(bd.p, bd.q) for bd in ring.bidegrees])
 
 
 def krull_dimension(gb):
     """Dimension of R/I: the largest variable set independent modulo LT(I).
 
     A set S is independent when no leading-term generator has support inside
-    S; the answer is nvars minus a minimum hitting set of the supports.
+    S; the answer is nvars minus a minimum hitting set of the supports, here
+    bitmasks of guard bits.
     """
     ring = gb.ring
-    supports = []
-    for m in _minimalize(gb.lead_exponents()):
-        sup = frozenset(i for i, e in enumerate(m) if e)
-        if not sup:
-            return -1  # the ideal is the whole ring
-        supports.append(sup)
+    supports = [ring.support(k) for k in _minimalize(ring, [p.keys[0] for p in gb.polys])]
+    if 0 in supports:
+        return -1  # the ideal is the whole ring
 
     def min_hit(remaining):
         if not remaining:
             return 0
-        sup = min(remaining, key=lambda s: (len(s), sorted(s)))
+        sup = min(remaining, key=int.bit_count)
         best = None
-        for v in sorted(sup):
-            rest = [s for s in remaining if v not in s]
-            cand = 1 + min_hit(rest)
+        while sup:
+            bit = sup & -sup
+            sup ^= bit
+            cand = 1 + min_hit([s for s in remaining if not s & bit])
             if best is None or cand < best:
                 best = cand
         return best
@@ -487,12 +481,11 @@ class RegularSequenceChecker:
     far, built once per successful append.
     """
 
-    __slots__ = ("ring", "budget", "_bidegs", "_num", "_basis", "length")
+    __slots__ = ("ring", "budget", "_num", "_basis", "length")
 
     def __init__(self, ring, budget=None):
         self.ring = ring
         self.budget = _resolve_budget(budget)
-        self._bidegs = [(bd.p, bd.q) for bd in ring.bidegrees]
         self._num = {(0, 0): 1}
         self._basis = GroebnerBasis(ring, ())
         self.length = 0
@@ -512,8 +505,7 @@ class RegularSequenceChecker:
         if not nf:
             return False
         basis, table = _buchberger(self.ring, [nf], self.budget, known=keys)
-        lt_exps = [self.ring.from_sort_key(g[0]) for g in basis]
-        num = _lt_numerator(lt_exps, self._bidegs)
+        num = _lt_numerator(self.ring, [g[0] for g in basis])
         if num != _p2_mul(self._num, _one_minus(bd.p, bd.q)):
             return False
         self._num = num

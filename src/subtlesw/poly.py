@@ -116,7 +116,7 @@ class Ring:
       ``((a | guard_mask) - b) & guard_mask == guard_mask``: a field borrows
       from its guard bit exactly when ``a``'s exponent there exceeds ``b``'s;
     * ``((a ^ unit_key) + unit_key) & guard_mask`` keeps the guard bits of
-      the fields whose exponent is nonzero (the support of ``a``);
+      the fields whose exponent is nonzero (:meth:`support`);
     * ``a & limit_mask == limit_mask`` exactly when no exponent of ``a``
       exceeds ``MAX_EXPONENT``.
     """
@@ -217,6 +217,10 @@ class Ring:
     def key_degree(self, key):
         """Combined degree of the monomial with packed key ``key``."""
         return key >> self.degree_shift
+
+    def support(self, key):
+        """Guard bits of the generators with a nonzero exponent in ``key``."""
+        return ((key ^ self.unit_key) + self.unit_key) & self.guard_mask
 
     def key_lcm(self, a, b):
         """Packed key of the least common multiple of two packed keys."""

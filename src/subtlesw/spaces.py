@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 from . import formsf2
 from .grobner import (
-    Budget,
     GroebnerBasis,
     RegularSequenceChecker,
+    _resolve_budget,
     cached_groebner_basis,
     groebner_basis,
     hilbert_series,
@@ -40,14 +40,6 @@ def k_expected(n):
     return 4 * l + _K8[n - 8 * l]
 
 
-def _wrap_budget(n, budget):
-    if isinstance(budget, Budget):
-        return budget
-    b = Budget() if budget is None else Budget(int(budget))
-    b.context = f"n={n}"
-    return b
-
-
 _k_cache = {}
 
 
@@ -67,7 +59,7 @@ def k_computed(n, budget=None):
         hit = _k_cache.get(n)
         if hit is not None:
             return hit
-    budget = _wrap_budget(n, budget)
+    budget = _resolve_budget(budget, f"n={n}")
     ring = bso_ring(n)
     ctx = bso_context(n)
     checker = RegularSequenceChecker(ring, budget)
@@ -93,7 +85,9 @@ def verify_theta(n, k=None, budget=None):
         raise ValueError("need n >= 2")
     if k is None:
         k = k_expected(n)
-    budget = _wrap_budget(n, budget)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    budget = _resolve_budget(budget, f"n={n}")
     ring = bso_ring(n)
     ctx = bso_context(n)
     thetas = [theta(ctx, j) for j in range(k + 1)]

@@ -75,9 +75,8 @@ class SteenrodContext:
             allowed.add(ring.tau_index)
         self._allowed = frozenset(allowed)
         # guard bits of the generators the action is undefined on
-        one = ring.unit_key
         off = ring.sort_key([0 if pos in allowed else 1 for pos in range(len(ring))])
-        self._forbidden = ((off ^ one) + one) & ring.guard_mask
+        self._forbidden = ring.support(off)
         self._hash = hash((ring, n, self.letter))
 
     @property
@@ -100,9 +99,8 @@ class SteenrodContext:
         if x.ring != self.ring:
             raise RingError("polynomial lies outside the context ring")
         # a field of the AND of all keys stays all ones where every exponent is 0
-        one = self.ring.unit_key
-        seen = functools.reduce(and_, x.keys, one)
-        if not ((seen ^ one) + one) & self._forbidden:
+        seen = functools.reduce(and_, x.keys, self.ring.unit_key)
+        if not self.ring.support(seen) & self._forbidden:
             return
         for mono in x.terms:
             for pos, e in enumerate(mono):

@@ -6,6 +6,7 @@ test, so agreement is meaningful.
 """
 
 import functools
+import itertools
 import math
 
 
@@ -44,6 +45,19 @@ def count_standard_monomials(ring, lead_exponents, p, q):
         if not any(all(a >= b for a, b in zip(m, lt)) for lt in lead_exponents):
             count += 1
     return count
+
+
+def krull_dimension_by_subsets(ring, lead_exponents):
+    """Size of the largest generator set that contains the support of no
+    leading exponent, by trying every subset; -1 when there is none (a
+    leading exponent of 1 lies inside every set: the unit ideal)."""
+    supports = [{i for i, e in enumerate(m) if e} for m in lead_exponents]
+    best = -1
+    for size in range(len(ring) + 1):
+        for chosen in itertools.combinations(range(len(ring)), size):
+            if not any(sup <= set(chosen) for sup in supports):
+                best = size
+    return best
 
 
 def _row_reduce(rows, target):

@@ -108,34 +108,6 @@ def test_normal_form_same_under_both_backends(monkeypatch):
     assert answers == {"u5"}
 
 
-def test_divisor_table_without_matches_a_fresh_table():
-    rng = random.Random(77)
-    ring = bso_ring(7)
-    for _ in range(60):
-        def key(max_factors):
-            return ring.sort_key(oracles.random_monomial(ring, rng, max_factors))
-
-        leads = [key(4) for _ in range(rng.randint(1, 12))]
-        full = DivisorTable(ring, leads)
-        heads = [full.support(key(8)) for _ in range(20)]
-        # warm part of the full table's cache, so both derivation paths run
-        for s in heads[::2]:
-            full.candidates(s)
-        for k in range(len(leads)):
-            cut = full.without(k)
-            fresh = DivisorTable(ring, leads[:k] + leads[k + 1 :])
-            assert (cut.leads, cut.supports) == (fresh.leads, fresh.supports)
-            for s in heads:
-                assert cut.candidates(s) == fresh.candidates(s)
-    # a cut table that grows stops deriving from the full one
-    full = DivisorTable(ring, leads)
-    cut = full.without(0)
-    cut.append(leads[0])
-    fresh = DivisorTable(ring, leads[1:] + leads[:1])
-    for s in heads:
-        assert cut.candidates(s) == fresh.candidates(s)
-
-
 def test_default_budget_is_large():
     assert DEFAULT_BUDGET == 10**7
 

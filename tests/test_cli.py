@@ -104,6 +104,8 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, ["sq", "--flavor", "bso", "--n", "5", "--k", "-1", "u2"])
     assert code == 2
+    code, _, err = run(capsys, ["verify", "--n", "5", "--k", "-1"])
+    assert code == 2 and "usage error" in err
     code, _, _ = run(capsys, ["nonsense"])
     assert code == 2
     code, _, _ = run(capsys, ["jbound", "--n", "2"])

@@ -22,7 +22,13 @@ from subtlesw.grobner import (
 from subtlesw.spaces import k_expected
 from subtlesw.steenrod import bso_context, theta
 
-from oracles import count_standard_monomials, macaulay_member, random_bihomogeneous
+from oracles import (
+    count_standard_monomials,
+    krull_dimension_by_subsets,
+    macaulay_member,
+    random_bihomogeneous,
+    random_monomial,
+)
 
 
 def gb_strings(gb):
@@ -147,6 +153,66 @@ def test_hilbert_series_complete_intersection_cross_checked():
     lts = gb.lead_exponents()
     for (p, q), dim in hs.expand(20).items():
         assert dim == count_standard_monomials(ring, lts, p, q)
+
+
+def _oracle_rings():
+    xy = ring_new([("x1", (1, 0)), ("y1", (0, 1)), ("x2", (2, 1)), ("y2", (1, 3))])
+    return [bso_ring(n) for n in range(3, 9)] + [xy]
+
+
+def _random_monomial_ideal(ring, rng):
+    """Pure powers (often above 1, of t too) and monomials of mixed support."""
+    gens = []
+    for _ in range(rng.randint(1, 5)):
+        e = [0] * len(ring)
+        kind = rng.random()
+        if kind < 0.4:
+            e[rng.randrange(len(ring))] = rng.randint(1, 3)
+        elif kind < 0.5 and ring.has("t"):
+            e[ring.index("t")] = rng.randint(1, 3)
+        else:
+            e = list(random_monomial(ring, rng, 4))
+        gens.append(ring.poly([e]))
+    return gens
+
+
+def _oracle_ideals(seed):
+    """Seeded monomial ideals, with the zero and unit ideals, in every ring."""
+    rng = random.Random(seed)
+    for ring in _oracle_rings():
+        yield ring, groebner_basis(ring, [])
+        yield ring, groebner_basis(ring, [ring.one])
+        for _ in range(12):
+            yield ring, groebner_basis(ring, _random_monomial_ideal(ring, rng))
+
+
+def test_hilbert_series_of_monomial_ideals_counts_standard_monomials():
+    seen = {"power": 0, "t": 0, "mixed": 0, "unit": 0}
+    for ring, gb in _oracle_ideals(91):
+        lts = gb.lead_exponents()
+        for m in lts:
+            support = [i for i, e in enumerate(m) if e]
+            seen["unit"] += not support
+            seen["mixed"] += len(support) > 1
+            seen["power"] += len(support) == 1 and max(m) > 1
+            seen["t"] += ring.has("t") and support == [ring.index("t")]
+        exp = hilbert_series(gb).expand(9)
+        for d in range(10):
+            for p in range(d + 1):
+                assert exp.get((p, d - p), 0) == count_standard_monomials(ring, lts, p, d - p)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_krull_dimension_matches_the_subset_oracle():
+    rng = random.Random(92)
+    for ring, gb in _oracle_ideals(93):
+        assert krull_dimension(gb) == krull_dimension_by_subsets(ring, gb.lead_exponents())
+    # leading terms of polynomial ideals, which are not monomial
+    for ring in _oracle_rings()[:4]:
+        for _ in range(10):
+            gens = [random_bihomogeneous(ring, rng, max_factors=3) for _ in range(3)]
+            gb = groebner_basis(ring, gens)
+            assert krull_dimension(gb) == krull_dimension_by_subsets(ring, gb.lead_exponents())
 
 
 def test_hilbert_expansion_json_shape():

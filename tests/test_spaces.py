@@ -3,7 +3,7 @@ import random
 import pytest
 
 from subtlesw import _reduction
-from subtlesw.grobner import Budget, HilbertSeries, groebner_basis, hilbert_series, ideal_member, normal_form
+from subtlesw.grobner import Budget, BudgetExceeded, HilbertSeries, groebner_basis, hilbert_series, ideal_member, normal_form
 from subtlesw.poly import Bidegree, bso_ring, bso_top_ring, parse_poly, ring_new
 from subtlesw.steenrod import bso_context, bso_top_context, theta
 from subtlesw.spaces import (
@@ -68,6 +68,18 @@ def test_verify_theta_reports():
     # an overlong sequence cannot be regular: theta_2 already lies in I_2
     rep3 = verify_theta(3, 3)
     assert not rep3["regular"]
+    with pytest.raises(ValueError):
+        verify_theta(5, -1)
+
+
+def test_budget_messages_name_n_unless_the_caller_owns_the_budget():
+    for run in (lambda b: k_computed(9, b), lambda b: verify_theta(9, budget=b)):
+        with pytest.raises(BudgetExceeded) as info:
+            run(10)
+        assert str(info.value) == "budget exceeded after 11 of 10 reduction steps (n=9)"
+        with pytest.raises(BudgetExceeded) as info:
+            run(Budget(10))
+        assert str(info.value) == "budget exceeded after 11 of 10 reduction steps"
 
 
 def test_present_families_and_errors():
