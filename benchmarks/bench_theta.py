@@ -3,8 +3,9 @@
 For n = 13..16, with every cache cleared first, times theta_0..theta_7 in
 bso_context(n) and then k_computed(n).  k(n) = 7 for these n, so k_computed
 reuses the thetas just built and its time is the Groebner part alone.  Prints
-one line per n, with the number of ``_sq_mono`` cache entries the thetas left
-and the budget units (pairs plus reduction steps) that k_computed spent.  A
+one line per n, with the number of ``_sq_mono`` cache entries the thetas left,
+the budget units (pairs plus reduction steps) that k_computed spent, and the
+Koszul pairs it deferred (reduced only if a Hilbert certificate misses).  A
 last row times theta_0..theta_8 at n = 17, the theta layer at the wall; k(17)
 itself is out of reach, so that row certifies nothing.  Run with
 
@@ -53,7 +54,7 @@ def main():
         t2 = time.perf_counter()
         print(
             f"n={n:<3} theta_0..{J} {seconds:8.3f}s ({terms} terms, {entries} _sq_mono entries)"
-            f"   k={k} {t2 - t1:8.3f}s ({budget.used} units)"
+            f"   k={k} {t2 - t1:8.3f}s ({budget.used} units, {budget.deferred} deferred)"
         )
     seconds, terms = time_thetas(WALL_N, WALL_J)
     print(

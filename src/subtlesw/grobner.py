@@ -12,7 +12,10 @@ ideals: for any monomial p, N(I) = N(I + (p)) + T^pS^q * N(I : p).
 
 Regularity of a homogeneous sequence is certified step by step: f is regular
 on R/J exactly when the Hilbert series drops by the factor (1 - T^p S^q) of
-f's bidegree, which is decided by exact numerator comparison.
+f's bidegree, which is decided by exact numerator comparison.  While the
+basis of J + (f) is built, pairs that the F5 criterion marks as Koszul
+syzygies (Faugere, ISSAC 2002) are deferred; they are reduced only if the
+leading terms reached without them miss the expected series.
 """
 
 from __future__ import annotations
@@ -45,9 +48,12 @@ class InhomogeneousError(ValueError):
 
 
 class Budget:
-    """Shared counter of reduction work (processed pairs + division steps)."""
+    """Shared counter of reduction work (processed pairs + division steps).
 
-    __slots__ = ("limit", "used", "context")
+    ``deferred`` counts the pairs the F5 criterion deferred; it costs nothing.
+    """
+
+    __slots__ = ("limit", "used", "context", "deferred")
 
     def __init__(self, limit=DEFAULT_BUDGET, context=""):
         if limit < 0:
@@ -55,6 +61,7 @@ class Budget:
         self.limit = limit
         self.used = 0
         self.context = context
+        self.deferred = 0
 
     @property
     def remaining(self):
@@ -91,7 +98,20 @@ def _kernel_nf(terms, basis, table, budget):
     return nf
 
 
-def _buchberger(ring, key_polys, budget, known=()):
+def _deferrable(table, count, sig):
+    """The F5 criterion: whether the leading key of one of the first
+    ``count`` elements of ``table``'s basis divides the multiplier ``sig``."""
+    ring = table.ring
+    guard, leads = ring.guard_mask, table.leads
+    for b in table.candidates(ring.support(sig)):
+        if b >= count:
+            return False  # candidates come in basis order
+        if (leads[b] - sig) & guard == guard:
+            return True
+    return False
+
+
+def _buchberger(ring, key_polys, budget, known=(), expected=None):
     """Reduced Groebner basis in key space, smallest leading term first.
 
     Returns the basis and its divisor table.  ``key_polys`` are nonzero key
@@ -101,6 +121,19 @@ def _buchberger(ring, key_polys, budget, known=()):
     ``known`` already reduces to zero by ``known``, whose elements stay in G
     until the final interreduction, so the chain criterion may count those
     pairs as treated.
+
+    ``expected``, given with one key polynomial f, is the Hilbert numerator
+    of R/(known + f) when f is regular on R/(known); the result is None when
+    f is not.  Each new element then carries a multiplier, the leading
+    monomial of its cofactor of f: 1 for f's remainder, and for the element
+    of pair (i, j) the larger of ``lcm / lt * multiplier`` over its new
+    sides.  With ``known`` nonempty, a pair whose multiplier a known leading
+    term divides is deferred; it stays open for the chain criterion.  When
+    the queue is empty, the leading terms of G give ``expected`` exactly
+    when f is regular and G is already a basis, since LT(G) lies in LT(I)
+    and the series of R/I is at least ``expected`` coefficientwise.  On a
+    miss the deferred pairs are requeued and the run completes with nothing
+    deferred, so a None never rests on a deferred pair.
     """
     one, guard = ring.unit_key, ring.guard_mask
     lcm_of, degree = ring.key_lcm, ring.key_degree
@@ -108,13 +141,16 @@ def _buchberger(ring, key_polys, budget, known=()):
     table = DivisorTable(ring, [f[0] for f in G])  # grows with G
     leads = table.leads  # G's leading keys with the guard bits set
     sugars = [degree(f[0]) for f in G]  # homogeneous: sugar is the degree
+    sigs = [None] * len(G)  # multipliers of the new elements
     pairs = set()  # open pairs (i, j), read by the chain criterion
     queue = []  # the same pairs as a heap of (sugar, lcm, (i, j))
+    deferred = [] if expected is not None and known else None  # None: defer nothing
 
-    def add(f, sugar):
+    def add(f, sugar, sig):
         G.append(f)
         table.append(f[0])
         sugars.append(sugar)
+        sigs.append(sig)
         j = len(G) - 1
         ltj = f[0]
         for i in range(j):
@@ -128,25 +164,45 @@ def _buchberger(ring, key_polys, budget, known=()):
     for f in sorted(key_polys):
         nf = _kernel_nf(f, G, table, budget)
         if nf:
-            add(nf, degree(nf[0]))
+            add(nf, degree(nf[0]), one)
 
-    while queue:
-        sugar, lcm, (i, j) = heapq.heappop(queue)
-        pairs.remove((i, j))
-        lti, ltj = G[i][0], G[j][0]
-        if lti + ltj - one == lcm:
-            continue  # coprime leading terms reduce to zero
-        skip = False
-        for k, lead in enumerate(leads):
-            if k in (i, j) or (lead - lcm) & guard != guard:
-                continue
-            a = (i, k) if i < k else (k, i)
-            b = (j, k) if j < k else (k, j)
-            if a not in pairs and b not in pairs:
-                skip = True  # chain criterion
-                break
-        if skip:
+    while True:
+        if not queue:
+            if expected is None or _lt_numerator(ring, [f[0] for f in G]) == expected:
+                break  # any deferred pair would reduce to zero
+            if not deferred:
+                return None  # a complete basis misses the expected series
+            for entry in deferred:
+                heapq.heappush(queue, entry)
+            deferred = None
             continue
+        entry = heapq.heappop(queue)
+        sugar, lcm, (i, j) = entry
+        lti, ltj = G[i][0], G[j][0]
+        skip = lti + ltj - one == lcm  # coprime leading terms reduce to zero
+        if not skip:
+            for k, lead in enumerate(leads):
+                if k in (i, j) or (lead - lcm) & guard != guard:
+                    continue
+                a = (i, k) if i < k else (k, i)
+                b = (j, k) if j < k else (k, j)
+                if a not in pairs and b not in pairs:
+                    skip = True  # chain criterion
+                    break
+        if skip:
+            pairs.remove((i, j))
+            continue
+        sig = None
+        if deferred is not None:
+            # j is new; i is new too unless it is a known element
+            sig = lcm - ltj + sigs[j]
+            if sigs[i] is not None:
+                sig = max(sig, lcm - lti + sigs[i])
+            if _deferrable(table, len(known), sig):
+                deferred.append(entry)  # still open for the chain criterion
+                budget.deferred += 1
+                continue
+        pairs.remove((i, j))
         budget.charge(1)
         qf = lcm - lti
         qg = lcm - ltj
@@ -155,7 +211,7 @@ def _buchberger(ring, key_polys, budget, known=()):
             continue
         nf = _kernel_nf(spoly, G, table, budget)
         if nf:
-            add(nf, sugar)
+            add(nf, sugar, sig)
 
     # Minimal generators, ascending; every element of G was reduced by the
     # ones before it, so no two share a leading term.  Interreduction keeps
@@ -183,13 +239,14 @@ class GroebnerBasis:
     first, which takes fewer steps to the same unique remainder.
     """
 
-    __slots__ = ("ring", "polys", "_keys", "_table")
+    __slots__ = ("ring", "polys", "_keys", "_table", "_last")
 
     def __init__(self, ring, polys):
         self.ring = ring
         self.polys = tuple(polys)
         self._keys = None
         self._table = None
+        self._last = None  # (polynomial, remainder keys) of the last reduction
 
     @classmethod
     def _of_keys(cls, ring, keys, table):
@@ -206,6 +263,17 @@ class GroebnerBasis:
         if self._table is None:
             self._table = DivisorTable(self.ring, [f[0] for f in self._keys])
         return self._keys, self._table
+
+    def _remainder(self, x, budget, reuse=False):
+        """Remainder keys of ``x``.  The last remainder is kept; with
+        ``reuse``, a request for that same polynomial object returns it
+        without reducing, or charging, again."""
+        last = self._last
+        if reuse and last is not None and last[0] is x:
+            return last[1]
+        nf = _kernel_nf(x.keys, *self._key_basis(), budget)
+        self._last = (x, nf)
+        return nf
 
     def lead_exponents(self):
         return [p.lead_monomial() for p in self.polys]
@@ -247,7 +315,7 @@ def normal_form(x, gb, budget=None):
     if x.ring != gb.ring:
         raise RingError("polynomial lies in a different ring")
     budget = _resolve_budget(budget)
-    return Poly(x.ring, _kernel_nf(x.keys, *gb._key_basis(), budget))
+    return Poly(x.ring, gb._remainder(x, budget))
 
 
 def ideal_member(x, gb, budget=None):
@@ -475,10 +543,12 @@ class RegularSequenceChecker:
     ``append(f)`` decides whether f is a nonzerodivisor on the current
     quotient R/J.  An f that reduces to zero lies in J, so it is a zero
     divisor, because R/J is not 0 (J is generated in positive degree).
-    Otherwise the basis grows by f's pairs only, and the exact Hilbert-series
-    drop decides.  On success the ideal grows by f, on failure the state is
-    unchanged.  ``basis`` is the reduced basis of the ideal accumulated so
-    far, built once per successful append.
+    When f was just reduced by ``basis`` (``ideal_member`` or
+    ``normal_form``), that remainder is reused.  Otherwise the basis grows
+    by f's pairs only, Koszul pairs deferred (see ``_buchberger``), and the
+    exact Hilbert-series drop decides.  On success the ideal grows by f, on
+    failure the state is unchanged.  ``basis`` is the reduced basis of the
+    ideal accumulated so far, built once per successful append.
     """
 
     __slots__ = ("ring", "budget", "_num", "_basis", "length")
@@ -500,16 +570,16 @@ class RegularSequenceChecker:
             return False
         if bd.d <= 0:
             raise ValueError("sequence elements must have positive combined degree")
-        keys, table = self._basis._key_basis()
-        nf = _kernel_nf(f.keys, keys, table, self.budget)
+        nf = self._basis._remainder(f, self.budget, reuse=True)
         if not nf:
             return False
-        basis, table = _buchberger(self.ring, [nf], self.budget, known=keys)
-        num = _lt_numerator(self.ring, [g[0] for g in basis])
-        if num != _p2_mul(self._num, _one_minus(bd.p, bd.q)):
+        want = _p2_mul(self._num, _one_minus(bd.p, bd.q))
+        known = self._basis._key_basis()[0]
+        found = _buchberger(self.ring, [nf], self.budget, known, want)
+        if found is None:
             return False
-        self._num = num
-        self._basis = GroebnerBasis._of_keys(self.ring, basis, table)
+        self._num = want
+        self._basis = GroebnerBasis._of_keys(self.ring, *found)
         self.length += 1
         return True
 

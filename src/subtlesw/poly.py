@@ -118,7 +118,11 @@ class Ring:
     * ``((a ^ unit_key) + unit_key) & guard_mask`` keeps the guard bits of
       the fields whose exponent is nonzero (:meth:`support`);
     * ``a & limit_mask == limit_mask`` exactly when no exponent of ``a``
-      exceeds ``MAX_EXPONENT``.
+      exceeds ``MAX_EXPONENT``;
+    * ``FIELD_MAX`` is odd, so the low bit of a field is set exactly when
+      its exponent is even (``low_mask`` holds those bits);
+    * the key of ``a`` squared is ``2 * a - unit_key``, and a key whose
+      exponents are all even is the square of ``unit_key + ((a - unit_key) >> 1)``.
     """
 
     __slots__ = (
@@ -129,9 +133,11 @@ class Ring:
         "unit_key",
         "guard_mask",
         "limit_mask",
+        "low_mask",
         "degree_shift",
         "steps",
         "_shifts",
+        "_odd_position",
         "_field_weights",
         "_hash",
     )
@@ -164,6 +170,8 @@ class Ring:
         self.unit_key = sum(FIELD_MAX << s for s in shifts)
         self.guard_mask = sum(1 << s + FIELD_BITS for s in shifts)
         self.limit_mask = sum(1 << s + FIELD_BITS - 1 for s in shifts)
+        self.low_mask = sum(1 << s for s in shifts)
+        self._odd_position = {1 << s: i for i, s in enumerate(shifts)}
         # steps[i] multiplies by generator i: its degree up, its field one down
         self.steps = tuple((w << top) - (1 << s) for w, s in zip(d, shifts))
         self._field_weights = tuple(zip(shifts, d))
@@ -213,6 +221,16 @@ class Ring:
     def from_sort_key(self, key):
         """The exponent tuple of a packed key."""
         return tuple([FIELD_MAX - (key >> s & FIELD_MAX) for s in self._shifts])
+
+    def exponent(self, key, pos):
+        """Exponent of generator ``pos`` in the monomial with packed key ``key``."""
+        return FIELD_MAX - (key >> self._shifts[pos] & FIELD_MAX)
+
+    def first_odd(self, key):
+        """Position of the first generator with an odd exponent in ``key``, in
+        tie-break order (list order, ``t`` last); None if every exponent is even."""
+        odd = ~key & self.low_mask
+        return self._odd_position[odd & -odd] if odd else None
 
     def key_degree(self, key):
         """Combined degree of the monomial with packed key ``key``."""
@@ -348,9 +366,21 @@ class Poly:
         """This polynomial times the monomial with key ``unit_key + step``.
 
         Adding one constant keeps the order, so nothing is multiplied or
-        sorted; the exponent limit is checked as in a product.
+        sorted.
         """
-        keys = tuple(k + step for k in self.keys)
+        return self._moved(tuple(k + step for k in self.keys))
+
+    def squared(self):
+        """This polynomial squared: over F2 the sum of the squares of its terms.
+
+        Doubling every key keeps the order, so nothing is multiplied or sorted.
+        """
+        one = self.ring.unit_key
+        return self._moved(tuple(k + k - one for k in self.keys))
+
+    def _moved(self, keys):
+        """The Poly of ``keys``, an order-keeping image of this one's keys;
+        the exponent limit is checked as in a product."""
         limit = self.ring.limit_mask
         if functools.reduce(and_, keys, limit) != limit:
             raise ExponentOverflow("monomial exponent exceeds 32 bits")

@@ -184,38 +184,43 @@ def _sq_gen(ctx, k, m):
 
 
 @functools.lru_cache(maxsize=None)
-def _sq_mono(ctx, k, key):
-    """Sq^k on the monomial with packed key ``key``."""
+def _sq_mono(ctx, k, key, p):
+    """Sq^k on the monomial with packed key ``key`` and cohomological degree ``p``.
+
+    The key is never decoded: the tau exponent is one field read, the parity
+    of every exponent is the low bit of its field, and squares and square
+    roots are doublings and halvings of the key (see :class:`~subtlesw.poly.Ring`).
+    """
     ring = ctx.ring
-    mono = ring.from_sort_key(key)
-    if ctx.motivic and mono[ring.tau_index]:
-        # split off tau^a: Sq acts on the rest, tau^a shifts every key
-        step = mono[ring.tau_index] * ring.steps[ring.tau_index]
-        return _sq_mono(ctx, k, key - step).shifted(step)
+    if ctx.motivic:
+        a = ring.exponent(key, ring.tau_index)
+        if a:
+            # split off tau^a (degree 0): Sq acts on the rest, tau^a shifts every key
+            step = a * ring.steps[ring.tau_index]
+            return _sq_mono(ctx, k, key - step, p).shifted(step)
     if k == 0:
         return Poly(ring, (key,))
-    p = sum(e * bd.p for e, bd in zip(mono, ring.bidegrees) if e)
     if k > p:
-        return ring.zero  # instability; also forced by the recursion below
-    odd = [pos for pos, e in enumerate(mono) if e & 1]
-    if not odd:
+        return ring.zero  # instability
+    pos = ring.first_odd(key)
+    if pos is None:
         if k & 1:
             return ring.zero
         c = k >> 1
-        inner = _sq_mono(ctx, c, ring.sort_key([e >> 1 for e in mono]))
-        res = inner * inner
+        one = ring.unit_key
+        res = _sq_mono(ctx, c, one + ((key - one) >> 1), p >> 1).squared()
         if ctx.motivic and (c & 1) and res:
             res = _tau_shift(ctx, res)
         return res
-    pos = odd[0]
     m = ring.bidegrees[pos].p  # class index of the split-off generator
     rest = key - ring.steps[pos]
     parts = []
-    for a in range(min(k, m) + 1):
+    # Sq^{k-a} of the rest, of degree p - m, vanishes unless a >= k - (p - m)
+    for a in range(max(0, k - (p - m)), min(k, m) + 1):
         left = _sq_gen(ctx, a, m)
         if not left:
             continue
-        right = _sq_mono(ctx, k - a, rest)
+        right = _sq_mono(ctx, k - a, rest, p - m)
         if right:
             parts.append((a, k - a, left * right))
     return _cartan_sum(ctx, parts)
@@ -230,10 +235,12 @@ def sq(ctx, k, x):
     if k < 0:
         raise ValueError("Sq index must be nonnegative")
     ctx._check_argument(x)
+    ring = ctx.ring
     acc = set()
     for key in x.keys:
-        acc.symmetric_difference_update(_sq_mono(ctx, k, key).keys)
-    return ctx.ring.poly_of_keys(acc)
+        p = ring.monomial_bidegree(ring.from_sort_key(key)).p
+        acc.symmetric_difference_update(_sq_mono(ctx, k, key, p).keys)
+    return ring.poly_of_keys(acc)
 
 
 def cartan(ctx, k, x, y):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from subtlesw import _reduction, grobner
 from subtlesw.poly import Bidegree, bso_ring, parse_poly, ring_new
 from subtlesw.grobner import (
     Budget,
@@ -328,15 +329,23 @@ def check_incremental_bases(ring, seq):
     return counts
 
 
-def test_incremental_bases_equal_from_scratch_random():
+def random_sequences():
+    """The seeded random sample of short sequences in bso_ring(4..6)."""
     rng = random.Random(31)
-    totals = [0, 0, 0]
+    sample = []
     for n in (4, 5, 6):
         ring = bso_ring(n)
         for _ in range(30):
             seq = [random_bihomogeneous(ring, rng, 3, 4) for _ in range(rng.randint(1, 5))]
-            counts = check_incremental_bases(ring, seq)
-            totals = [t + c for t, c in zip(totals, counts)]
+            sample.append((ring, seq))
+    return sample
+
+
+def test_incremental_bases_equal_from_scratch_random():
+    totals = [0, 0, 0]
+    for ring, seq in random_sequences():
+        counts = check_incremental_bases(ring, seq)
+        totals = [t + c for t, c in zip(totals, counts)]
     # the sample takes every path of append
     assert all(totals)
 
@@ -346,6 +355,48 @@ def test_incremental_bases_equal_from_scratch_theta():
         ctx = bso_context(n)
         k = k_expected(n)
         assert check_incremental_bases(ctx.ring, [theta(ctx, j) for j in range(k)]) == [k, 0, 0]
+
+
+def test_incremental_bases_with_every_seeded_pair_deferred(monkeypatch):
+    # with every pair deferred, the Hilbert certificate misses wherever a
+    # pair was needed, and the requeued pairs must complete the basis
+    sample = random_sequences()
+    verdicts = [check_incremental_bases(ring, seq) for ring, seq in sample]
+    monkeypatch.setattr(grobner, "_deferrable", lambda *args: True)
+    assert [check_incremental_bases(ring, seq) for ring, seq in sample] == verdicts
+    for n in range(2, 13):
+        ctx = bso_context(n)
+        k = k_expected(n)
+        assert check_incremental_bases(ctx.ring, [theta(ctx, j) for j in range(k)]) == [k, 0, 0]
+
+
+def test_theta_sequences_defer_koszul_pairs():
+    deferred = 0
+    for n in range(2, 13):
+        ctx = bso_context(n)
+        budget = Budget()
+        chk = RegularSequenceChecker(ctx.ring, budget)
+        assert all(chk.append(theta(ctx, j)) for j in range(k_expected(n)))
+        deferred += budget.deferred
+    assert deferred > 0
+
+
+def test_append_reuses_the_membership_remainder(monkeypatch):
+    ring = bso_ring(5)
+    chk = RegularSequenceChecker(ring)
+    assert chk.append(ring.gen("u2"))
+    f = parse_poly(ring, "u2*u3+u5")  # its remainder is u5
+    reduced = []
+    kernel = _reduction.normal_form_terms
+
+    def recording(terms, *args):
+        reduced.append(terms)
+        return kernel(terms, *args)
+
+    monkeypatch.setattr(_reduction, "normal_form_terms", recording)
+    assert not ideal_member(f, chk.basis)
+    assert chk.append(f)
+    assert reduced.count(f.keys) == 1
 
 
 def test_complete_intersection_numerator():

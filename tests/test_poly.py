@@ -315,6 +315,29 @@ def test_product_overflow_counts_terms_that_cancel():
     assert ring.gen("u2").shifted((m - 1) * u2) == ring.poly([(0, m, 0)])
 
 
+def test_squares_parities_and_exponents_read_off_the_keys():
+    rng = random.Random(33)
+    checked = raised = 0
+    for ring in _key_rings():
+        for _ in range(40):
+            x = _random_poly(ring, rng)
+            # tie-break order: list order with t last
+            order = sorted(range(len(ring)), key=lambda i: i == ring.tau_index)
+            for key, mono in zip(x.keys, x.terms):
+                assert [ring.exponent(key, i) for i in range(len(ring))] == list(mono)
+                assert ring.first_odd(key) == next((i for i in order if mono[i] & 1), None)
+            try:
+                want = x * x
+            except ExponentOverflow:
+                with pytest.raises(ExponentOverflow):
+                    x.squared()
+                raised += 1
+                continue
+            assert x.squared() == want
+            checked += 1
+    assert raised and checked
+
+
 def test_lead_monomial():
     ring = bso_ring(5)
     theta2 = parse_poly(ring, "u2*u3+u5")

@@ -306,3 +306,40 @@ def test_squares_match_termwise_fold(ctx):
         assert sq(ctx, k, x) == sq_by_fold(ctx, k, x)
         assert cartan(ctx, k, x, y) == cartan_by_fold(ctx, k, x, y)
         assert thom_sq(ctx, k, thom_element(ctx, x)).coefficient == thom_sq_by_fold(ctx, k, x)
+
+
+def test_theta_term_counts_14_to_16():
+    counts = {
+        14: [1, 1, 2, 7, 36, 223, 1484, 10155],
+        15: [1, 1, 2, 7, 37, 242, 1713, 12535],
+        16: [1, 1, 2, 7, 37, 252, 1891, 14739],
+    }
+    for n, want in counts.items():
+        ctx = bso_context(n)
+        assert [len(theta(ctx, j).keys) for j in range(8)] == want
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [bso_context(n) for n in range(5, 10)]
+    + [bo_context(6), bso_top_context(7), bo_top_context(6)],
+    ids=lambda ctx: f"{ctx.flavor}{ctx.n}",
+)
+def test_squares_match_termwise_fold_at_the_instability_edge(ctx):
+    # Sq^k of degree p vanishes for k > p and is the square at k = p; the
+    # Cartan recursion skips the indices that instability kills, so test
+    # k just below, at and above the degree of the whole argument
+    rng = random.Random(ctx.n * 211 + len(ctx.ring))
+    ring = ctx.ring
+    for _ in range(12):
+        x = random_bihomogeneous(ring, rng, 4, 6)
+        y = random_bihomogeneous(ring, rng, 2, 3)
+        p, py = bidegree_of(x).p, bidegree_of(y).p
+        for k in range(max(0, p - 2), p + 2):
+            assert sq(ctx, k, x) == sq_by_fold(ctx, k, x)
+        # Sq^b alpha stops at b = n, so the Thom element's edge is p + n
+        w = thom_element(ctx, x)
+        for k in [*range(max(0, p - 2), p + 2), *range(p + ctx.n - 2, p + ctx.n + 2)]:
+            assert thom_sq(ctx, k, w).coefficient == thom_sq_by_fold(ctx, k, x)
+        for k in range(max(0, p + py - 2), p + py + 2):
+            assert cartan(ctx, k, x, y) == cartan_by_fold(ctx, k, x, y)
