@@ -14,7 +14,7 @@ itself is out of reach, so that row certifies nothing.  Run with
 
 import time
 
-from subtlesw import grobner, spaces, steenrod
+from subtlesw import steenrod
 from subtlesw.grobner import Budget
 from subtlesw.spaces import k_computed
 from subtlesw.steenrod import bso_context, theta
@@ -27,8 +27,6 @@ WALL_N, WALL_J = 17, 8
 def clear_caches():
     for fn in (steenrod.theta, steenrod._sq_mono, steenrod._sq_gen):
         fn.cache_clear()
-    spaces._k_cache.clear()
-    grobner._gb_cache.clear()
 
 
 def time_thetas(n, last):

@@ -194,18 +194,23 @@ class Subspace:
 
     def __init__(self, vectors, ambient_dim=None, e=1):
         self.field = Field2e(e)
-        vectors = [tuple(int(v) for v in vec) for vec in vectors]
+        vectors = [[int(v) for v in vec] for vec in vectors]
         if ambient_dim is None:
             if not vectors:
                 raise ValueError("ambient dimension needed for an empty basis")
             ambient_dim = len(vectors[0])
-        for vec in vectors:
-            if len(vec) != ambient_dim:
-                raise ValueError("vectors of mixed lengths")
-            if any(not 0 <= v < self.field.order for v in vec):
-                raise ValueError("coordinate outside the field")
         self.ambient_dim = ambient_dim
+        for vec in vectors:
+            self._check(vec)
         self.basis = tuple(_echelonize(self.field, vectors))
+
+    def _check(self, row):
+        """Raise ValueError unless the int list ``row`` is a vector of the
+        ambient space: the right length, every coordinate in the field."""
+        if len(row) != self.ambient_dim:
+            raise ValueError("vector of wrong length")
+        if any(not 0 <= v < self.field.order for v in row):
+            raise ValueError("coordinate outside the field")
 
     @property
     def dim(self):
@@ -213,8 +218,7 @@ class Subspace:
 
     def contains(self, vec):
         row = [int(v) for v in vec]
-        if len(row) != self.ambient_dim:
-            raise ValueError("vector of wrong length")
+        self._check(row)
         for pivot_row in self.basis:
             lead = next(j for j, v in enumerate(pivot_row) if v)
             if row[lead]:

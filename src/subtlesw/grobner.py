@@ -20,7 +20,6 @@ leading terms reached without them miss the expected series.
 
 from __future__ import annotations
 
-import functools
 import heapq
 
 from . import _reduction
@@ -222,8 +221,11 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None):
     # In a graded order a monomial never divides a smaller one, so f's own
     # lead never reduces its tail or any term the tail produces: reducing
     # the tail by the whole basis takes the reducers and steps it would take
-    # with f left out.
-    final = [(f[0],) + _kernel_nf(f[1:], minimal, table, budget) for f in minimal]
+    # with f left out.  A monomial has no tail to reduce.
+    final = [
+        (f[0],) + _kernel_nf(f[1:], minimal, table, budget) if len(f) > 1 else f
+        for f in minimal
+    ]
     return final, table
 
 
@@ -321,20 +323,6 @@ def normal_form(x, gb, budget=None):
 def ideal_member(x, gb, budget=None):
     """Whether ``x`` lies in the ideal presented by ``gb``."""
     return not normal_form(x, gb, budget)
-
-
-_gb_cache = {}
-
-
-def cached_groebner_basis(ring, gens):
-    """Default-budget basis, memoized on (ring, canonicalized generators)."""
-    key = (ring, tuple(sorted(g.keys for g in gens if g)))
-    hit = _gb_cache.get(key)
-    if hit is not None:
-        return hit
-    gb = groebner_basis(ring, gens)
-    _gb_cache[key] = gb
-    return gb
 
 
 # -- Hilbert series ------------------------------------------------------------

@@ -139,6 +139,7 @@ class Ring:
         "_shifts",
         "_odd_position",
         "_field_weights",
+        "_p_weights",
         "_hash",
     )
 
@@ -175,6 +176,7 @@ class Ring:
         # steps[i] multiplies by generator i: its degree up, its field one down
         self.steps = tuple((w << top) - (1 << s) for w, s in zip(d, shifts))
         self._field_weights = tuple(zip(shifts, d))
+        self._p_weights = tuple((s, bd.p) for s, bd in zip(shifts, self.bidegrees) if bd.p)
         self._hash = hash((self.names, self.bidegrees))
 
     # -- basic queries -----------------------------------------------------
@@ -204,14 +206,6 @@ class Ring:
     def has(self, name):
         return name in self._index
 
-    def monomial_bidegree(self, mono):
-        p = q = 0
-        for e, bd in zip(mono, self.bidegrees):
-            if e:
-                p += e * bd.p
-                q += e * bd.q
-        return Bidegree(p, q)
-
     # -- monomial order ----------------------------------------------------
 
     def sort_key(self, mono):
@@ -235,6 +229,12 @@ class Ring:
     def key_degree(self, key):
         """Combined degree of the monomial with packed key ``key``."""
         return key >> self.degree_shift
+
+    def key_bidegree(self, key):
+        """Bidegree of the monomial with packed key ``key``: p weighs the
+        exponent fields, and q is the rest of the combined degree."""
+        p = sum(w * (FIELD_MAX - (key >> s & FIELD_MAX)) for s, w in self._p_weights)
+        return Bidegree(p, (key >> self.degree_shift) - p)
 
     def support(self, key):
         """Guard bits of the generators with a nonzero exponent in ``key``."""
@@ -408,12 +408,8 @@ class Poly:
         """Common Bidegree, ZERO_DEGREE for 0, or INHOMOGENEOUS."""
         if not self.keys:
             return ZERO_DEGREE
-        terms = self.terms
-        bd = self.ring.monomial_bidegree(terms[0])
-        for m in terms[1:]:
-            if self.ring.monomial_bidegree(m) != bd:
-                return INHOMOGENEOUS
-        return bd
+        bidegrees = set(map(self.ring.key_bidegree, self.keys))
+        return bidegrees.pop() if len(bidegrees) == 1 else INHOMOGENEOUS
 
     def __str__(self):
         if not self.keys:

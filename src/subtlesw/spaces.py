@@ -19,7 +19,6 @@ from .grobner import (
     GroebnerBasis,
     RegularSequenceChecker,
     _resolve_budget,
-    cached_groebner_basis,
     groebner_basis,
     hilbert_series,
     ideal_member,
@@ -40,9 +39,6 @@ def k_expected(n):
     return 4 * l + _K8[n - 8 * l]
 
 
-_k_cache = {}
-
-
 def k_computed(n, budget=None):
     """Recompute k(n): append theta_j while it is not in the ideal so far.
 
@@ -53,12 +49,6 @@ def k_computed(n, budget=None):
     """
     if n < 2:
         raise ValueError("k(n) is defined for n >= 2")
-    # only the default-budget path is cached: an explicit budget must
-    # actually bound the work, not be short-circuited by earlier runs
-    if budget is None:
-        hit = _k_cache.get(n)
-        if hit is not None:
-            return hit
     budget = _resolve_budget(budget, f"n={n}")
     ring = bso_ring(n)
     ctx = bso_context(n)
@@ -70,7 +60,6 @@ def k_computed(n, budget=None):
                 f"theta_{j} ends the regular sequence but is not in the ideal (n={n})"
             )
         j += 1
-    _k_cache[n] = j
     return j
 
 
@@ -138,11 +127,7 @@ def _lift(target, x, pad):
     return target.poly(tuple(t) + (0,) * pad for t in x.terms)
 
 
-def _theta_relations(base, ctx, k, budget):
-    thetas = [theta(ctx, j) for j in range(k)]
-    if budget is None:
-        return cached_groebner_basis(base, thetas)
-    return groebner_basis(base, thetas, budget)
+_FREE_RINGS = {"BO": bo_ring, "BSO": bso_ring, "BO_top": bo_top_ring, "BSO_top": bso_top_ring}
 
 
 def present(family, n=None, budget=None):
@@ -173,17 +158,9 @@ def present(family, n=None, budget=None):
     if n is None or n < 2:
         raise ValueError(f"{fam} needs n >= 2")
 
-    if fam == "BO":
-        ring = bo_ring(n)
-        return Presentation(fam, n, ring, GroebnerBasis(ring, ()), None)
-    if fam == "BSO":
-        ring = bso_ring(n)
-        return Presentation(fam, n, ring, GroebnerBasis(ring, ()), None)
-    if fam == "BO_top":
-        ring = bo_top_ring(n)
-        return Presentation(fam, n, ring, GroebnerBasis(ring, ()), None)
-    if fam == "BSO_top":
-        ring = bso_top_ring(n)
+    free = _FREE_RINGS.get(fam)
+    if free is not None:
+        ring = free(n)
         return Presentation(fam, n, ring, GroebnerBasis(ring, ()), None)
 
     k = k_expected(n)
@@ -200,7 +177,7 @@ def present(family, n=None, budget=None):
     ambient = Ring(
         list(zip(base.names, base.bidegrees)) + [(vname, vdeg)]
     )
-    rel = _theta_relations(base, ctx, k, budget)
+    rel = groebner_basis(base, [theta(ctx, j) for j in range(k)], budget)
     lifted = GroebnerBasis(ambient, [_lift(ambient, p, 1) for p in rel])
     return Presentation(fam, n, ambient, lifted, k)
 
@@ -251,7 +228,9 @@ def torsor_relations(n, max_j=None, include_u2=True):
     if n < 3:
         raise ValueError("need n >= 3")
     ctx = bso_context(n)
-    ideal = chern_square_ideal(n, include_u2)
+    ring = ctx.ring
+    guard = ring.guard_mask
+    squares = [ring.sort_key(m) | guard for m in chern_square_ideal(n, include_u2)]
     rows = []
     j = 0
     while (1 << j) + 1 <= n and (max_j is None or j <= max_j):
@@ -260,12 +239,9 @@ def torsor_relations(n, max_j=None, include_u2=True):
         for h in range(w + 1):
             part = ctx.class_poly(w - h) * ctx.class_poly(w + 1 + h)
             acc.symmetric_difference_update(part.keys)
-        rel = ctx.ring.poly_of_keys(acc)
+        rel = ring.poly_of_keys(acc)
         diff = theta(ctx, j + 1) + rel
-        ok = all(
-            any(all(a >= b for a, b in zip(term, mono)) for mono in ideal)
-            for term in diff.terms
-        )
+        ok = all(any((h - k) & guard == guard for h in squares) for k in diff.keys)
         rows.append(TorsorRow(j, rel, ok))
         j += 1
     return rows
@@ -325,18 +301,17 @@ def h_map(x):
     """
     f = _i_ringmap(x.ring)
     target = f.target
-    tpos = target.tau_index
-    out = []
-    for mono in x.terms:
-        im = f(x.ring.poly((mono,))).lead_monomial()
-        bd = target.monomial_bidegree(im)
+    tau = target.steps[target.tau_index]
+    out = set()
+    # w_i to u_i sends distinct monomials to distinct ones, and so does the
+    # tau shift, since it leaves the u-part alone
+    for key in f(x).keys:
+        bd = target.key_bidegree(key)
         c = bd.p // 2 - bd.q
         if c < 0:
             raise ArithmeticError(f"negative tau exponent on {x.ring.names}: {c}")
-        e = list(im)
-        e[tpos] += c
-        out.append(tuple(e))
-    return target.poly(out)
+        out.add(key + c * tau)
+    return target.poly_of_keys(out)
 
 
 # -- the G2 cross-check ----------------------------------------------------------
@@ -381,21 +356,17 @@ def j_lower_bound(n):
 
 
 class TableReport:
-    __slots__ = ("rows", "notes")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows, notes=""):
+    def __init__(self, rows):
         self.rows = list(rows)
-        self.notes = notes
 
     @property
     def all_ok(self):
         return all(r["ok"] for r in self.rows)
 
     def to_json(self):
-        out = {"rows": self.rows}
-        if self.notes:
-            out["notes"] = self.notes
-        return out
+        return {"rows": self.rows}
 
 
 def k_row(n, budget=None):

@@ -91,9 +91,7 @@ class SteenrodContext:
             return self.ring.one
         if i > self.n or i < self.start:
             return self.ring.zero
-        e = [0] * len(self.ring)
-        e[self._class_pos[i]] = 1
-        return self.ring.poly((e,))
+        return Poly(self.ring, (self.ring.unit_key + self.ring.steps[self._class_pos[i]],))
 
     def _check_argument(self, x):
         if x.ring != self.ring:
@@ -238,8 +236,7 @@ def sq(ctx, k, x):
     ring = ctx.ring
     acc = set()
     for key in x.keys:
-        p = ring.monomial_bidegree(ring.from_sort_key(key)).p
-        acc.symmetric_difference_update(_sq_mono(ctx, k, key, p).keys)
+        acc.symmetric_difference_update(_sq_mono(ctx, k, key, ring.key_bidegree(key).p).keys)
     return ring.poly_of_keys(acc)
 
 

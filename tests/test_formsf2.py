@@ -141,6 +141,22 @@ def test_subspace_echelon_and_contains():
         Subspace([[1, 0], [1, 0, 0]])
 
 
+def test_subspace_contains_checks_coordinates_as_the_constructor_does():
+    line = Subspace([[1, 0]])
+    for bad in ([-1, 0], [3, 0], [2, 0]):
+        with pytest.raises(ValueError, match="coordinate outside the field"):
+            Subspace([bad])
+        with pytest.raises(ValueError, match="coordinate outside the field"):
+            line.contains(bad)
+    with pytest.raises(ValueError, match="wrong length"):
+        line.contains([1, 0, 0])
+    twisted = Subspace([[1, 2]], e=2)  # coordinates up to 3 lie in F_4
+    assert twisted.contains([3, 1])  # 3 * (1, 2) in F_4
+    assert not twisted.contains([1, 1])
+    with pytest.raises(ValueError, match="coordinate outside the field"):
+        twisted.contains([4, 0])
+
+
 def test_frobenius_stability_over_f4():
     # F_4 = {0, 1, w, w^2} with w = 2 in the packed encoding
     full = Subspace([[1, 0], [0, 1]], e=2)

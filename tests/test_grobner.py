@@ -12,7 +12,6 @@ from subtlesw.grobner import (
     HilbertSeries,
     InhomogeneousError,
     RegularSequenceChecker,
-    cached_groebner_basis,
     groebner_basis,
     hilbert_series,
     ideal_member,
@@ -465,15 +464,6 @@ def test_budget_charges_shared_across_calls():
     used_after_gb = 10**6 - b.remaining
     normal_form(parse_poly(ring, "u2*u3+u5"), gb, budget=b)
     assert 10**6 - b.remaining > used_after_gb
-
-
-def test_cached_basis_returns_same_object():
-    ring = bso_ring(5)
-    gens = [parse_poly(ring, "u2*u3+u5"), ring.gen("u2")]
-    a = cached_groebner_basis(ring, gens)
-    b = cached_groebner_basis(ring, list(reversed(gens)))  # canonicalized key
-    assert a is b
-    assert a == groebner_basis(ring, gens)
 
 
 def test_groebner_basis_equality_and_iteration():

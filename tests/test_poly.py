@@ -23,7 +23,14 @@ from subtlesw.poly import (
     ring_new,
 )
 
-from oracles import add_terms, from_grevlex_key, grevlex_key, mul_terms, random_bihomogeneous
+from oracles import (
+    add_terms,
+    from_grevlex_key,
+    grevlex_key,
+    monomial_bidegree,
+    mul_terms,
+    random_bihomogeneous,
+)
 
 
 def test_bidegree_basics():
@@ -217,6 +224,35 @@ def test_packed_keys_unpack_and_multiply_by_adding():
         assert ring.sort_key(a) + ring.sort_key(b) - ring.unit_key == ring.sort_key(ab)
         assert ring.key_lcm(ring.sort_key(a), ring.sort_key(b)) == ring.sort_key(tuple(map(max, a, b)))
     assert ring_new([]).sort_key(()) == ring_new([]).unit_key == 0
+
+
+def test_key_bidegree_is_the_tuple_reference():
+    for ring, a, b in _key_pairs(25):
+        for m in (a, b, tuple(map(add, a, b))):
+            assert ring.key_bidegree(ring.sort_key(m)) == monomial_bidegree(ring, m)
+        assert ring.key_bidegree(ring.unit_key) == (0, 0)
+    for ring in _key_rings():
+        for name, bd in zip(ring.names, ring.bidegrees):
+            assert ring.key_bidegree(ring.gen(name).keys[0]) == bd
+
+
+def test_bidegree_reads_the_keys_without_decoding():
+    rng = random.Random(26)
+    homogeneous = 0
+    for ring in _key_rings():
+        for i in range(20):
+            x = random_bihomogeneous(ring, rng) if ring.names and i % 2 else _random_poly(ring, rng)
+            bd = x.bidegree()
+            assert x._terms is None
+            want = {monomial_bidegree(ring, m) for m in x.terms}
+            if not want:
+                assert bd is ZERO_DEGREE
+            elif len(want) > 1:
+                assert bd is INHOMOGENEOUS
+            else:
+                assert bd == want.pop()
+                homogeneous += 1
+    assert homogeneous > 100
 
 
 def test_guard_test_is_exponentwise_divisibility():

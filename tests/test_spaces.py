@@ -1,8 +1,9 @@
 import random
+from operator import ge
 
 import pytest
 
-from subtlesw import _reduction
+from subtlesw import _reduction, spaces
 from subtlesw.grobner import Budget, BudgetExceeded, HilbertSeries, groebner_basis, hilbert_series, ideal_member, normal_form
 from subtlesw.poly import Bidegree, bso_ring, bso_top_ring, parse_poly, ring_new
 from subtlesw.steenrod import bso_context, bso_top_context, theta
@@ -225,6 +226,24 @@ def test_torsor_relation_literals():
     assert [r.j for r in rows11] == [0, 1, 2, 3]
 
 
+def test_torsor_verdict_is_exponentwise_divisibility(monkeypatch):
+    # with one square monomial left out, some differences leave the ideal;
+    # every verdict must match the exponentwise test on the decoded terms
+    verdicts = set()
+    for n in (5, 7, 9):
+        ctx = bso_context(n)
+        ideal = chern_square_ideal(n)
+        for drop in range(len(ideal)):
+            kept = ideal[:drop] + ideal[drop + 1:]
+            monkeypatch.setattr(spaces, "chern_square_ideal", lambda n, include_u2: kept)
+            for row in torsor_relations(n):
+                diff = theta(ctx, row.j + 1) + row.relation
+                want = all(any(all(map(ge, m, s)) for s in kept) for m in diff.terms)
+                assert row.verified == want, (n, drop, row.j)
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_torsor_max_j_cap():
     rows = torsor_relations(11, max_j=1)
     assert [r.j for r in rows] == [0, 1]
@@ -348,6 +367,21 @@ def test_k_computed_reduces_theta_k_once(monkeypatch):
     monkeypatch.setattr(_reduction, "normal_form_terms", record)
     assert k_computed(13, Budget()) == 7
     assert results == [()]
+
+
+def test_k_computed_hands_the_kernel_no_empty_input(monkeypatch):
+    # the final interreduction keeps a monomial element as it is, rather
+    # than reducing its empty tail
+    kernel = _reduction.normal_form_terms
+    sizes = []
+
+    def record(terms, basis, table, max_steps):
+        sizes.append(len(terms))
+        return kernel(terms, basis, table, max_steps)
+
+    monkeypatch.setattr(_reduction, "normal_form_terms", record)
+    assert k_computed(13, Budget()) == 7
+    assert sizes and 0 not in sizes
 
 
 def test_theta_k_membership_across_n():
