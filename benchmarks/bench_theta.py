@@ -3,8 +3,9 @@
 For n = 13..16, with every cache cleared first, times theta_0..theta_7 in
 bso_context(n) and then k_computed(n).  k(n) = 7 for these n, so k_computed
 reuses the thetas just built and its time is the Groebner part alone.  Prints
-one line per n, with the number of ``_sq_mono`` cache entries the thetas left,
-the budget units (pairs plus reduction steps) that k_computed spent, and the
+one line per n, with the terms the ``theta`` cache holds after the thetas
+(every theta step is Sq^{p-1}, which takes a closed form with no memo), the
+budget units (pairs plus reduction steps) that k_computed spent, and the
 Koszul pairs it deferred (reduced only if a Hilbert certificate misses).  A
 last row times theta_0..theta_8 at n = 17, the theta layer at the wall; k(17)
 itself is out of reach, so that row certifies nothing.  Run with
@@ -30,34 +31,28 @@ def clear_caches():
 
 
 def time_thetas(n, last):
-    """Seconds for theta_0..theta_last from cold caches, and the last one's terms."""
+    """Seconds for theta_0..theta_last from cold caches, the last one's terms,
+    and the terms of all of them, which is what the ``theta`` cache holds."""
     clear_caches()
     ctx = bso_context(n)
     t0 = time.perf_counter()
     terms = [len(theta(ctx, j).keys) for j in range(last + 1)]
-    return time.perf_counter() - t0, terms[-1]
-
-
-def cache_size():
-    return steenrod._sq_mono.cache_info().currsize
+    return time.perf_counter() - t0, terms[-1], sum(terms)
 
 
 def main():
     for n in NS:
-        seconds, terms = time_thetas(n, J)
-        entries = cache_size()
+        seconds, terms, cached = time_thetas(n, J)
         budget = Budget()
         t1 = time.perf_counter()
         k = k_computed(n, budget)
         t2 = time.perf_counter()
         print(
-            f"n={n:<3} theta_0..{J} {seconds:8.3f}s ({terms} terms, {entries} _sq_mono entries)"
+            f"n={n:<3} theta_0..{J} {seconds:8.3f}s ({terms} terms, {cached} cached)"
             f"   k={k} {t2 - t1:8.3f}s ({budget.used} units, {budget.deferred} deferred)"
         )
-    seconds, terms = time_thetas(WALL_N, WALL_J)
-    print(
-        f"n={WALL_N:<3} theta_0..{WALL_J} {seconds:8.3f}s ({terms} terms, {cache_size()} _sq_mono entries)"
-    )
+    seconds, terms, cached = time_thetas(WALL_N, WALL_J)
+    print(f"n={WALL_N:<3} theta_0..{WALL_J} {seconds:8.3f}s ({terms} terms, {cached} cached)")
 
 
 if __name__ == "__main__":

@@ -330,14 +330,30 @@ def h_expected(n):
     return 4 * l + _H8[n - 8 * l]
 
 
+def _rank_f2(rows):
+    """Rank over F2 of rows given as ints, by XOR elimination that keeps one
+    pivot row per top bit."""
+    pivots = {}
+    for r in rows:
+        while r:
+            top = r.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = r
+                break
+            r ^= pivot
+    return len(pivots)
+
+
 def h_of(n):
-    """h(n) = dim V - dim rad_r(B) + 1 from the form; h(2) = h(3) = 1."""
+    """h(n) = dim V - dim rad_r(B) + 1 from the form, which by rank-nullity
+    is rank(B) + 1; h(2) = h(3) = 1."""
     if n < 2:
         raise ValueError("h(n) is defined for n >= 2")
     if n in (2, 3):
         return 1
-    b = quillen_form(n)
-    return b.dim - right_radical(b).dim + 1
+    rows = np.packbits(quillen_form(n).matrix, axis=1)
+    return _rank_f2(int.from_bytes(row.tobytes(), "big") for row in rows) + 1
 
 
 # -- specialization of subtle classes into pair coordinates ----------------------

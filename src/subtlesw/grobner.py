@@ -269,7 +269,10 @@ class GroebnerBasis:
     def _remainder(self, x, budget, reuse=False):
         """Remainder keys of ``x``.  The last remainder is kept; with
         ``reuse``, a request for that same polynomial object returns it
-        without reducing, or charging, again."""
+        without reducing, or charging, again.  The zero polynomial is its
+        own remainder and costs nothing."""
+        if not x.keys:
+            return ()
         last = self._last
         if reuse and last is not None and last[0] is x:
             return last[1]

@@ -220,11 +220,16 @@ class Ring:
         """Exponent of generator ``pos`` in the monomial with packed key ``key``."""
         return FIELD_MAX - (key >> self._shifts[pos] & FIELD_MAX)
 
-    def first_odd(self, key):
-        """Position of the first generator with an odd exponent in ``key``, in
-        tie-break order (list order, ``t`` last); None if every exponent is even."""
+    def odd_positions(self, key):
+        """Positions of the generators with an odd exponent in ``key``, in
+        tie-break order (list order, ``t`` last)."""
         odd = ~key & self.low_mask
-        return self._odd_position[odd & -odd] if odd else None
+        out = []
+        while odd:
+            bit = odd & -odd
+            out.append(self._odd_position[bit])
+            odd ^= bit
+        return out
 
     def key_degree(self, key):
         """Combined degree of the monomial with packed key ``key``."""
@@ -342,8 +347,18 @@ class Poly:
             raise RingError("polynomials belong to different rings")
 
     def __add__(self, other):
+        """The F2 sum: a merge of the two sorted key tuples that drops the
+        keys found in both.  Sorting the concatenation of two descending runs
+        merges them in linear time."""
         self._check_ring(other)
-        return self.ring.poly_of_keys(set(self.keys).symmetric_difference(other.keys))
+        a, b = self.keys, other.keys
+        if len(a) < len(b):
+            a, b = b, a
+        keys = sorted(a + b, reverse=True)
+        both = set(b).intersection(a)
+        if both:
+            keys = [k for k in keys if k not in both]
+        return Poly(self.ring, tuple(keys))
 
     __sub__ = __add__  # characteristic 2
 

@@ -10,7 +10,8 @@ classical Wu/Cartan calculus.
 The theta sequence theta_0 = u2, theta_{j+1} = Sq^{2^j} theta_j drives the
 spin presentations in :mod:`subtlesw.spaces`.
 
-Everything here is pure and memoized; contexts are immutable and hashable.
+Everything here is pure, the recursions are memoized, and contexts are
+immutable and hashable.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import functools
 import re
 from operator import and_
 
-from .poly import Poly, RingError, bo_ring, bo_top_ring, bso_ring, bso_top_ring
+from .poly import ExponentOverflow, Poly, RingError, bo_ring, bo_top_ring, bso_ring, bso_top_ring
 
 
 def binom_mod2(a, b):
@@ -146,21 +147,24 @@ def _tau_shift(ctx, x):
     return x.shifted(ctx.ring.steps[ctx.ring.tau_index])
 
 
-def _cartan_sum(ctx, parts):
-    """F2 sum of Cartan parts ``(a, b, Sq^a-side * Sq^b-side)``.
-
-    In the motivic flavor a part with a and b both odd carries a factor of
-    tau; those parts are collected apart and shifted by tau once.
-    """
+def _join(ctx, plain, twisted):
+    """plain + tau * twisted, for two sets of keys each an F2 sum already
+    collected: the Cartan parts whose indices are not both odd, and those
+    whose indices are (which carry a factor of tau in the motivic flavor)."""
     ring = ctx.ring
-    plain, twisted = set(), set()
-    for a, b, part in parts:
-        odd = ctx.motivic and (a & 1) and (b & 1)
-        (twisted if odd else plain).symmetric_difference_update(part.keys)
     total = ring.poly_of_keys(plain)
     if twisted:
         total = total + _tau_shift(ctx, ring.poly_of_keys(twisted))
     return total
+
+
+def _cartan_sum(ctx, parts):
+    """F2 sum of Cartan parts ``(a, b, Sq^a-side * Sq^b-side)``."""
+    plain, twisted = set(), set()
+    for a, b, part in parts:
+        odd = ctx.motivic and (a & 1) and (b & 1)
+        (twisted if odd else plain).symmetric_difference_update(part.keys)
+    return _join(ctx, plain, twisted)
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,8 +204,8 @@ def _sq_mono(ctx, k, key, p):
         return Poly(ring, (key,))
     if k > p:
         return ring.zero  # instability
-    pos = ring.first_odd(key)
-    if pos is None:
+    odd = ring.odd_positions(key)
+    if not odd:
         if k & 1:
             return ring.zero
         c = k >> 1
@@ -210,6 +214,7 @@ def _sq_mono(ctx, k, key, p):
         if ctx.motivic and (c & 1) and res:
             res = _tau_shift(ctx, res)
         return res
+    pos = odd[0]
     m = ring.bidegrees[pos].p  # class index of the split-off generator
     rest = key - ring.steps[pos]
     parts = []
@@ -224,20 +229,72 @@ def _sq_mono(ctx, k, key, p):
     return _cartan_sum(ctx, parts)
 
 
+def _below_top(ctx, key, p, q, plain, twisted):
+    """Add Sq^{p-1} of the monomial ``key`` of bidegree (q)[p] to the key
+    sets ``plain`` and ``twisted`` (see :func:`_join`), in closed form.
+
+    Write the monomial as tau^a * y.  By the Cartan rule and instability,
+    Sq^{p-1} leaves exactly one factor u_m of y below its top square.  The
+    e_m copies of u_m in y give equal parts, so only the classes of odd
+    exponent count:
+
+        Sq^{p-1}(tau^a y) = sum over m with e_m odd of
+            tau^[m-1 and p-m both odd] * Sq^{m-1}(u_m) * Sq^{p-m}(tau^a y/u_m).
+
+    The top square of a tau-free monomial z of degree d and weight q_z is
+    tau^((d - 2 q_z) // 2) * z^2, where d - 2 q_z counts the odd-index
+    factors of z; here that count is o - [m odd], with o = p - 2(q - a) the
+    count for y.  So each part is the keys of Sq^{m-1}(u_m) shifted by one
+    constant, and no two parts share a key.  Every key is checked against
+    ``limit_mask`` before anything cancels, as in a product.
+    """
+    ring = ctx.ring
+    one = ring.unit_key
+    tau_step = a = 0
+    if ctx.motivic:
+        tau_step = ring.steps[ring.tau_index]
+        a = ring.exponent(key, ring.tau_index)
+        key -= a * tau_step
+    o = p - 2 * (q - a)
+    seen = ring.limit_mask
+    for pos in ring.odd_positions(key):
+        m = ring.bidegrees[pos].p
+        left = _sq_gen(ctx, m - 1, m).keys
+        if not left:
+            continue
+        shift = 2 * (key - ring.steps[pos] - one) + (a + (o - (m & 1)) // 2) * tau_step
+        part = [g + shift for g in left]
+        seen = functools.reduce(and_, part, seen)
+        # the Cartan indices m - 1 and p - m are both odd
+        both_odd = ctx.motivic and not m & 1 and p & 1
+        if both_odd:
+            # the one tau that _join adds; the tau field is the same on every key
+            seen &= part[0] + tau_step
+        (twisted if both_odd else plain).symmetric_difference_update(part)
+    if seen != ring.limit_mask:
+        raise ExponentOverflow("monomial exponent exceeds 32 bits")
+
+
 def sq(ctx, k, x):
     """Sq^k applied to x, termwise over F2.
 
     Bihomogeneous input of bidegree (q)[p] maps to (q + k//2)[p + k] or to
     zero; v-, x- and y-generators have no defined action and are rejected.
+    A term of degree k + 1 >= 2 takes the closed form of :func:`_below_top`;
+    every other term takes the memoized recursion of :func:`_sq_mono`.
     """
     if k < 0:
         raise ValueError("Sq index must be nonnegative")
     ctx._check_argument(x)
     ring = ctx.ring
-    acc = set()
+    plain, twisted = set(), set()
     for key in x.keys:
-        acc.symmetric_difference_update(_sq_mono(ctx, k, key, ring.key_bidegree(key).p).keys)
-    return ring.poly_of_keys(acc)
+        p, q = ring.key_bidegree(key)
+        if k and p == k + 1:
+            _below_top(ctx, key, p, q, plain, twisted)
+        else:
+            plain.symmetric_difference_update(_sq_mono(ctx, k, key, p).keys)
+    return _join(ctx, plain, twisted)
 
 
 def cartan(ctx, k, x, y):

@@ -188,6 +188,13 @@ def test_h_examples_and_base_cases():
         h_of(1)
 
 
+def test_h_is_the_rank_of_the_form_plus_one():
+    # h_of reads the rank off XOR elimination; the radical is the nullspace
+    for n in range(4, 201):
+        b = quillen_form(n)
+        assert h_of(n) == b.dim - right_radical(b).dim + 1
+
+
 def test_h_closed_form_table():
     want = {1: 0, 2: 1, 3: 1, 4: 1, 5: 2, 6: 3, 7: 3, 8: 3}
     for n in range(2, 120):

@@ -371,7 +371,8 @@ def test_k_computed_reduces_theta_k_once(monkeypatch):
 
 def test_k_computed_hands_the_kernel_no_empty_input(monkeypatch):
     # the final interreduction keeps a monomial element as it is, rather
-    # than reducing its empty tail
+    # than reducing its empty tail, and a zero theta (theta_1 at n = 2) is
+    # its own remainder
     kernel = _reduction.normal_form_terms
     sizes = []
 
@@ -380,8 +381,10 @@ def test_k_computed_hands_the_kernel_no_empty_input(monkeypatch):
         return kernel(terms, basis, table, max_steps)
 
     monkeypatch.setattr(_reduction, "normal_form_terms", record)
-    assert k_computed(13, Budget()) == 7
-    assert sizes and 0 not in sizes
+    for n in range(2, 14):
+        sizes.clear()
+        assert k_computed(n, Budget()) == k_expected(n)
+        assert 0 not in sizes, n
 
 
 def test_theta_k_membership_across_n():

@@ -4,7 +4,17 @@ import random
 
 import pytest
 
-from subtlesw.poly import Bidegree, RingError, bidegree_of, bso_ring, parse_poly, ring_new
+from subtlesw import steenrod
+from subtlesw.poly import (
+    MAX_EXPONENT,
+    Bidegree,
+    ExponentOverflow,
+    RingError,
+    bidegree_of,
+    bso_ring,
+    parse_poly,
+    ring_new,
+)
 from subtlesw.steenrod import (
     SteenrodContext,
     binom_mod2,
@@ -287,6 +297,50 @@ def test_theta_13_byte_identical():
     assert [len(theta(ctx, j).terms) for j in range(8)] == [1, 1, 2, 7, 35, 207, 1295, 8271]
     digest = hashlib.sha256(str(theta(ctx, 7)).encode()).hexdigest()
     assert digest == "2e7d77909e6c2204f616841091691ae20ba0509717db61ffaf60631e3edebc1a"
+
+
+def test_theta_16_byte_identical():
+    # the SHA-256 of str(theta_7) at n = 16, recorded while every theta step
+    # still ran the Cartan recursion of _sq_mono
+    ctx = bso_context(16)
+    digest = hashlib.sha256(str(theta(ctx, 7)).encode()).hexdigest()
+    assert digest == "e279e25aeab3011625c10844c53be0228c7c912cd3e88005ca287d8b9190b4bb"
+
+
+def test_theta_steps_leave_the_monomial_memo_empty():
+    # theta_j has degree 2^j + 1, so every theta step is Sq^{p-1}, which sq
+    # takes in closed form without the _sq_mono recursion
+    for fn in (steenrod.theta, steenrod._sq_mono, steenrod._sq_gen):
+        fn.cache_clear()
+    ctx = bso_context(13)
+    assert [len(theta(ctx, j).keys) for j in range(8)] == [1, 1, 2, 7, 35, 207, 1295, 8271]
+    assert steenrod._sq_mono.cache_info().currsize == 0
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ExponentOverflow:
+        return ExponentOverflow
+
+
+def test_top_two_squares_match_termwise_fold_at_the_exponent_limit():
+    # Sq^{p-1} (closed form) and Sq^p (the square) of tau^c u2^b u3^a, with
+    # exponents around half of and at MAX_EXPONENT: both must give the
+    # oracle's answer, or raise where it raises
+    ctx = bso_context(6)
+    h = MAX_EXPONENT // 2
+    raised = 0
+    for a in (1, h - 1, h, h + 1, h + 2, MAX_EXPONENT):
+        for b in (0, 1, h, h + 1):
+            for c in (0, 1, MAX_EXPONENT):
+                x = ctx.ring.monomial({"t": c, "u2": b, "u3": a})
+                p = 2 * b + 3 * a
+                for k in (p - 1, p):
+                    want = _outcome(sq_by_fold, ctx, k, x)
+                    assert _outcome(sq, ctx, k, x) == want, (a, b, c, k)
+                    raised += want is ExponentOverflow
+    assert 0 < raised < 144
 
 
 @pytest.mark.parametrize(
