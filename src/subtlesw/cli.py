@@ -7,8 +7,12 @@ the tool version, the effective reduction budget, and wall time; JSON Lines
 output streams table rows as they finish (in n order) so partial progress
 survives budget exhaustion.
 
+A ``_cmd_*`` function only computes: it returns a `Scalar` or a `Table`.
+`main` times it, builds the meta object, prints the result in the chosen
+format and turns the result's verdict into the exit code.
+
 Exit codes: 0 success, 1 mathematical mismatch or failed verification,
-2 usage error, 3 budget exceeded.
+2 usage error, 3 budget exceeded, 70 unexpected internal error.
 """
 
 from __future__ import annotations
@@ -20,11 +24,33 @@ import os
 import sys
 import time
 import traceback
+from typing import Iterable, NamedTuple
 
 from . import __version__, formsf2, spaces
 from .grobner import DEFAULT_BUDGET, BudgetExceeded
 from .poly import ExponentOverflow, ParseError, RingError, parse_poly
 from .steenrod import bo_context, bso_context, bso_top_context, sq, theta
+
+FAMILIES = ["bo", "bso", "bspin", "bg2", "bo_top", "bso_top", "bspin_top"]
+
+
+class Scalar(NamedTuple):
+    """One answer: its JSON payload, its text lines and its verdict."""
+
+    payload: dict
+    lines: list
+    ok: bool = True
+
+
+class Table(NamedTuple):
+    """Rows in key order and their columns.  `rows` may be lazy: jsonl prints
+    each row as it comes.  It passes when every row is true in `check`, or
+    there is no `check`.  `rows_ms`, if given, fills with each row's time."""
+
+    rows: Iterable[dict]
+    columns: list
+    check: str | None = None
+    rows_ms: dict | None = None
 
 
 def _effective_budget(args):
@@ -34,219 +60,116 @@ def _effective_budget(args):
     return int(env) if env else None
 
 
-def _meta(args, t0, rows_ms=None):
-    limit = _effective_budget(args)
-    meta = {
-        "version": __version__,
-        "budget": limit if limit is not None else DEFAULT_BUDGET,
-        "wall_time_ms": round((time.monotonic() - t0) * 1000, 3),
-    }
-    if rows_ms is not None:
-        meta["rows_ms"] = rows_ms
-    return meta
-
-
 def _jval(v):
     return json.dumps(v, sort_keys=True)
 
 
-def _emit_scalar(args, payload, meta, text_lines):
-    fmt = args.format
-    if fmt == "json":
-        print(_jval({"meta": meta, **payload}))
-    elif fmt == "jsonl":
-        print(_jval(payload))
-        print(_jval({"meta": meta}))
-    elif fmt == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["key", "value"])
-        for k in sorted(payload):
-            w.writerow([k, _jval(payload[k])])
-    else:
-        for line in text_lines:
-            print(line)
+def _cell(v):
+    return _jval(v) if isinstance(v, (bool, type(None))) else str(v)
 
 
-def _emit_table(args, rows, meta, columns, streamed):
-    fmt = args.format
-    if fmt == "json":
-        print(_jval({"meta": meta, "rows": rows}))
-    elif fmt == "jsonl":
-        if not streamed:
-            for row in rows:
-                print(_jval(row))
-        print(_jval({"meta": meta}))
-    elif fmt == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([_jval(row[c]) if isinstance(row[c], (bool, type(None))) else row[c] for c in columns])
-    else:
-        print("\t".join(columns))
-        for row in rows:
-            print("\t".join(_jval(row[c]) if isinstance(row[c], (bool, type(None))) else str(row[c]) for c in columns))
-
-
-def _table_rows(args, keys, row_fn):
-    """Compute rows in key order, streaming each one under jsonl."""
-    stream = args.format == "jsonl"
-    rows, rows_ms = [], {}
+def _timed_rows(keys, row_fn, rows_ms):
     for key in keys:
         r0 = time.monotonic()
         row = row_fn(key)
-        rows.append(row)
         rows_ms[str(key)] = round((time.monotonic() - r0) * 1000, 3)
-        if stream:
-            print(_jval(row), flush=True)
-    return rows, rows_ms, stream
+        yield row
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
 def _ctx_for(flavor, n):
-    if flavor == "bo":
-        return bo_context(n)
-    if flavor == "bso":
-        return bso_context(n)
-    return bso_top_context(n)
+    return {"bo": bo_context, "bso": bso_context}.get(flavor, bso_top_context)(n)
 
 
 def _cmd_sq(args):
-    t0 = time.monotonic()
     if args.k < 0:
         raise ValueError("--k must be nonnegative")
     ctx = _ctx_for(args.flavor, args.n)
     x = parse_poly(ctx.ring, args.expr)
     res = sq(ctx, args.k, x)
-    payload = {
-        "flavor": args.flavor,
-        "n": args.n,
-        "k": args.k,
-        "input": str(x),
-        "result": str(res),
-    }
-    _emit_scalar(args, payload, _meta(args, t0), [str(res)])
-    return 0
+    payload = {"flavor": args.flavor, "n": args.n, "k": args.k, "input": str(x), "result": str(res)}
+    return Scalar(payload, [str(res)])
 
 
 def _cmd_theta(args):
-    t0 = time.monotonic()
     if args.j < 0:
         raise ValueError("--j must be nonnegative")
-    ctx = _ctx_for(args.flavor, args.n)
-    res = theta(ctx, args.j)
-    payload = {"flavor": args.flavor, "n": args.n, "j": args.j, "result": str(res)}
-    _emit_scalar(args, payload, _meta(args, t0), [str(res)])
-    return 0
+    res = theta(_ctx_for(args.flavor, args.n), args.j)
+    return Scalar({"flavor": args.flavor, "n": args.n, "j": args.j, "result": str(res)}, [str(res)])
+
+
+def _range_table(args, row_fn):
+    """Expected against computed for n in --from..--to; --verify fails a mismatch."""
+    rows_ms = {}
+    rows = _timed_rows(range(args.from_n, args.to_n + 1), row_fn, rows_ms)
+    return Table(rows, ["n", "expected", "computed", "ok"], "ok" if args.verify else None, rows_ms)
 
 
 def _cmd_ktable(args):
-    t0 = time.monotonic()
     limit = _effective_budget(args)
-    ns = range(args.from_n, args.to_n + 1)
-    rows, rows_ms, streamed = _table_rows(args, ns, lambda n: spaces.k_row(n, limit))
-    _emit_table(args, rows, _meta(args, t0, rows_ms), ["n", "expected", "computed", "ok"], streamed)
-    if args.verify and not all(r["ok"] for r in rows):
-        return 1
-    return 0
+    return _range_table(args, lambda n: spaces.k_row(n, limit))
 
 
 def _cmd_htable(args):
-    t0 = time.monotonic()
-    ns = range(args.from_n, args.to_n + 1)
-    rows, rows_ms, streamed = _table_rows(args, ns, spaces.h_row)
-    _emit_table(args, rows, _meta(args, t0, rows_ms), ["n", "expected", "computed", "ok"], streamed)
-    if args.verify and not all(r["ok"] for r in rows):
-        return 1
-    return 0
+    return _range_table(args, spaces.h_row)
+
+
+def _report(report, checks):
+    """A report dict, one ``key: value`` line per entry; it passes when every check holds."""
+    lines = [f"{key}: {_jval(report[key])}" for key in report]
+    return Scalar(report, lines, all(report[c] for c in checks))
 
 
 def _cmd_verify(args):
-    t0 = time.monotonic()
     report = spaces.verify_theta(args.n, args.k, _effective_budget(args))
-    lines = [f"{key}: {_jval(report[key])}" for key in report]
-    _emit_scalar(args, report, _meta(args, t0), lines)
-    checks = ("regular", "theta_k_in_ideal", "tau_prefix_regular")
-    return 0 if all(report[c] for c in checks) else 1
-
-
-def _cmd_present(args):
-    t0 = time.monotonic()
-    pres = spaces.present(args.flavor, args.n, _effective_budget(args))
-    payload = pres.to_json()
-    lines = [f"family: {pres.family}", f"n: {_jval(pres.n)}", f"k: {_jval(pres.k)}", "generators:"]
-    for g in payload["generators"]:
-        lines.append(f"  {g['name']}  ({g['q']})[{g['p']}]")
-    lines.append("relations:" if payload["relations"] else "relations: none")
-    for rel in payload["relations"]:
-        lines.append(f"  {rel}")
-    _emit_scalar(args, payload, _meta(args, t0), lines)
-    return 0
-
-
-def _cmd_poincare(args):
-    t0 = time.monotonic()
-    pres = spaces.present(args.flavor, args.n, _effective_budget(args))
-    rep = spaces.poincare(pres, args.max_degree)
-    payload = rep.to_json()
-    payload["family"] = pres.family
-    payload["n"] = pres.n
-    lines = [f"numerator: {payload['series']['numerator']}"]
-    lines.append(f"denominator factors (p, q): {payload['series']['denominator']}")
-    lines.append("p\tq\tdim")
-    for dim, p, q in payload["expansion"]:
-        lines.append(f"{p}\t{q}\t{dim}")
-    _emit_scalar(args, payload, _meta(args, t0), lines)
-    return 0
-
-
-def _cmd_torsor(args):
-    t0 = time.monotonic()
-    res = spaces.torsor_relations(args.n, args.max_j)
-    rows = [{"j": r.j, "relation": str(r.relation), "verified": r.verified} for r in res]
-    stream = args.format == "jsonl"
-    if stream:
-        for row in rows:
-            print(_jval(row), flush=True)
-    _emit_table(args, rows, _meta(args, t0), ["j", "relation", "verified"], stream)
-    return 0 if all(r["verified"] for r in rows) else 1
-
-
-def _cmd_radical(args):
-    t0 = time.monotonic()
-    form = formsf2.quillen_form(args.n)
-    rad = formsf2.right_radical(form)
-    payload = {
-        "n": args.n,
-        "dim_v": form.dim,
-        "matrix": form.to_json(),
-        "radical_dim": rad.dim,
-        "radical_basis": rad.to_json(),
-    }
-    lines = [f"n: {args.n}", f"dim V: {form.dim}", "matrix:"]
-    lines += ["  " + "".join(str(v) for v in row) for row in form.to_json()]
-    lines.append(f"radical dim: {rad.dim}")
-    lines += ["  " + " ".join(str(v) for v in row) for row in rad.to_json()]
-    _emit_scalar(args, payload, _meta(args, t0), lines)
-    return 0
+    return _report(report, ("regular", "theta_k_in_ideal", "tau_prefix_regular"))
 
 
 def _cmd_g2check(args):
-    t0 = time.monotonic()
     report = spaces.g2_gysin_check(_effective_budget(args))
-    lines = [f"{key}: {_jval(report[key])}" for key in report]
-    _emit_scalar(args, report, _meta(args, t0), lines)
-    return 0 if all(report.values()) else 1
+    return _report(report, report)
+
+
+def _cmd_present(args):
+    pres = spaces.present(args.flavor, args.n, _effective_budget(args))
+    payload = pres.to_json()
+    lines = [f"family: {pres.family}", f"n: {_jval(pres.n)}", f"k: {_jval(pres.k)}", "generators:"]
+    lines += [f"  {g['name']}  ({g['q']})[{g['p']}]" for g in payload["generators"]]
+    lines += ["relations:" if payload["relations"] else "relations: none"]
+    lines += [f"  {rel}" for rel in payload["relations"]]
+    return Scalar(payload, lines)
+
+
+def _cmd_poincare(args):
+    pres = spaces.present(args.flavor, args.n, _effective_budget(args))
+    payload = {**spaces.poincare(pres, args.max_degree).to_json(), "family": pres.family, "n": pres.n}
+    series = payload["series"]
+    lines = [f"numerator: {series['numerator']}", f"denominator factors (p, q): {series['denominator']}"]
+    lines += ["p\tq\tdim"] + [f"{p}\t{q}\t{dim}" for dim, p, q in payload["expansion"]]
+    return Scalar(payload, lines)
+
+
+def _cmd_torsor(args):
+    res = spaces.torsor_relations(args.n, args.max_j)
+    rows = [{"j": r.j, "relation": str(r.relation), "verified": r.verified} for r in res]
+    return Table(rows, ["j", "relation", "verified"], "verified")
+
+
+def _cmd_radical(args):
+    form = formsf2.quillen_form(args.n)
+    rad = formsf2.right_radical(form)
+    matrix, basis = form.to_json(), rad.to_json()
+    payload = {"n": args.n, "dim_v": form.dim, "matrix": matrix, "radical_dim": rad.dim, "radical_basis": basis}
+    lines = [f"n: {args.n}", f"dim V: {form.dim}", "matrix:"] + ["  " + "".join(map(str, row)) for row in matrix]
+    lines += [f"radical dim: {rad.dim}"] + ["  " + " ".join(map(str, row)) for row in basis]
+    return Scalar(payload, lines)
 
 
 def _cmd_jbound(args):
-    t0 = time.monotonic()
     values = sorted(spaces.j_lower_bound(args.n))
-    payload = {"n": args.n, "values": values}
-    text = "{" + ", ".join(str(v) for v in values) + "}"
-    _emit_scalar(args, payload, _meta(args, t0), [text])
-    return 0
+    return Scalar({"n": args.n, "values": values}, ["{" + ", ".join(str(v) for v in values) + "}"])
 
 
 # -- parser ----------------------------------------------------------------------
@@ -260,90 +183,63 @@ def _build_parser():
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+    budgeted = {}
 
-    def add_common(sp, budget=False):
-        sp.add_argument(
-            "--format", choices=["json", "jsonl", "csv", "text"], default="text"
-        )
-        if budget:
-            sp.add_argument("--budget", type=int, default=None, help="reduction-step budget per Groebner run")
+    def command(name, func, help, budget=False):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func)
+        budgeted[sp] = budget
+        return sp
 
-    sp = sub.add_parser("sq", help="apply Sq^k to a polynomial")
+    def add_range(sp, to_n):
+        sp.add_argument("--from", dest="from_n", type=int, default=2)
+        sp.add_argument("--to", dest="to_n", type=int, default=to_n)
+        sp.add_argument("--verify", action="store_true", help="exit 1 on any mismatch")
+
+    def add_family(sp):
+        sp.add_argument("--flavor", choices=FAMILIES, required=True)
+        sp.add_argument("--n", type=int, default=None)
+        return sp
+
+    sp = command("sq", _cmd_sq, "apply Sq^k to a polynomial")
     sp.add_argument("--flavor", choices=["bo", "bso", "top"], default="bso")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("expr", help="polynomial in the term grammar")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_sq)
 
-    sp = sub.add_parser("theta", help="the theta/rho sequence")
+    sp = command("theta", _cmd_theta, "the theta/rho sequence")
     sp.add_argument("--flavor", choices=["bso", "top"], default="bso")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--j", type=int, required=True)
-    add_common(sp)
-    sp.set_defaults(func=_cmd_theta)
 
-    sp = sub.add_parser("ktable", help="expected vs recomputed k(n)")
-    sp.add_argument("--from", dest="from_n", type=int, default=2)
-    sp.add_argument("--to", dest="to_n", type=int, default=10)
-    sp.add_argument("--verify", action="store_true", help="exit 1 on any mismatch")
-    add_common(sp, budget=True)
-    sp.set_defaults(func=_cmd_ktable)
+    add_range(command("ktable", _cmd_ktable, "expected vs recomputed k(n)", budget=True), 10)
+    add_range(command("htable", _cmd_htable, "expected vs radical-computed h(n)"), 200)
 
-    sp = sub.add_parser("htable", help="expected vs radical-computed h(n)")
-    sp.add_argument("--from", dest="from_n", type=int, default=2)
-    sp.add_argument("--to", dest="to_n", type=int, default=200)
-    sp.add_argument("--verify", action="store_true", help="exit 1 on any mismatch")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_htable)
-
-    sp = sub.add_parser("verify", help="certify the theta data for one n")
+    sp = command("verify", _cmd_verify, "certify the theta data for one n", budget=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, default=None, help="defaults to the table k(n)")
-    add_common(sp, budget=True)
-    sp.set_defaults(func=_cmd_verify)
 
-    sp = sub.add_parser("present", help="generators and relations of a family")
-    sp.add_argument(
-        "--flavor",
-        choices=["bo", "bso", "bspin", "bg2", "bo_top", "bso_top", "bspin_top"],
-        required=True,
-    )
-    sp.add_argument("--n", type=int, default=None)
-    add_common(sp, budget=True)
-    sp.set_defaults(func=_cmd_present)
-
-    sp = sub.add_parser("poincare", help="Hilbert series of a presentation")
-    sp.add_argument(
-        "--flavor",
-        choices=["bo", "bso", "bspin", "bg2", "bo_top", "bso_top", "bspin_top"],
-        required=True,
-    )
-    sp.add_argument("--n", type=int, default=None)
+    add_family(command("present", _cmd_present, "generators and relations of a family", budget=True))
+    sp = add_family(command("poincare", _cmd_poincare, "Hilbert series of a presentation", budget=True))
     sp.add_argument("--max-degree", dest="max_degree", type=int, default=16)
-    add_common(sp, budget=True)
-    sp.set_defaults(func=_cmd_poincare)
 
-    sp = sub.add_parser("torsor", help="quadratic torsor relations and their certificates")
+    sp = command("torsor", _cmd_torsor, "quadratic torsor relations and their certificates")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--max-j", dest="max_j", type=int, default=None)
-    add_common(sp)
-    sp.set_defaults(func=_cmd_torsor)
 
-    sp = sub.add_parser("radical", help="the h(n) bilinear form and its right radical")
+    sp = command("radical", _cmd_radical, "the h(n) bilinear form and its right radical")
     sp.add_argument("--n", type=int, required=True)
-    add_common(sp)
-    sp.set_defaults(func=_cmd_radical)
 
-    sp = sub.add_parser("g2check", help="the rank-7 to G2 series cross-check")
-    add_common(sp, budget=True)
-    sp.set_defaults(func=_cmd_g2check)
+    command("g2check", _cmd_g2check, "the rank-7 to G2 series cross-check", budget=True)
 
-    sp = sub.add_parser("jbound", help="guaranteed members of the J-set")
+    sp = command("jbound", _cmd_jbound, "guaranteed members of the J-set")
     sp.add_argument("--n", type=int, required=True)
-    add_common(sp)
-    sp.set_defaults(func=_cmd_jbound)
 
+    # the common flags come after each subcommand's own, in usage and --help
+    for sp, budget in budgeted.items():
+        sp.add_argument("--format", choices=["json", "jsonl", "csv", "text"], default="text")
+        if budget:
+            sp.add_argument("--budget", type=int, default=None, help="reduction-step budget per Groebner run")
     return p
 
 
@@ -353,8 +249,44 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    fmt = args.format
+    t0 = time.monotonic()
     try:
-        return args.func(args)
+        res = args.func(args)
+        if isinstance(res, Table):
+            rows = []
+            for row in res.rows:
+                rows.append(row)
+                if fmt == "jsonl":
+                    print(_jval(row), flush=True)
+            body, unstreamed, rows_ms = {"rows": rows}, [], res.rows_ms
+            grid = [res.columns] + [[_cell(row[c]) for c in res.columns] for row in rows]
+            lines = ["\t".join(cells) for cells in grid]
+            ok = res.check is None or all(row[res.check] for row in rows)
+        else:
+            body, lines, ok = res
+            unstreamed, rows_ms = [body], None
+            grid = [["key", "value"]] + [[k, _jval(body[k])] for k in sorted(body)]
+        limit = _effective_budget(args)
+        meta = {
+            "version": __version__,
+            "budget": limit if limit is not None else DEFAULT_BUDGET,
+            "wall_time_ms": round((time.monotonic() - t0) * 1000, 3),
+        }
+        if rows_ms is not None:
+            meta["rows_ms"] = rows_ms
+        if fmt == "json":
+            print(_jval({"meta": meta, **body}))
+        elif fmt == "jsonl":
+            for record in unstreamed:
+                print(_jval(record))
+            print(_jval({"meta": meta}))
+        elif fmt == "csv":
+            csv.writer(sys.stdout).writerows(grid)
+        else:
+            for line in lines:
+                print(line)
+        return 0 if ok else 1
     except BrokenPipeError:
         # downstream closed the pipe (e.g. head); suppress the shutdown noise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -331,35 +331,19 @@ def ideal_member(x, gb, budget=None):
 # -- Hilbert series ------------------------------------------------------------
 
 
-def _p2_mul(a, b):
-    out = {}
-    for (p1, q1), c1 in a.items():
-        for (p2, q2), c2 in b.items():
-            k = (p1 + p2, q1 + q2)
-            v = out.get(k, 0) + c1 * c2
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-    return out
-
-def _p2_add(a, b):
+def _p2_axpy(a, sign, p, q, b):
+    """The numerator a + sign * T^p S^q * b; a times (1 - T^p S^q) is
+    ``_p2_axpy(a, -1, p, q, a)``.  Numerators are {(p, q): coefficient}
+    dicts without zero coefficients."""
     out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
+    for (bp, bq), v in b.items():
+        k = (bp + p, bq + q)
+        c = out.get(k, 0) + sign * v
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
     return out
-
-
-def _p2_shift(a, p, q):
-    return {(kp + p, kq + q): v for (kp, kq), v in a.items()}
-
-
-def _one_minus(p, q):
-    return {(0, 0): 1, (p, q): -1}
 
 
 def _minimalize(ring, keys):
@@ -401,7 +385,7 @@ def _lt_numerator(ring, leads):
             for g, s in zip(gens, sups):
                 p, q = bidegs[generator_of[s]]
                 e = degree(g) // (p + q)
-                res = _p2_mul(res, _one_minus(e * p, e * q))
+                res = _p2_axpy(res, -1, e * p, e * q, res)
         else:
             # the first generator, in ring order, in the most mixed supports
             counts = [sum(1 for s in mixed if s & bit) for bit in bits]
@@ -409,10 +393,7 @@ def _lt_numerator(ring, leads):
             bit, step = bits[j], ring.steps[j]
             plus = [g for g, s in zip(gens, sups) if not s & bit] + [one + step]
             colon = [g - step if s & bit else g for g, s in zip(gens, sups)]
-            res = _p2_add(
-                rec(_minimalize(ring, plus)),
-                _p2_shift(rec(_minimalize(ring, colon)), *bidegs[j]),
-            )
+            res = _p2_axpy(rec(_minimalize(ring, plus)), 1, *bidegs[j], rec(_minimalize(ring, colon)))
         memo[gens] = res
         return res
 
@@ -443,19 +424,18 @@ class HilbertSeries:
                 mine.remove(f)
                 theirs.remove(f)
                 common.append(f)
-        a = dict(self.numerator)
+        a, b = self.numerator, other.numerator
         for p, q in theirs:
-            a = _p2_mul(a, _one_minus(p, q))
-        b = dict(other.numerator)
+            a = _p2_axpy(a, -1, p, q, a)
         for p, q in mine:
-            b = _p2_mul(b, _one_minus(p, q))
+            b = _p2_axpy(b, -1, p, q, b)
         return a == b
 
     __hash__ = None
 
     def times_factor(self, p, q):
         """Multiply the series by (1 - T^p S^q)."""
-        return HilbertSeries(_p2_mul(self.numerator, _one_minus(p, q)), self.denominator)
+        return HilbertSeries(_p2_axpy(self.numerator, -1, p, q, self.numerator), self.denominator)
 
     def expand(self, max_d):
         """Coefficients {(p, q): dim} up to combined degree max_d."""
@@ -564,7 +544,7 @@ class RegularSequenceChecker:
         nf = self._basis._remainder(f, self.budget, reuse=True)
         if not nf:
             return False
-        want = _p2_mul(self._num, _one_minus(bd.p, bd.q))
+        want = _p2_axpy(self._num, -1, bd.p, bd.q, self._num)
         known = self._basis._key_basis()[0]
         found = _buchberger(self.ring, [nf], self.budget, known, want)
         if found is None:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import shutil
 import subprocess
@@ -171,6 +173,42 @@ def test_htable_command(capsys):
     doc = json.loads(out)
     assert all(r["ok"] for r in doc["rows"])
     assert len(doc["rows"]) == 39
+
+
+# one small invocation per subcommand; the first three print tables
+FORMAT_CASES = {
+    "ktable": ["ktable", "--from", "2", "--to", "5"],
+    "htable": ["htable", "--from", "2", "--to", "12"],
+    "torsor": ["torsor", "--n", "5"],
+    "sq": ["sq", "--n", "5", "--k", "2", "u3"],
+    "theta": ["theta", "--n", "7", "--j", "2"],
+    "verify": ["verify", "--n", "5"],
+    "present": ["present", "--flavor", "bspin", "--n", "5"],
+    "poincare": ["poincare", "--flavor", "bg2", "--max-degree", "6"],
+    "radical": ["radical", "--n", "9"],
+    "g2check": ["g2check"],
+    "jbound": ["jbound", "--n", "11"],
+}
+
+
+@pytest.mark.parametrize("name", list(FORMAT_CASES))
+def test_formats_agree(capsys, name):
+    out = {}
+    for fmt in ("json", "jsonl", "csv"):
+        code, out[fmt], _ = run(capsys, FORMAT_CASES[name] + ["--format", fmt])
+        assert code == 0
+    doc = json.loads(out["json"])
+    meta = doc.pop("meta")
+    *records, last = [json.loads(line) for line in out["jsonl"].splitlines()]
+    assert set(last) == {"meta"} and set(last["meta"]) == set(meta)
+    grid = list(csv.reader(io.StringIO(out["csv"])))
+    if name in ("ktable", "htable", "torsor"):
+        assert records == doc["rows"] and records
+        assert sorted(grid[0]) == sorted(records[0])
+        assert grid[1:] == [[cli._cell(row[c]) for c in grid[0]] for row in records]
+    else:
+        assert records == [doc]
+        assert grid == [["key", "value"]] + [[k, cli._jval(v)] for k, v in sorted(doc.items())]
 
 
 def test_version_flag(capsys):
