@@ -3,7 +3,8 @@
 Every subcommand is deterministic given its flags: the monomial order is
 fixed and there is no randomness, so identical invocations print identical
 payloads (timing metadata aside).  JSON output carries a "meta" object with
-the tool version, the effective reduction budget, and wall time; JSON Lines
+the tool version, the wall time and, for a subcommand that takes --budget,
+the effective reduction budget (--budget, else SUBTLE_BUDGET); JSON Lines
 output streams table rows as they finish (in n order) so partial progress
 survives budget exhaustion.
 
@@ -31,7 +32,7 @@ from .grobner import DEFAULT_BUDGET, BudgetExceeded
 from .poly import ExponentOverflow, ParseError, RingError, parse_poly
 from .steenrod import bo_context, bso_context, bso_top_context, sq, theta
 
-FAMILIES = ["bo", "bso", "bspin", "bg2", "bo_top", "bso_top", "bspin_top"]
+FAMILIES = [f.lower() for f in spaces.FAMILIES]
 
 
 class Scalar(NamedTuple):
@@ -51,13 +52,6 @@ class Table(NamedTuple):
     columns: list
     check: str | None = None
     rows_ms: dict | None = None
-
-
-def _effective_budget(args):
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("SUBTLE_BUDGET")
-    return int(env) if env else None
 
 
 def _jval(v):
@@ -108,8 +102,7 @@ def _range_table(args, row_fn):
 
 
 def _cmd_ktable(args):
-    limit = _effective_budget(args)
-    return _range_table(args, lambda n: spaces.k_row(n, limit))
+    return _range_table(args, lambda n: spaces.k_row(n, args.budget))
 
 
 def _cmd_htable(args):
@@ -123,17 +116,17 @@ def _report(report, checks):
 
 
 def _cmd_verify(args):
-    report = spaces.verify_theta(args.n, args.k, _effective_budget(args))
+    report = spaces.verify_theta(args.n, args.k, args.budget)
     return _report(report, ("regular", "theta_k_in_ideal", "tau_prefix_regular"))
 
 
 def _cmd_g2check(args):
-    report = spaces.g2_gysin_check(_effective_budget(args))
+    report = spaces.g2_gysin_check(args.budget)
     return _report(report, report)
 
 
 def _cmd_present(args):
-    pres = spaces.present(args.flavor, args.n, _effective_budget(args))
+    pres = spaces.present(args.flavor, args.n, args.budget)
     payload = pres.to_json()
     lines = [f"family: {pres.family}", f"n: {_jval(pres.n)}", f"k: {_jval(pres.k)}", "generators:"]
     lines += [f"  {g['name']}  ({g['q']})[{g['p']}]" for g in payload["generators"]]
@@ -143,7 +136,7 @@ def _cmd_present(args):
 
 
 def _cmd_poincare(args):
-    pres = spaces.present(args.flavor, args.n, _effective_budget(args))
+    pres = spaces.present(args.flavor, args.n, args.budget)
     payload = {**spaces.poincare(pres, args.max_degree).to_json(), "family": pres.family, "n": pres.n}
     series = payload["series"]
     lines = [f"numerator: {series['numerator']}", f"denominator factors (p, q): {series['denominator']}"]
@@ -250,8 +243,12 @@ def main(argv=None):
     except SystemExit as e:
         return int(e.code or 0)
     fmt = args.format
+    budgeted = "budget" in args
     t0 = time.monotonic()
     try:
+        if budgeted and args.budget is None:
+            env = os.environ.get("SUBTLE_BUDGET")
+            args.budget = int(env) if env else DEFAULT_BUDGET
         res = args.func(args)
         if isinstance(res, Table):
             rows = []
@@ -267,12 +264,9 @@ def main(argv=None):
             body, lines, ok = res
             unstreamed, rows_ms = [body], None
             grid = [["key", "value"]] + [[k, _jval(body[k])] for k in sorted(body)]
-        limit = _effective_budget(args)
-        meta = {
-            "version": __version__,
-            "budget": limit if limit is not None else DEFAULT_BUDGET,
-            "wall_time_ms": round((time.monotonic() - t0) * 1000, 3),
-        }
+        meta = {"version": __version__, "wall_time_ms": round((time.monotonic() - t0) * 1000, 3)}
+        if budgeted:
+            meta["budget"] = args.budget
         if rows_ms is not None:
             meta["rows_ms"] = rows_ms
         if fmt == "json":

@@ -138,23 +138,36 @@ class Field2e:
         return f"Field2e({self.e})"
 
 
+def _pivot_rows(rows):
+    """Echelon rows over F2 of rows given as ints, by XOR elimination that
+    keeps one pivot row per top bit: {top bit length: row}."""
+    pivots = {}
+    for r in rows:
+        while r:
+            top = r.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = r
+                break
+            r ^= pivot
+    return pivots
+
+
 def _echelonize_f2(rows):
     # rows as bitmasks (leftmost coordinate = highest bit): one XOR per
     # elimination step instead of a field multiply per entry
     width = len(rows[0])
+    pivots = _pivot_rows(functools.reduce(lambda m, v: m << 1 | v & 1, row, 0) for row in rows)
+    # back-substitute in ascending order: every reduced row below has zeros
+    # at the other pivots, so clearing one pivot bit disturbs no other
     basis = []
-    for row in rows:
-        m = 0
-        for v in row:
-            m = (m << 1) | (v & 1)
+    for top in sorted(pivots):
+        r = pivots[top]
         for b in basis:
-            if m & (1 << (b.bit_length() - 1)):
-                m ^= b
-        if m:
-            hi = 1 << (m.bit_length() - 1)
-            basis = [b ^ m if b & hi else b for b in basis] + [m]
-    basis.sort(reverse=True)
-    return [tuple((b >> (width - 1 - j)) & 1 for j in range(width)) for b in basis]
+            if r >> (b.bit_length() - 1) & 1:
+                r ^= b
+        basis.append(r)
+    return [tuple((b >> (width - 1 - j)) & 1 for j in range(width)) for b in reversed(basis)]
 
 
 def _echelonize(field, rows):
@@ -330,21 +343,6 @@ def h_expected(n):
     return 4 * l + _H8[n - 8 * l]
 
 
-def _rank_f2(rows):
-    """Rank over F2 of rows given as ints, by XOR elimination that keeps one
-    pivot row per top bit."""
-    pivots = {}
-    for r in rows:
-        while r:
-            top = r.bit_length()
-            pivot = pivots.get(top)
-            if pivot is None:
-                pivots[top] = r
-                break
-            r ^= pivot
-    return len(pivots)
-
-
 def h_of(n):
     """h(n) = dim V - dim rad_r(B) + 1 from the form, which by rank-nullity
     is rank(B) + 1; h(2) = h(3) = 1."""
@@ -353,7 +351,7 @@ def h_of(n):
     if n in (2, 3):
         return 1
     rows = np.packbits(quillen_form(n).matrix, axis=1)
-    return _rank_f2(int.from_bytes(row.tobytes(), "big") for row in rows) + 1
+    return len(_pivot_rows(int.from_bytes(row.tobytes(), "big") for row in rows)) + 1
 
 
 # -- specialization of subtle classes into pair coordinates ----------------------
@@ -421,4 +419,4 @@ def beta_map(n):
             bd = img.bidegree()
             if bd.p != i:
                 raise AssertionError(f"beta image of u{i} has p-degree {bd.p}")
-    return RingMap(src, dst, [images[name] for name in src.names], kind="p-graded")
+    return RingMap(src, dst, [images[name] for name in src.names])

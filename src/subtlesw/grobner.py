@@ -1,10 +1,11 @@
 """Groebner bases, Hilbert series, and regular-sequence certification over F2.
 
-The engine is Buchberger's algorithm with the sugar selection strategy and the
-two classical pair criteria (coprime leading terms; the chain criterion).
-Reduction runs in :mod:`subtlesw._reduction`.  Bases are fully interreduced,
-so each ideal has one canonical basis for the ring's monomial order
-regardless of generator order.
+The engine is Buchberger's algorithm with the two classical pair criteria
+(coprime leading terms; the chain criterion).  It treats pairs in increasing
+lcm order, the normal strategy; for homogeneous input this is the sugar
+strategy.  Reduction runs in :mod:`subtlesw._reduction`.  Bases are fully
+interreduced, so each ideal has one canonical basis for the ring's monomial
+order regardless of generator order.
 
 Hilbert series of quotients are exact bivariate rational functions computed
 from the leading-term ideal by the standard pivot recursion on monomial
@@ -92,8 +93,7 @@ def _kernel_nf(terms, basis, table, budget):
     if steps:
         budget.charge(steps)
     if nf is None:
-        budget.charge(1)  # force the exceeded state and raise
-        raise BudgetExceeded(budget.used, budget.limit, budget.context)
+        budget.charge(1)  # the kernel stopped at the limit: this raises
     return nf
 
 
@@ -113,13 +113,16 @@ def _deferrable(table, count, sig):
 def _buchberger(ring, key_polys, budget, known=(), expected=None):
     """Reduced Groebner basis in key space, smallest leading term first.
 
-    Returns the basis and its divisor table.  ``key_polys`` are nonzero key
-    polynomials.  ``known`` is a reduced basis of homogeneous polynomials, as
-    this function returns it, that the ideal already contains: it seeds G,
-    and pairs are formed only with the new elements.  Every pair of
-    ``known`` already reduces to zero by ``known``, whose elements stay in G
-    until the final interreduction, so the chain criterion may count those
-    pairs as treated.
+    Pairs are treated in increasing lcm order; for homogeneous input this is
+    the sugar strategy, since the sugar of a pair is the degree of its lcm,
+    the top field of its key.  Returns the basis and its divisor table.
+
+    ``key_polys`` are nonzero key polynomials.  ``known`` is a reduced basis
+    of homogeneous polynomials, as this function returns it, that the ideal
+    already contains: it seeds G, and pairs are formed only with the new
+    elements.  Every pair of ``known`` already reduces to zero by ``known``,
+    whose elements stay in G until the final interreduction, so the chain
+    criterion may count those pairs as treated.
 
     ``expected``, given with one key polynomial f, is the Hilbert numerator
     of R/(known + f) when f is regular on R/(known); the result is None when
@@ -135,35 +138,28 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None):
     deferred, so a None never rests on a deferred pair.
     """
     one, guard = ring.unit_key, ring.guard_mask
-    lcm_of, degree = ring.key_lcm, ring.key_degree
+    lcm_of = ring.key_lcm
     G = list(known)
     table = DivisorTable(ring, [f[0] for f in G])  # grows with G
     leads = table.leads  # G's leading keys with the guard bits set
-    sugars = [degree(f[0]) for f in G]  # homogeneous: sugar is the degree
     sigs = [None] * len(G)  # multipliers of the new elements
     pairs = set()  # open pairs (i, j), read by the chain criterion
-    queue = []  # the same pairs as a heap of (sugar, lcm, (i, j))
+    queue = []  # the same pairs as a heap of (lcm, (i, j))
     deferred = [] if expected is not None and known else None  # None: defer nothing
 
-    def add(f, sugar, sig):
+    def add(f, sig):
         G.append(f)
         table.append(f[0])
-        sugars.append(sugar)
         sigs.append(sig)
         j = len(G) - 1
-        ltj = f[0]
         for i in range(j):
-            lti = G[i][0]
-            lcm = lcm_of(lti, ltj)
-            w = degree(lcm)
-            s = max(sugars[i] + w - degree(lti), sugar + w - degree(ltj))
             pairs.add((i, j))
-            heapq.heappush(queue, (s, lcm, (i, j)))
+            heapq.heappush(queue, (lcm_of(G[i][0], f[0]), (i, j)))
 
     for f in sorted(key_polys):
         nf = _kernel_nf(f, G, table, budget)
         if nf:
-            add(nf, degree(nf[0]), one)
+            add(nf, one)
 
     while True:
         if not queue:
@@ -176,7 +172,7 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None):
             deferred = None
             continue
         entry = heapq.heappop(queue)
-        sugar, lcm, (i, j) = entry
+        lcm, (i, j) = entry
         lti, ltj = G[i][0], G[j][0]
         skip = lti + ltj - one == lcm  # coprime leading terms reduce to zero
         if not skip:
@@ -210,7 +206,7 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None):
             continue
         nf = _kernel_nf(spoly, G, table, budget)
         if nf:
-            add(nf, sugar, sig)
+            add(nf, sig)
 
     # Minimal generators, ascending; every element of G was reduced by the
     # ones before it, so no two share a leading term.  Interreduction keeps

@@ -549,14 +549,12 @@ def parse_poly(ring, text):
 class RingMap:
     """Generator-wise substitution map between rings.
 
-    ``images`` lists one target Poly per source generator.  ``kind`` is a free
-    label recording what the map claims to preserve; named constructors check
-    those claims at build time.
+    ``images`` lists one target Poly per source generator.
     """
 
-    __slots__ = ("source", "target", "images", "kind")
+    __slots__ = ("source", "target", "images")
 
-    def __init__(self, source, target, images, kind=""):
+    def __init__(self, source, target, images):
         images = tuple(images)
         if len(images) != len(source.names):
             raise RingError("need exactly one image per source generator")
@@ -566,13 +564,12 @@ class RingMap:
         self.source = source
         self.target = target
         self.images = images
-        self.kind = kind
 
     def __call__(self, x):
         return apply_map(self, x)
 
     def __repr__(self):
-        return f"RingMap({self.source!r} -> {self.target!r}, kind={self.kind!r})"
+        return f"RingMap({self.source!r} -> {self.target!r})"
 
 
 def apply_map(f, x):

@@ -206,19 +206,17 @@ class TorsorRow(NamedTuple):
     verified: bool
 
 
-def chern_square_ideal(n, include_u2=True):
-    """Monomials u_{2i}^2 and t*u_{2i+1}^2 for class indices 2..n (plus u_2)."""
+def chern_square_ideal(n):
+    """Monomials u_2, then u_{2i}^2 and t*u_{2i+1}^2 for class indices 2..n."""
     ring = bso_ring(n)
-    monos = []
-    if include_u2:
-        monos.append(ring.gen("u2").lead_monomial())
+    monos = [ring.gen("u2").lead_monomial()]
     for c in range(2, n + 1):
         exps = {f"u{c}": 2} if c % 2 == 0 else {"t": 1, f"u{c}": 2}
         monos.append(ring.monomial(exps).lead_monomial())
     return monos
 
 
-def torsor_relations(n, max_j=None, include_u2=True):
+def torsor_relations(n, max_j=None):
     """For each j with 2^j + 1 <= n, the relation sum_h u_{2^j-h} u_{2^j+1+h}
     and whether theta_{j+1} reduces to it modulo the square ideal.
 
@@ -230,7 +228,7 @@ def torsor_relations(n, max_j=None, include_u2=True):
     ctx = bso_context(n)
     ring = ctx.ring
     guard = ring.guard_mask
-    squares = [ring.sort_key(m) | guard for m in chern_square_ideal(n, include_u2)]
+    squares = [ring.sort_key(m) | guard for m in chern_square_ideal(n)]
     rows = []
     j = 0
     while (1 << j) + 1 <= n and (max_j is None or j <= max_j):
@@ -273,7 +271,7 @@ def _t_ringmap(source):
     images = []
     for name in source.names:
         images.append(target.one if name == "t" else target.gen("w" + name[1:]))
-    return RingMap(source, target, images, kind="forget the weight")
+    return RingMap(source, target, images)
 
 
 def t_map(x):
@@ -286,7 +284,7 @@ def _i_ringmap(source):
     start, n = _class_span(source, "w")
     target = bo_ring(n) if start == 1 else bso_ring(n)
     images = [target.gen("u" + name[1:]) for name in source.names]
-    return RingMap(source, target, images, kind="w_i to u_i")
+    return RingMap(source, target, images)
 
 
 def i_map(x):
@@ -317,27 +315,16 @@ def h_map(x):
 # -- the G2 cross-check ----------------------------------------------------------
 
 
-def g2_gysin_check(budget=None, extend_relations=()):
+def g2_gysin_check(budget=None):
     """Certify that v8 drops the BSpin_7 series by (1 - T^8 S^4) and that the
-    BG2 series equals the dropped series.  extend_relations lets callers
-    sabotage the quotient to see the negative answer."""
+    BG2 series equals the dropped series."""
     pres = present("BSpin", 7, budget)
-    ring = pres.ring
-    rels = list(pres.relations)
-    extra = list(extend_relations)
-    if extra:
-        gb0 = groebner_basis(ring, rels + extra, budget)
-    else:
-        gb0 = pres.relations
-    hs0 = hilbert_series(gb0)
-    v8 = ring.gen("v8")
-    gb1 = groebner_basis(ring, list(gb0) + [v8], budget)
-    hs1 = hilbert_series(gb1)
-    v8_regular = hs1 == hs0.times_factor(8, 4)
-
-    g2 = hilbert_series(present("BG2").relations)
-    series_identity = g2 == hs0.times_factor(8, 4)
-    return {"v8_regular": v8_regular, "series_identity": series_identity}
+    dropped = hilbert_series(pres.relations).times_factor(8, 4)
+    gb1 = groebner_basis(pres.ring, list(pres.relations) + [pres.ring.gen("v8")], budget)
+    return {
+        "v8_regular": hilbert_series(gb1) == dropped,
+        "series_identity": hilbert_series(present("BG2").relations) == dropped,
+    }
 
 
 def j_lower_bound(n):

@@ -46,7 +46,7 @@ class SteenrodContext:
         "ring", "n", "letter", "motivic", "start", "_class_pos", "_allowed", "_forbidden", "_hash"
     )
 
-    def __init__(self, ring, n=None):
+    def __init__(self, ring):
         self.ring = ring
         self.motivic = ring.has("t")
         classes = {}
@@ -62,8 +62,7 @@ class SteenrodContext:
         if (self.letter == "u") != self.motivic:
             raise RingError("u-classes require t in the ring; w-classes forbid it")
         self.start = 1 if 1 in pos_map else 2
-        if n is None:
-            n = max(pos_map)
+        n = max(pos_map)
         if n < self.start:
             raise RingError(f"need at least the index-{self.start} class")
         for i in range(self.start, n + 1):
@@ -124,22 +123,22 @@ class SteenrodContext:
 
 @functools.lru_cache(maxsize=None)
 def bso_context(n):
-    return SteenrodContext(bso_ring(n), n)
+    return SteenrodContext(bso_ring(n))
 
 
 @functools.lru_cache(maxsize=None)
 def bo_context(n):
-    return SteenrodContext(bo_ring(n), n)
+    return SteenrodContext(bo_ring(n))
 
 
 @functools.lru_cache(maxsize=None)
 def bso_top_context(n):
-    return SteenrodContext(bso_top_ring(n), n)
+    return SteenrodContext(bso_top_ring(n))
 
 
 @functools.lru_cache(maxsize=None)
 def bo_top_context(n):
-    return SteenrodContext(bo_top_ring(n), n)
+    return SteenrodContext(bo_top_ring(n))
 
 
 def _tau_shift(ctx, x):

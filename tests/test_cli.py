@@ -99,6 +99,27 @@ def test_env_budget(capsys, monkeypatch):
     monkeypatch.delenv("SUBTLE_BUDGET")
 
 
+def test_env_budget_read_before_the_work_and_only_where_it_applies(capsys, monkeypatch):
+    monkeypatch.setenv("SUBTLE_BUDGET", "abc")
+    # a budgeted command fails on it before printing a row
+    code, out, err = run(capsys, ["ktable", "--from", "2", "--to", "4", "--format", "jsonl"])
+    assert code == 2 and out == "" and "usage error" in err
+    # a command without --budget ignores it
+    code, out, _ = run(capsys, ["htable", "--from", "2", "--to", "4", "--format", "jsonl"])
+    assert code == 0 and len(out.splitlines()) == 3 + 1
+    monkeypatch.setenv("SUBTLE_BUDGET", "10")
+    code, out, _ = run(capsys, ["torsor", "--n", "5", "--format", "json"])
+    assert code == 0 and "budget" not in json.loads(out)["meta"]
+    code, out, _ = run(capsys, ["present", "--flavor", "bso", "--n", "3", "--format", "json"])
+    assert code == 0 and json.loads(out)["meta"]["budget"] == 10
+    code, out, _ = run(capsys, ["present", "--flavor", "bso", "--n", "3", "--budget", "7", "--format", "json"])
+    assert code == 0 and json.loads(out)["meta"]["budget"] == 7
+
+
+def test_family_choices():
+    assert cli.FAMILIES == ["bo", "bso", "bspin", "bg2", "bo_top", "bso_top", "bspin_top"]
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, ["sq", "--flavor", "bso", "--n", "5", "--k", "1", "u9"])
     assert code == 2 and "usage error" in err
@@ -201,6 +222,7 @@ def test_formats_agree(capsys, name):
     meta = doc.pop("meta")
     *records, last = [json.loads(line) for line in out["jsonl"].splitlines()]
     assert set(last) == {"meta"} and set(last["meta"]) == set(meta)
+    assert ("budget" in meta) == (name in ("ktable", "verify", "present", "poincare", "g2check"))
     grid = list(csv.reader(io.StringIO(out["csv"])))
     if name in ("ktable", "htable", "torsor"):
         assert records == doc["rows"] and records

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from subtlesw import _reduction, grobner
-from subtlesw.poly import Bidegree, bso_ring, parse_poly, ring_new
+from subtlesw.poly import INHOMOGENEOUS, Bidegree, bso_ring, parse_poly, ring_new
 from subtlesw.grobner import (
     Budget,
     BudgetExceeded,
@@ -84,19 +84,30 @@ def test_normal_form_is_idempotent_and_certifies_membership():
         assert ideal_member(x + r, gb)
 
 
+def random_inhomogeneous(ring, rng):
+    """A sum of random bihomogeneous parts, not all of one bidegree."""
+    while True:
+        f = sum((random_bihomogeneous(ring, rng, 3, 2) for _ in range(rng.randint(2, 3))), ring.zero)
+        if f.bidegree() is INHOMOGENEOUS:
+            return f
+
+
 def test_reduced_basis_is_canonical():
-    # the reduced basis must not depend on generator order or redundancy
+    # the reduced basis must not depend on generator order or redundancy;
+    # inhomogeneous generators take the same pair order (smallest lcm first)
     rng = random.Random(22)
     ring = bso_ring(4)
-    for _ in range(40):
-        gens = [random_bihomogeneous(ring, rng, 3, 3) for _ in range(rng.randint(1, 3))]
-        gens = [g for g in gens if g]
-        if not gens:
-            continue
-        gb = groebner_basis(ring, gens)
-        for perm in itertools.permutations(gens):
-            assert groebner_basis(ring, list(perm)) == gb
-        assert groebner_basis(ring, gens + [gens[0] * gens[-1]]) == gb
+    draws = [lambda: random_bihomogeneous(ring, rng, 3, 3), lambda: random_inhomogeneous(ring, rng)]
+    for draw in draws:
+        for _ in range(40):
+            gens = [draw() for _ in range(rng.randint(1, 3))]
+            gens = [g for g in gens if g]
+            if not gens:
+                continue
+            gb = groebner_basis(ring, gens)
+            for perm in itertools.permutations(gens):
+                assert groebner_basis(ring, list(perm)) == gb
+            assert groebner_basis(ring, gens + [gens[0] * gens[-1]]) == gb
     # reduced: no term of any element divisible by another leading term
     gb = groebner_basis(ring, [parse_poly(ring, "u2*u3+u4"), parse_poly(ring, "u2^2")])
     lts = gb.lead_exponents()
@@ -109,19 +120,21 @@ def test_reduced_basis_is_canonical():
 def test_s_polynomials_reduce_to_zero():
     rng = random.Random(23)
     ring = bso_ring(5)
-    for _ in range(20):
-        gens = [random_bihomogeneous(ring, rng, 3, 3) for _ in range(rng.randint(2, 3))]
-        gens = [g for g in gens if g]
-        if len(gens) < 2:
-            continue
-        gb = groebner_basis(ring, gens)
-        polys = list(gb)
-        for f, g in itertools.combinations(polys, 2):
-            lf, lg = f.lead_monomial(), g.lead_monomial()
-            lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-            mf = ring.poly([tuple(l - a for l, a in zip(lcm, lf))])
-            mg = ring.poly([tuple(l - a for l, a in zip(lcm, lg))])
-            assert normal_form(mf * f + mg * g, gb) == ring.zero
+    draws = [lambda: random_bihomogeneous(ring, rng, 3, 3), lambda: random_inhomogeneous(ring, rng)]
+    for draw in draws:
+        for _ in range(20):
+            gens = [draw() for _ in range(rng.randint(2, 3))]
+            gens = [g for g in gens if g]
+            if len(gens) < 2:
+                continue
+            gb = groebner_basis(ring, gens)
+            polys = list(gb)
+            for f, g in itertools.combinations(polys, 2):
+                lf, lg = f.lead_monomial(), g.lead_monomial()
+                lcm = tuple(max(a, b) for a, b in zip(lf, lg))
+                mf = ring.poly([tuple(l - a for l, a in zip(lcm, lf))])
+                mg = ring.poly([tuple(l - a for l, a in zip(lcm, lg))])
+                assert normal_form(mf * f + mg * g, gb) == ring.zero
 
 
 def test_hilbert_series_free_algebra():

@@ -59,7 +59,7 @@ def test_context_rejects_incomplete_rings():
     # u4 missing below n breaks the Wu recursion
     ring = ring_new([("t", (0, 1)), ("u2", (2, 1)), ("u3", (3, 1)), ("u5", (5, 2))])
     with pytest.raises(RingError):
-        SteenrodContext(ring, n=5)
+        SteenrodContext(ring)
     # a ring without t and without w-classes is no flavor at all
     with pytest.raises(RingError):
         SteenrodContext(ring_new([("x1", (1, 0))]))
@@ -67,7 +67,7 @@ def test_context_rejects_incomplete_rings():
 
 def test_sq_rejects_foreign_generators():
     ring = ring_new([("t", (0, 1)), ("u2", (2, 1)), ("u3", (3, 1)), ("v4", (4, 2))])
-    ctx = SteenrodContext(ring, n=3)
+    ctx = SteenrodContext(ring)
     with pytest.raises(RingError):
         sq(ctx, 1, ring.gen("v4"))
     for text in ("u3^2+t*u2*v4", "t^7*u2^3*u3+v4^5", "u2+u3+t*v4"):
