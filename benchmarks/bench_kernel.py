@@ -4,12 +4,11 @@ Times computing the ideal's reduced Groebner basis (the Buchberger driver's
 pair handling dominates), a batch of deep normal forms against that basis
 (kernel-bound), and the Hilbert series and Krull dimension of the quotient
 (the monomial-ideal recursions on the basis's leading keys), best of
-``--repeat`` runs, and the reduction steps of the batch.  Run with
+REPEAT runs, and the reduction steps of the batch.  Run with
 
-    python3 benchmarks/bench_kernel.py [--repeat 3] [--elements 300] [--factors 12]
+    PYTHONPATH=src python3 benchmarks/bench_kernel.py
 """
 
-import argparse
 import random
 import time
 
@@ -23,6 +22,9 @@ GENS = (
     "u2^8*u3^3+u2*u3^3*u6*u8+u2^2*u3^2*u7*u8",
     "u2^2*u3+u3*u4+u2*u5+u7",
 )
+REPEAT = 3
+ELEMENTS = 300  # normal forms in the batch
+FACTORS = 12  # degree of each batch element, a random monomial
 
 
 def random_monomial(ring, rng, factors):
@@ -42,27 +44,21 @@ def best_of(repeat, fn):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeat", type=int, default=3)
-    ap.add_argument("--elements", type=int, default=300)
-    ap.add_argument("--factors", type=int, default=12)
-    args = ap.parse_args()
-
     ring = bso_ring(8)
     gens = [parse_poly(ring, s) for s in GENS]
     gb = groebner_basis(ring, gens)
     rng = random.Random(7)
-    elems = [random_monomial(ring, rng, args.factors) for _ in range(args.elements)]
+    elems = [random_monomial(ring, rng, FACTORS) for _ in range(ELEMENTS)]
 
     workloads = [
         ("groebner basis", lambda: groebner_basis(ring, gens)),
-        (f"normal_form x{args.elements}", lambda: [normal_form(x, gb) for x in elems]),
+        (f"normal_form x{ELEMENTS}", lambda: [normal_form(x, gb) for x in elems]),
         ("hilbert_series", lambda: hilbert_series(gb)),
         ("krull_dimension", lambda: krull_dimension(gb)),
     ]
 
     for label, fn in workloads:
-        print(f"{label:<24}{best_of(args.repeat, fn):>9.3f}s")
+        print(f"{label:<24}{best_of(REPEAT, fn):>9.3f}s")
     budget = Budget()
     for x in elems:
         normal_form(x, gb, budget)

@@ -2,15 +2,16 @@
 
 The length h(n) of the tau-killed regular sequences is governed by the right
 radical of an explicit bilinear form on a small F2 vector space (one form for
-even n, one for odd n).  This module builds those forms, computes radicals by
-plain Gaussian elimination, produces the Frobenius-twisted generator
-sequences B(x, y^{2^l}), and checks Frobenius stability of subspaces over
-small fields F_{2^e}.
+even n, one for odd n).  This module builds those forms, computes radicals,
+produces the Frobenius-twisted generator sequences B(x, y^{2^l}), and checks
+Frobenius stability of subspaces over small fields F_{2^e}.
 
 Field elements of F_{2^e} are ints (bit i = coefficient of x^i) reduced
 modulo a fixed irreducible polynomial per e, chosen as the lexicographically
 smallest irreducible of that degree so the representation is reproducible
-without an external table.
+without an external table.  A vector over F_{2^e} is one int, e bits per
+coordinate with the leftmost highest, so adding vectors is one XOR in every
+field; one eliminator on such rows serves subspaces, radicals and h(n).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .poly import Bidegree, Ring, RingMap
 class BilinearFormF2:
     """A form B(x, y) = x^T M y with M a 0/1 matrix."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_rows")
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=np.uint8) % 2
@@ -34,6 +35,9 @@ class BilinearFormF2:
             raise ValueError("form matrix must be square")
         m.setflags(write=False)
         self.matrix = m
+        # rows as bitmasks, leftmost entry highest, less packbits' right padding
+        pad = -m.shape[1] % 8
+        self._rows = tuple(int.from_bytes(r.tobytes(), "big") >> pad for r in np.packbits(m, axis=1))
 
     @property
     def dim(self):
@@ -138,72 +142,62 @@ class Field2e:
         return f"Field2e({self.e})"
 
 
-def _pivot_rows(rows):
-    """Echelon rows over F2 of rows given as ints, by XOR elimination that
-    keeps one pivot row per top bit: {top bit length: row}."""
+def _scale(field, c, row):
+    """c times the packed row, one field multiply per coordinate."""
+    e, mask = field.e, field.order - 1
+    out = shift = 0
+    while row:
+        out |= field.mul(c, row & mask) << shift
+        row >>= e
+        shift += e
+    return out
+
+
+def _pivot_rows(field, rows):
+    """Forward elimination over F_{2^e} of packed rows: one pivot per leading
+    coordinate, scaled to lead with 1, as {top bit length: row}.
+
+    Rows that lead with 1 in the same coordinate have the same top bit, and
+    one XOR cancels it in every field.  Only a remainder leading with another
+    coefficient is multiplied out, which over F2 never happens.
+    """
+    e = field.e
     pivots = {}
     for r in rows:
         while r:
             top = r.bit_length()
             pivot = pivots.get(top)
-            if pivot is None:
+            if pivot is not None:
+                r ^= pivot
+            elif e > 1 and (c := r >> (top - 1) // e * e) != 1:
+                r = _scale(field, field.inv(c), r)
+            else:
                 pivots[top] = r
                 break
-            r ^= pivot
     return pivots
 
 
-def _echelonize_f2(rows):
-    # rows as bitmasks (leftmost coordinate = highest bit): one XOR per
-    # elimination step instead of a field multiply per entry
-    width = len(rows[0])
-    pivots = _pivot_rows(functools.reduce(lambda m, v: m << 1 | v & 1, row, 0) for row in rows)
-    # back-substitute in ascending order: every reduced row below has zeros
-    # at the other pivots, so clearing one pivot bit disturbs no other
-    basis = []
+def _back_substitute(field, pivots):
+    """The reduced echelon rows of _pivot_rows' pivots, keyed the same way,
+    the leftmost lead first.  Clearing in ascending order: every row already
+    cleared has zeros at the other leads, so clearing one disturbs no other."""
+    mask = field.order - 1
+    done = {}
     for top in sorted(pivots):
         r = pivots[top]
-        for b in basis:
-            if r >> (b.bit_length() - 1) & 1:
-                r ^= b
-        basis.append(r)
-    return [tuple((b >> (width - 1 - j)) & 1 for j in range(width)) for b in reversed(basis)]
-
-
-def _echelonize(field, rows):
-    """Reduced row echelon form over the field; drops zero rows."""
-    rows = [list(r) for r in rows]
-    if field.e == 1 and rows:
-        return _echelonize_f2(rows)
-    basis = []
-    pivots = []
-    for row in rows:
-        for pcol, pivot_row in zip(pivots, basis):
-            if row[pcol]:
-                c = row[pcol]
-                for j in range(len(row)):
-                    row[j] ^= field.mul(c, pivot_row[j])
-        lead = next((j for j, v in enumerate(row) if v), None)
-        if lead is None:
-            continue
-        c = field.inv(row[lead])
-        row = [field.mul(c, v) for v in row]
-        # clear the new pivot column above
-        for pcol, pivot_row in zip(pivots, basis):
-            if pivot_row[lead]:
-                cc = pivot_row[lead]
-                for j in range(len(row)):
-                    pivot_row[j] ^= field.mul(cc, row[j])
-        basis.append(row)
-        pivots.append(lead)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [tuple(basis[i]) for i in order]
+        for low, b in done.items():
+            c = r >> (low - 1) & mask
+            if c:
+                r ^= b if c == 1 else _scale(field, c, b)
+        done[top] = r
+    return dict(reversed(done.items()))
 
 
 class Subspace:
-    """Row space of echelonized vectors over F_{2^e} (e = 1 is plain F2)."""
+    """Row space of vectors over F_{2^e} (e = 1 is plain F2), kept as the
+    packed rows of its reduced echelon basis."""
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "_rows")
 
     def __init__(self, vectors, ambient_dim=None, e=1):
         self.field = Field2e(e)
@@ -213,32 +207,33 @@ class Subspace:
                 raise ValueError("ambient dimension needed for an empty basis")
             ambient_dim = len(vectors[0])
         self.ambient_dim = ambient_dim
-        for vec in vectors:
-            self._check(vec)
-        self.basis = tuple(_echelonize(self.field, vectors))
+        pivots = _pivot_rows(self.field, [self._pack(vec) for vec in vectors])
+        self._rows = tuple(_back_substitute(self.field, pivots).values())
 
-    def _check(self, row):
-        """Raise ValueError unless the int list ``row`` is a vector of the
+    def _pack(self, row):
+        """The int list ``row`` as one int, e bits per coordinate with the
+        leftmost highest.  Raise ValueError unless it is a vector of the
         ambient space: the right length, every coordinate in the field."""
         if len(row) != self.ambient_dim:
             raise ValueError("vector of wrong length")
         if any(not 0 <= v < self.field.order for v in row):
             raise ValueError("coordinate outside the field")
+        return functools.reduce(lambda acc, v: acc << self.field.e | v, row, 0)
+
+    @property
+    def basis(self):
+        """The reduced echelon basis as coordinate tuples, leftmost lead first."""
+        e, mask, width = self.field.e, self.field.order - 1, self.ambient_dim
+        return tuple(tuple(r >> (width - 1 - j) * e & mask for j in range(width)) for r in self._rows)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self._rows)
 
     def contains(self, vec):
-        row = [int(v) for v in vec]
-        self._check(row)
-        for pivot_row in self.basis:
-            lead = next(j for j, v in enumerate(pivot_row) if v)
-            if row[lead]:
-                c = row[lead]
-                for j in range(self.ambient_dim):
-                    row[j] ^= self.field.mul(c, pivot_row[j])
-        return not any(row)
+        row = self._pack([int(v) for v in vec])
+        # the reduced rows are pivots already; a vector outside adds one
+        return len(_pivot_rows(self.field, (*self._rows, row))) == self.dim
 
     def to_json(self):
         return [list(r) for r in self.basis]
@@ -248,7 +243,7 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._rows == other._rows
         )
 
     def __repr__(self):
@@ -260,24 +255,24 @@ def frobenius_stable(w):
 
     Over F_{2^e} this holds exactly for subspaces defined over F2.
     """
-    if w.field.e > MAX_FIELD_EXP:
-        raise ValueError("field too large")
     return all(w.contains([w.field.frobenius(v) for v in row]) for row in w.basis)
 
 
 def right_radical(b):
     """rad_r(B) = {y : B(x, y) = 0 for all x}, the nullspace of the matrix."""
+    f2 = Field2e(1)
     m = b.dim
-    rows = _echelonize(Field2e(1), [list(map(int, r)) for r in b.matrix])
-    pivots = [next(j for j, v in enumerate(r) if v) for r in rows]
-    free = [j for j in range(m) if j not in pivots]
+    rows = _back_substitute(f2, _pivot_rows(f2, b._rows))
+    # one basis vector per free column: 1 there, and in each pivot column the
+    # entry of that pivot's reduced row in the free column
     basis = []
-    for f in free:
-        vec = [0] * m
-        vec[f] = 1
-        for r, p in zip(rows, pivots):
-            vec[p] = r[f]
-        basis.append(vec)
+    for free in range(m):
+        if m - free not in rows:
+            vec = [0] * m
+            vec[free] = 1
+            for top, r in rows.items():
+                vec[m - top] = r >> (m - 1 - free) & 1
+            basis.append(vec)
     return Subspace(basis, ambient_dim=m)
 
 
@@ -350,8 +345,7 @@ def h_of(n):
         raise ValueError("h(n) is defined for n >= 2")
     if n in (2, 3):
         return 1
-    rows = np.packbits(quillen_form(n).matrix, axis=1)
-    return len(_pivot_rows(int.from_bytes(row.tobytes(), "big") for row in rows)) + 1
+    return len(_pivot_rows(Field2e(1), quillen_form(n)._rows)) + 1
 
 
 # -- specialization of subtle classes into pair coordinates ----------------------

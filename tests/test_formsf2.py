@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from subtlesw.formsf2 import (
     BilinearFormF2,
     Field2e,
@@ -139,6 +140,9 @@ def test_subspace_echelon_and_contains():
         Subspace([], ambient_dim=None)
     with pytest.raises(ValueError):
         Subspace([[1, 0], [1, 0, 0]])
+    for e in (0, 17):  # F_{2^e} exists here for e in 1..16 only
+        with pytest.raises(ValueError):
+            Subspace([[1]], e=e)
 
 
 def test_subspace_contains_checks_coordinates_as_the_constructor_does():
@@ -176,6 +180,53 @@ def test_frobenius_stable_for_f2_spans():
             if not any(any(v) for v in vecs):
                 continue
             assert frobenius_stable(Subspace(vecs, ambient_dim=dim, e=e))
+
+
+def test_eliminator_matches_the_reference():
+    # bases, membership and Frobenius stability over F_2..F_16, then radicals
+    rng = random.Random(15)
+    seen = set()
+    for e in (1, 2, 3, 4):
+        field = oracles.PlainF2 if e == 1 else Field2e(e)
+        q = 1 << e
+        for _ in range(150):
+            dim = rng.randint(0, 6)
+            vecs = []
+            for _ in range(rng.randint(0, 5)):
+                pick = rng.random()
+                if pick < 0.15:
+                    vecs.append([0] * dim)
+                elif pick < 0.3 and vecs:
+                    vecs.append(list(rng.choice(vecs)))
+                elif pick < 0.45:
+                    vecs.append([rng.randint(0, 1) for _ in range(dim)])  # defined over F2
+                else:
+                    vecs.append([rng.randrange(q) for _ in range(dim)])
+            s = Subspace(vecs, ambient_dim=dim, e=e)
+            want = tuple(oracles.echelonize(field, vecs))
+            assert s.basis == want and s.dim == len(want)
+
+            def member(v):
+                return len(oracles.echelonize(field, [*vecs, v])) == len(want)
+
+            combo = [0] * dim
+            for vec in vecs:
+                c = rng.randrange(q)
+                combo = [a ^ field.mul(c, b) for a, b in zip(combo, vec)]
+            for v in ([rng.randrange(q) for _ in range(dim)], combo):
+                assert s.contains(v) == member(v)
+                seen.add(("contains", member(v)))
+            stable = all(member([field.mul(v, v) for v in row]) for row in want)
+            assert frobenius_stable(s) == stable
+            seen.add(("stable", stable))
+    assert seen == {(k, v) for k in ("contains", "stable") for v in (True, False)}
+    for _ in range(150):
+        d = rng.randint(1, 10)
+        matrix = [[rng.randint(0, 1) for _ in range(d)] for _ in range(d)]
+        assert right_radical(BilinearFormF2(matrix)).basis == oracles.nullspace(oracles.PlainF2, matrix)
+    for n in range(4, 201):
+        b = quillen_form(n)
+        assert right_radical(b).basis == oracles.nullspace(oracles.PlainF2, b.to_json())
 
 
 def test_h_examples_and_base_cases():
