@@ -6,9 +6,10 @@ reuses the thetas just built and its time is the Groebner part alone.  Prints
 one line per n, with the terms the ``theta`` cache holds after the thetas
 (every theta step is Sq^{p-1}, which takes a closed form with no memo), the
 budget units (pairs plus reduction steps) that k_computed spent, and the
-Koszul pairs it deferred (reduced only if a Hilbert certificate misses).  A
-last row times theta_0..theta_8 at n = 17, the theta layer at the wall; k(17)
-itself is out of reach, so that row certifies nothing.  Run with
+pairs it skipped because they lie below the lowest degree where the Hilbert
+numerator of the leading terms still misses the expected one.  A last row
+times theta_0..theta_8 at n = 17, the theta layer at the wall; k(17) itself
+is out of reach, so that row certifies nothing.  Run with
 
     PYTHONPATH=src python3 benchmarks/bench_theta.py
 """
@@ -49,7 +50,7 @@ def main():
         t2 = time.perf_counter()
         print(
             f"n={n:<3} theta_0..{J} {seconds:8.3f}s ({terms} terms, {cached} cached)"
-            f"   k={k} {t2 - t1:8.3f}s ({budget.used} units, {budget.deferred} deferred)"
+            f"   k={k} {t2 - t1:8.3f}s ({budget.used} units, {budget.skipped} skipped)"
         )
     seconds, terms, cached = time_thetas(WALL_N, WALL_J)
     print(f"n={WALL_N:<3} theta_0..{WALL_J} {seconds:8.3f}s ({terms} terms, {cached} cached)")

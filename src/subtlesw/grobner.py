@@ -14,9 +14,10 @@ ideals: for any monomial p, N(I) = N(I + (p)) + T^pS^q * N(I : p).
 Regularity of a homogeneous sequence is certified step by step: f is regular
 on R/J exactly when the Hilbert series drops by the factor (1 - T^p S^q) of
 f's bidegree, which is decided by exact numerator comparison.  While the
-basis of J + (f) is built, pairs that the F5 criterion marks as Koszul
-syzygies (Faugere, ISSAC 2002) are deferred; they are reduced only if the
-leading terms reached without them miss the expected series.
+basis of J + (f) is built, the numerator of its leading terms is kept
+current, and pairs below the lowest degree where it differs from the
+expected one are skipped, since they reduce to zero (Traverso, "Hilbert
+functions and the Buchberger algorithm", JSC 1996).
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ class InhomogeneousError(ValueError):
 class Budget:
     """Shared counter of reduction work (processed pairs + division steps).
 
-    ``deferred`` counts the pairs the F5 criterion deferred; it costs nothing.
+    ``skipped`` counts the pairs the Hilbert criterion of a seeded append
+    skipped (see ``_buchberger``); they cost nothing.
     """
 
-    __slots__ = ("limit", "used", "context", "deferred")
+    __slots__ = ("limit", "used", "context", "skipped")
 
     def __init__(self, limit=DEFAULT_BUDGET, context=""):
         if limit < 0:
@@ -61,7 +63,7 @@ class Budget:
         self.limit = limit
         self.used = 0
         self.context = context
-        self.deferred = 0
+        self.skipped = 0
 
     @property
     def remaining(self):
@@ -97,20 +99,7 @@ def _kernel_nf(terms, basis, table, budget):
     return nf
 
 
-def _deferrable(table, count, sig):
-    """The F5 criterion: whether the leading key of one of the first
-    ``count`` elements of ``table``'s basis divides the multiplier ``sig``."""
-    ring = table.ring
-    guard, leads = ring.guard_mask, table.leads
-    for b in table.candidates(ring.support(sig)):
-        if b >= count:
-            return False  # candidates come in basis order
-        if (leads[b] - sig) & guard == guard:
-            return True
-    return False
-
-
-def _buchberger(ring, key_polys, budget, known=(), expected=None):
+def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     """Reduced Groebner basis in key space, smallest leading term first.
 
     Pairs are treated in increasing lcm order; for homogeneous input this is
@@ -124,55 +113,54 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None):
     whose elements stay in G until the final interreduction, so the chain
     criterion may count those pairs as treated.
 
-    ``expected``, given with one key polynomial f, is the Hilbert numerator
-    of R/(known + f) when f is regular on R/(known); the result is None when
-    f is not.  Each new element then carries a multiplier, the leading
-    monomial of its cofactor of f: 1 for f's remainder, and for the element
-    of pair (i, j) the larger of ``lcm / lt * multiplier`` over its new
-    sides.  With ``known`` nonempty, a pair whose multiplier a known leading
-    term divides is deferred; it stays open for the chain criterion.  When
-    the queue is empty, the leading terms of G give ``expected`` exactly
-    when f is regular and G is already a basis, since LT(G) lies in LT(I)
-    and the series of R/I is at least ``expected`` coefficientwise.  On a
-    miss the deferred pairs are requeued and the run completes with nothing
-    deferred, so a None never rests on a deferred pair.
+    ``expected`` and ``num`` come with one key polynomial f: ``num`` is the
+    Hilbert numerator of R/LT(known), and ``expected`` that of R/(known + f)
+    when f is regular on R/(known); the result is None when f is not.  As G
+    grows, ``num`` follows R/LT(G) by N(L + (m)) = N(L) - T^pS^q N(L : m)
+    for a new leading term m of bidegree (p, q) (Traverso, JSC 1996).
+    LT(G) lies in LT(I), and the series of R/I is at least the expected one
+    coefficientwise, so below the lowest combined degree where ``num``
+    differs from ``expected`` LT(G) is all of LT(I): a pair whose lcm lies
+    there reduces to zero, and it is skipped as treated.  Equal numerators
+    mean G is a basis and f is regular; an empty queue with them unequal
+    means G is a basis and f is not.  The verdict is read off the final
+    leading terms, which must give ``num``.
     """
     one, guard = ring.unit_key, ring.guard_mask
     lcm_of = ring.key_lcm
     G = list(known)
     table = DivisorTable(ring, [f[0] for f in G])  # grows with G
     leads = table.leads  # G's leading keys with the guard bits set
-    sigs = [None] * len(G)  # multipliers of the new elements
     pairs = set()  # open pairs (i, j), read by the chain criterion
     queue = []  # the same pairs as a heap of (lcm, (i, j))
-    deferred = [] if expected is not None and known else None  # None: defer nothing
+    floor = 0  # pairs whose lcm key sorts below floor reduce to zero; None: G is a basis
 
-    def add(f, sig):
+    def add(f):
+        nonlocal num, floor
+        m = f[0]
+        if expected is not None:
+            colon = [lcm_of(g[0], m) - m + one for g in G]
+            num = _p2_axpy(num, -1, *ring.key_bidegree(m), _lt_numerator(ring, colon))
+            gap = _p2_axpy(num, -1, 0, 0, expected)
+            floor = min(p + q for p, q in gap) << ring.degree_shift if gap else None
         G.append(f)
-        table.append(f[0])
-        sigs.append(sig)
+        table.append(m)
         j = len(G) - 1
         for i in range(j):
             pairs.add((i, j))
-            heapq.heappush(queue, (lcm_of(G[i][0], f[0]), (i, j)))
+            heapq.heappush(queue, (lcm_of(G[i][0], m), (i, j)))
 
     for f in sorted(key_polys):
         nf = _kernel_nf(f, G, table, budget)
         if nf:
-            add(nf, one)
+            add(nf)
 
-    while True:
-        if not queue:
-            if expected is None or _lt_numerator(ring, [f[0] for f in G]) == expected:
-                break  # any deferred pair would reduce to zero
-            if not deferred:
-                return None  # a complete basis misses the expected series
-            for entry in deferred:
-                heapq.heappush(queue, entry)
-            deferred = None
+    while queue and floor is not None:
+        lcm, (i, j) = heapq.heappop(queue)
+        pairs.remove((i, j))
+        if lcm < floor:
+            budget.skipped += 1  # below the gap degree: reduces to zero
             continue
-        entry = heapq.heappop(queue)
-        lcm, (i, j) = entry
         lti, ltj = G[i][0], G[j][0]
         skip = lti + ltj - one == lcm  # coprime leading terms reduce to zero
         if not skip:
@@ -185,19 +173,7 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None):
                     skip = True  # chain criterion
                     break
         if skip:
-            pairs.remove((i, j))
             continue
-        sig = None
-        if deferred is not None:
-            # j is new; i is new too unless it is a known element
-            sig = lcm - ltj + sigs[j]
-            if sigs[i] is not None:
-                sig = max(sig, lcm - lti + sigs[i])
-            if _deferrable(table, len(known), sig):
-                deferred.append(entry)  # still open for the chain criterion
-                budget.deferred += 1
-                continue
-        pairs.remove((i, j))
         budget.charge(1)
         qf = lcm - lti
         qg = lcm - ltj
@@ -206,7 +182,14 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None):
             continue
         nf = _kernel_nf(spoly, G, table, budget)
         if nf:
-            add(nf, sig)
+            add(nf)
+
+    if expected is not None:
+        found = _lt_numerator(ring, [f[0] for f in G])
+        if found != num:
+            raise ArithmeticError("the running Hilbert numerator disagrees with the basis")
+        if found != expected:
+            return None
 
     # Minimal generators, ascending; every element of G was reduced by the
     # ones before it, so no two share a leading term.  Interreduction keeps
@@ -512,8 +495,9 @@ class RegularSequenceChecker:
     divisor, because R/J is not 0 (J is generated in positive degree).
     When f was just reduced by ``basis`` (``ideal_member`` or
     ``normal_form``), that remainder is reused.  Otherwise the basis grows
-    by f's pairs only, Koszul pairs deferred (see ``_buchberger``), and the
-    exact Hilbert-series drop decides.  On success the ideal grows by f, on
+    by f's pairs only, and the exact Hilbert-series drop decides; pairs
+    below the lowest degree where the series still misses it are skipped
+    (see ``_buchberger``).  On success the ideal grows by f, on
     failure the state is unchanged.  ``basis`` is the reduced basis of the
     ideal accumulated so far, built once per successful append.
     """
@@ -542,7 +526,7 @@ class RegularSequenceChecker:
             return False
         want = _p2_axpy(self._num, -1, bd.p, bd.q, self._num)
         known = self._basis._key_basis()[0]
-        found = _buchberger(self.ring, [nf], self.budget, known, want)
+        found = _buchberger(self.ring, [nf], self.budget, known, want, self._num)
         if found is None:
             return False
         self._num = want

@@ -4,7 +4,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 _CRITERIA = {
-    "01": "k-table exact for n = 2..14 (stretch rows 15, 16 may exhaust budget)",
+    "01": "k-table exact for n = 2..16",
     "02": "theta_0..theta_{k-1} regular and theta_k in the ideal, n = 2..10",
     "03": "t, theta_0..theta_{h-1} regular, n = 2..10",
     "04": "h-table n = 2..200 under one second",

@@ -21,7 +21,6 @@ from oracles import (
 )
 from subtlesw.formsf2 import h_expected, quillen_form, right_radical
 from subtlesw.grobner import (
-    BudgetExceeded,
     groebner_basis,
     hilbert_series,
     ideal_member,
@@ -40,8 +39,9 @@ from subtlesw.spaces import (
 )
 from subtlesw.steenrod import bso_context, bso_top_context, cartan, sq, theta
 
-K_TABLE = {2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 3, 8: 3, 9: 4, 10: 5, 11: 6, 12: 6, 13: 7, 14: 7}
-K_STRETCH = {15: 7, 16: 7}
+K_TABLE = {
+    2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 3, 8: 3, 9: 4, 10: 5, 11: 6, 12: 6, 13: 7, 14: 7, 15: 7, 16: 7,
+}
 
 
 def test_criterion_01_k_table():
@@ -51,11 +51,6 @@ def test_criterion_01_k_table():
     assert got == K_TABLE
     assert all(k_expected(n) == k for n, k in K_TABLE.items())
     assert elapsed < 600.0
-    for n, want in K_STRETCH.items():
-        try:
-            assert k_computed(n) == want
-        except BudgetExceeded:
-            pass  # the stretch rows are allowed to run out of budget
 
 
 def test_criterion_02_theta_prefix_regular_and_next_theta_in_ideal():

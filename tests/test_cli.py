@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import subtlesw
 from subtlesw import cli
 from subtlesw.grobner import DEFAULT_BUDGET
 
@@ -239,12 +243,21 @@ def test_version_flag(capsys):
     assert out.strip() == cli.__version__
 
 
-@pytest.mark.skipif(shutil.which("subtlesw") is None, reason="entry point not installed")
 def test_installed_entry_point():
-    out = subprocess.run(
-        ["subtlesw", "theta", "--flavor", "bso", "--n", "7", "--j", "2"],
-        capture_output=True,
-        text=True,
-    )
+    # pyproject.toml installs cli.main as the console script; without it on
+    # PATH, the same main runs as a module of the package these tests import
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert 'subtlesw = "subtlesw.cli:main"' in scripts.splitlines()
+    argv = ["theta", "--flavor", "bso", "--n", "7", "--j", "2"]
+    script = shutil.which("subtlesw")
+    if script is not None:
+        out = subprocess.run([script, *argv], capture_output=True, text=True)
+    else:
+        src = str(Path(subtlesw.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        command = [sys.executable, "-m", "subtlesw.cli", *argv]
+        out = subprocess.run(command, capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert out.stdout == "u2*u3+u5\n"

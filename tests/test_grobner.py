@@ -369,28 +369,27 @@ def test_incremental_bases_equal_from_scratch_theta():
         assert check_incremental_bases(ctx.ring, [theta(ctx, j) for j in range(k)]) == [k, 0, 0]
 
 
-def test_incremental_bases_with_every_seeded_pair_deferred(monkeypatch):
-    # with every pair deferred, the Hilbert certificate misses wherever a
-    # pair was needed, and the requeued pairs must complete the basis
-    sample = random_sequences()
-    verdicts = [check_incremental_bases(ring, seq) for ring, seq in sample]
-    monkeypatch.setattr(grobner, "_deferrable", lambda *args: True)
-    assert [check_incremental_bases(ring, seq) for ring, seq in sample] == verdicts
-    for n in range(2, 13):
-        ctx = bso_context(n)
-        k = k_expected(n)
-        assert check_incremental_bases(ctx.ring, [theta(ctx, j) for j in range(k)]) == [k, 0, 0]
+def test_theta_appends_reduce_no_pair_to_zero(monkeypatch):
+    # the pairs that would reduce to zero lie below the lowest degree where
+    # the Hilbert numerator of the leading terms misses the expected one
+    zeros = 0
+    kernel_nf = grobner._kernel_nf
 
+    def counting(terms, basis, table, budget):
+        nonlocal zeros
+        nf = kernel_nf(terms, basis, table, budget)
+        # a tail in the final interreduction may reduce to zero
+        if not nf and not any(f[1:] == terms for f in basis):
+            zeros += 1
+        return nf
 
-def test_theta_sequences_defer_koszul_pairs():
-    deferred = 0
-    for n in range(2, 13):
-        ctx = bso_context(n)
-        budget = Budget()
-        chk = RegularSequenceChecker(ctx.ring, budget)
-        assert all(chk.append(theta(ctx, j)) for j in range(k_expected(n)))
-        deferred += budget.deferred
-    assert deferred > 0
+    monkeypatch.setattr(grobner, "_kernel_nf", counting)
+    ctx = bso_context(14)
+    budget = Budget()
+    chk = RegularSequenceChecker(ctx.ring, budget)
+    assert all(chk.append(theta(ctx, j)) for j in range(k_expected(14)))
+    assert zeros == 0
+    assert budget.skipped > 0
 
 
 def test_append_reuses_the_membership_remainder(monkeypatch):
