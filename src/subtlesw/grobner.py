@@ -9,7 +9,13 @@ order regardless of generator order.
 
 Hilbert series of quotients are exact bivariate rational functions computed
 from the leading-term ideal by the standard pivot recursion on monomial
-ideals: for any monomial p, N(I) = N(I + (p)) + T^pS^q * N(I : p).
+ideals: for any monomial p, N(I) = N(I + (p)) + T^pS^q * N(I : p).  A
+generator that shares no variable with the others splits off as a factor
+(1 - T^pS^q) at every node (Bayer & Stillman, JSC 1992).
+
+A normal form by a reduced basis drops the terms that a variable leading
+the basis divides before the kernel runs, charging one unit each, which is
+what the kernel would spend on them (see ``GroebnerBasis._remainder``).
 
 Regularity of a homogeneous sequence is certified step by step: f is regular
 on R/J exactly when the Hilbert series drops by the factor (1 - T^p S^q) of
@@ -113,9 +119,10 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     whose elements stay in G until the final interreduction, so the chain
     criterion may count those pairs as treated.
 
-    ``expected`` and ``num`` come with one key polynomial f: ``num`` is the
-    Hilbert numerator of R/LT(known), and ``expected`` that of R/(known + f)
-    when f is regular on R/(known); the result is None when f is not.  As G
+    ``expected`` and ``num`` come with one key polynomial f, already
+    reduced by ``known``, which joins G as it is: ``num`` is the Hilbert
+    numerator of R/LT(known), and ``expected`` that of R/(known + f) when f
+    is regular on R/(known); the result is None when f is not.  As G
     grows, ``num`` follows R/LT(G) by N(L + (m)) = N(L) - T^pS^q N(L : m)
     for a new leading term m of bidegree (p, q) (Traverso, JSC 1996).
     LT(G) lies in LT(I), and the series of R/I is at least the expected one
@@ -150,10 +157,14 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
             pairs.add((i, j))
             heapq.heappush(queue, (lcm_of(G[i][0], m), (i, j)))
 
-    for f in sorted(key_polys):
-        nf = _kernel_nf(f, G, table, budget)
-        if nf:
-            add(nf)
+    if expected is not None:
+        (f,) = key_polys
+        add(f)
+    else:
+        for f in sorted(key_polys):
+            nf = _kernel_nf(f, G, table, budget)
+            if nf:
+                add(nf)
 
     while queue and floor is not None:
         lcm, (i, j) = heapq.heappop(queue)
@@ -208,6 +219,18 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     return final, table
 
 
+def _leading_variables(ring, basis):
+    """Guard bits of the variables that lead ``basis``, a key basis in
+    ascending order: its run of one-term elements unit_key + step."""
+    one, steps = ring.unit_key, set(ring.steps)
+    bits = 0
+    for f in basis:
+        if len(f) > 1 or f[0] - one not in steps:
+            break
+        bits |= ring.support(f[0])
+    return bits
+
+
 # -- public objects ------------------------------------------------------------
 
 
@@ -220,13 +243,14 @@ class GroebnerBasis:
     first, which takes fewer steps to the same unique remainder.
     """
 
-    __slots__ = ("ring", "polys", "_keys", "_table", "_last")
+    __slots__ = ("ring", "polys", "_keys", "_table", "_drop", "_last")
 
     def __init__(self, ring, polys):
         self.ring = ring
         self.polys = tuple(polys)
         self._keys = None
         self._table = None
+        self._drop = None  # guard bits of the variables that lead the key basis
         self._last = None  # (polynomial, remainder keys) of the last reduction
 
     @classmethod
@@ -249,13 +273,31 @@ class GroebnerBasis:
         """Remainder keys of ``x``.  The last remainder is kept; with
         ``reuse``, a request for that same polynomial object returns it
         without reducing, or charging, again.  The zero polynomial is its
-        own remainder and costs nothing."""
+        own remainder and costs nothing.
+
+        The terms that a variable at the start of the key basis divides are
+        dropped before the kernel runs, at one budget unit each.  The kernel
+        would spend exactly that: it tries those variables first, in list
+        order, and removes each such term in one step with no tail.  In a
+        reduced basis no other element has a term that a basis variable
+        divides, so no later step makes or cancels such a term, and the
+        remainder, the steps and the budget units do not change.  Dropped
+        terms past the budget raise as the kernel would, at limit + 1.
+        """
         if not x.keys:
             return ()
         last = self._last
         if reuse and last is not None and last[0] is x:
             return last[1]
-        nf = _kernel_nf(x.keys, *self._key_basis(), budget)
+        keys, table = self._key_basis()
+        if self._drop is None:
+            self._drop = _leading_variables(self.ring, keys)
+        terms = x.keys
+        if self._drop:
+            one, drop = self.ring.unit_key, self._drop
+            terms = [t for t in terms if not ((t ^ one) + one) & drop]
+            budget.charge(min(len(x.keys) - len(terms), budget.remaining + 1))
+        nf = _kernel_nf(terms, keys, table, budget) if terms else ()
         self._last = (x, nf)
         return nf
 
@@ -341,38 +383,48 @@ def _minimalize(ring, keys):
 
 
 def _lt_numerator(ring, leads):
-    """Numerator of the Hilbert series of R/(monomial ideal of ``leads``)."""
-    one = ring.unit_key
-    support, degree = ring.support, ring.key_degree
-    bidegs = [(bd.p, bd.q) for bd in ring.bidegrees]
-    bits = [support(one + step) for step in ring.steps]  # in ring order
-    generator_of = {bit: i for i, bit in enumerate(bits)}
+    """Numerator of the Hilbert series of R/(monomial ideal of ``leads``).
+
+    The pivot recursion N(I) = N(I + (x^e)) + T^pS^q * N(I : x^e), where
+    (p, q) is the bidegree of x^e, runs on minimal generators.  At every
+    node a generator that shares no variable with the others is factored
+    out: I is then the sum of two ideals in disjoint variables, so N(I) is
+    the product of their numerators, and one monomial of bidegree (p, q)
+    has the numerator 1 - T^pS^q (Bayer & Stillman, JSC 1992; Bigatti, JPAA
+    1997).  A node whose generators are pairwise coprime is that product
+    alone.  The pivot x is the variable in the most of the remaining
+    generators, first in ring order on ties, and e is its least exponent
+    among them: every generator with x is a multiple of x^e, so I + (x^e)
+    is the generators without x plus x^e, already minimal.
+    """
+    one, support, exponent, bidegree = ring.unit_key, ring.support, ring.exponent, ring.key_bidegree
+    variables = [(support(one + step), step, tuple(bd)) for step, bd in zip(ring.steps, ring.bidegrees)]
     memo = {}
 
     def rec(gens):
         hit = memo.get(gens)
         if hit is not None:
             return hit
-        sups = [support(g) for g in gens]
-        mixed = [s for s in sups if s & (s - 1)]
-        if not gens:
-            res = {(0, 0): 1}
-        elif gens[0] == one:
-            res = {}  # the whole ring
-        elif not mixed:
-            res = {(0, 0): 1}
-            for g, s in zip(gens, sups):
-                p, q = bidegs[generator_of[s]]
-                e = degree(g) // (p + q)
-                res = _p2_axpy(res, -1, e * p, e * q, res)
-        else:
-            # the first generator, in ring order, in the most mixed supports
-            counts = [sum(1 for s in mixed if s & bit) for bit in bits]
+        if gens and gens[0] == one:
+            return {}  # the whole ring
+        sups = list(map(support, gens))
+        seen = shared = 0
+        for s in sups:
+            shared |= seen & s
+            seen |= s
+        res = {(0, 0): 1}
+        if shared:
+            linked = [(g, s) for g, s in zip(gens, sups) if s & shared]
+            counts = [sum(1 for _, s in linked if s & bit) for bit, _, _ in variables]
             j = counts.index(max(counts))
-            bit, step = bits[j], ring.steps[j]
-            plus = [g for g, s in zip(gens, sups) if not s & bit] + [one + step]
-            colon = [g - step if s & bit else g for g, s in zip(gens, sups)]
-            res = _p2_axpy(rec(_minimalize(ring, plus)), 1, *bidegs[j], rec(_minimalize(ring, colon)))
+            bit, step, (p, q) = variables[j]
+            e = min(exponent(g, j) for g, s in linked if s & bit)
+            plus = tuple(sorted([g for g, s in linked if not s & bit] + [one + e * step]))
+            colon = _minimalize(ring, [g - e * step if s & bit else g for g, s in linked])
+            res = _p2_axpy(rec(plus), 1, e * p, e * q, rec(colon))
+        for g, s in zip(gens, sups):
+            if not s & shared:
+                res = _p2_axpy(res, -1, *bidegree(g), res)
         memo[gens] = res
         return res
 
@@ -494,8 +546,9 @@ class RegularSequenceChecker:
     quotient R/J.  An f that reduces to zero lies in J, so it is a zero
     divisor, because R/J is not 0 (J is generated in positive degree).
     When f was just reduced by ``basis`` (``ideal_member`` or
-    ``normal_form``), that remainder is reused.  Otherwise the basis grows
-    by f's pairs only, and the exact Hilbert-series drop decides; pairs
+    ``normal_form``), that remainder is reused.  A nonzero remainder joins
+    the basis as it is, without a second reduction, the basis grows by its
+    pairs only, and the exact Hilbert-series drop decides; pairs
     below the lowest degree where the series still misses it are skipped
     (see ``_buchberger``).  On success the ideal grows by f, on
     failure the state is unchanged.  ``basis`` is the reduced basis of the

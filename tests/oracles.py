@@ -11,31 +11,48 @@ import math
 import operator
 
 
+def _exponent_cap(ring, i, p, q):
+    """The largest exponent of generator i within the bidegree (q)[p]."""
+    bp, bq = ring.bidegrees[i]
+    caps = []
+    if bp:
+        caps.append(p // bp)
+    if bq:
+        caps.append(q // bq)
+    return min(caps)
+
+
+@functools.lru_cache(maxsize=None)
+def _reachable(ring, i, p, q):
+    """Whether some exponents of generators i, i + 1, ... make up (q)[p].
+    Kept across calls: the test rings are few and their states small."""
+    if i == len(ring):
+        return p == 0 and q == 0
+    bp, bq = ring.bidegrees[i]
+    return any(_reachable(ring, i + 1, p - e * bp, q - e * bq) for e in range(_exponent_cap(ring, i, p, q) + 1))
+
+
 def monomials_of_bidegree(ring, p, q):
-    """Every exponent tuple of bidegree exactly (q)[p]."""
+    """Every exponent tuple of bidegree exactly (q)[p], lexicographically
+    ascending.  A branch is entered only when the generators after it can
+    still make up what is left of the bidegree."""
     n = len(ring)
     out = []
     acc = [0] * n
 
     def rec(i, p_left, q_left):
-        if p_left < 0 or q_left < 0:
-            return
         if i == n:
-            if p_left == 0 and q_left == 0:
-                out.append(tuple(acc))
+            out.append(tuple(acc))
             return
         bp, bq = ring.bidegrees[i]
-        caps = []
-        if bp:
-            caps.append(p_left // bp)
-        if bq:
-            caps.append(q_left // bq)
-        for e in range(min(caps) + 1):
-            acc[i] = e
-            rec(i + 1, p_left - e * bp, q_left - e * bq)
+        for e in range(_exponent_cap(ring, i, p_left, q_left) + 1):
+            if _reachable(ring, i + 1, p_left - e * bp, q_left - e * bq):
+                acc[i] = e
+                rec(i + 1, p_left - e * bp, q_left - e * bq)
         acc[i] = 0
 
-    rec(0, p, q)
+    if p >= 0 and q >= 0 and _reachable(ring, 0, p, q):
+        rec(0, p, q)
     return out
 
 
@@ -464,3 +481,77 @@ def nullspace(field, matrix):
             vec[p] = r[f]  # -r[f] in characteristic 2
         basis.append(vec)
     return tuple(echelonize(field, basis))
+
+
+# -- Hilbert numerators by the plain pivot recursion ----------------------------
+# Pivots on a single variable, minimalises both children and factors out only
+# pure powers; subtlesw.grobner._lt_numerator must give the same numerators.
+
+
+def _p2_axpy(a, sign, p, q, b):
+    """The numerator a + sign * T^p S^q * b; a times (1 - T^p S^q) is
+    ``_p2_axpy(a, -1, p, q, a)``.  Numerators are {(p, q): coefficient}
+    dicts without zero coefficients."""
+    out = dict(a)
+    for (bp, bq), v in b.items():
+        k = (bp + p, bq + q)
+        c = out.get(k, 0) + sign * v
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _minimalize(ring, keys):
+    """Minimal generators of the monomial ideal of ``keys``, ascending.
+
+    The order is graded, so every divisor of a key sorts before it, and one
+    ascending pass with the guard test keeps exactly the minimal ones.
+    """
+    guard = ring.guard_mask
+    out, leads = [], []
+    for k in sorted(set(keys)):
+        if not any((h - k) & guard == guard for h in leads):
+            out.append(k)
+            leads.append(k | guard)
+    return tuple(out)
+
+
+def lt_numerator(ring, leads):
+    """Numerator of the Hilbert series of R/(monomial ideal of ``leads``)."""
+    one = ring.unit_key
+    support, degree = ring.support, ring.key_degree
+    bidegs = [(bd.p, bd.q) for bd in ring.bidegrees]
+    bits = [support(one + step) for step in ring.steps]  # in ring order
+    generator_of = {bit: i for i, bit in enumerate(bits)}
+    memo = {}
+
+    def rec(gens):
+        hit = memo.get(gens)
+        if hit is not None:
+            return hit
+        sups = [support(g) for g in gens]
+        mixed = [s for s in sups if s & (s - 1)]
+        if not gens:
+            res = {(0, 0): 1}
+        elif gens[0] == one:
+            res = {}  # the whole ring
+        elif not mixed:
+            res = {(0, 0): 1}
+            for g, s in zip(gens, sups):
+                p, q = bidegs[generator_of[s]]
+                e = degree(g) // (p + q)
+                res = _p2_axpy(res, -1, e * p, e * q, res)
+        else:
+            # the first generator, in ring order, in the most mixed supports
+            counts = [sum(1 for s in mixed if s & bit) for bit in bits]
+            j = counts.index(max(counts))
+            bit, step = bits[j], ring.steps[j]
+            plus = [g for g, s in zip(gens, sups) if not s & bit] + [one + step]
+            colon = [g - step if s & bit else g for g, s in zip(gens, sups)]
+            res = _p2_axpy(rec(_minimalize(ring, plus)), 1, *bidegs[j], rec(_minimalize(ring, colon)))
+        memo[gens] = res
+        return res
+
+    return rec(_minimalize(ring, leads))

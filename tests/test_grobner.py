@@ -4,7 +4,7 @@ import random
 import pytest
 
 from subtlesw import _reduction, grobner
-from subtlesw.poly import INHOMOGENEOUS, Bidegree, bso_ring, parse_poly, ring_new
+from subtlesw.poly import INHOMOGENEOUS, Bidegree, Poly, bso_ring, parse_poly, ring_new
 from subtlesw.grobner import (
     Budget,
     BudgetExceeded,
@@ -19,12 +19,13 @@ from subtlesw.grobner import (
     krull_dimension,
     normal_form,
 )
-from subtlesw.spaces import k_expected
+from subtlesw.spaces import k_computed, k_expected, present
 from subtlesw.steenrod import bso_context, theta
 
 from oracles import (
     count_standard_monomials,
     krull_dimension_by_subsets,
+    lt_numerator,
     macaulay_member,
     random_bihomogeneous,
     random_monomial,
@@ -228,6 +229,124 @@ def test_krull_dimension_matches_the_subset_oracle():
             assert krull_dimension(gb) == krull_dimension_by_subsets(ring, gb.lead_exponents())
 
 
+def _random_leads(ring, rng, seen):
+    """Keys of a random monomial ideal: variables, pure powers, powers of t,
+    mixed monomials, generators in variables no other generator uses, and
+    now and then 1.  ``seen`` counts the shapes drawn."""
+    n = len(ring)
+    order = list(range(n))
+    rng.shuffle(order)
+    lonely, common = order[: rng.randint(0, 2)], order[2:] or order
+    shapes = []
+    for i in lonely:
+        shapes.append(("isolated", {i: rng.randint(1, 3)}))
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.choice(("variable", "power", "t", "mixed"))
+        if kind == "t" and ring.has("t"):
+            shapes.append((kind, {ring.index("t"): rng.randint(1, 3)}))
+        elif kind == "variable":
+            shapes.append((kind, {rng.choice(common): 1}))
+        elif kind == "power":
+            shapes.append((kind, {rng.choice(common): rng.randint(2, 4)}))
+        elif kind == "mixed" and len(common) > 1:
+            support = rng.sample(common, min(len(common), rng.randint(2, 3)))
+            shapes.append((kind, {i: rng.randint(1, 3) for i in support}))
+    if rng.random() < 0.05:
+        shapes.append(("unit", {}))
+    leads = []
+    for kind, exponents in shapes:
+        seen[kind] += 1
+        leads.append(ring.sort_key(tuple(exponents.get(i, 0) for i in range(n))))
+    return leads
+
+
+def test_lt_numerator_matches_the_reference_on_random_monomial_ideals():
+    rng = random.Random(95)
+    seen = dict.fromkeys(("isolated", "variable", "power", "t", "mixed", "unit"), 0)
+    for ring in _oracle_rings():
+        for _ in range(50):
+            leads = _random_leads(ring, rng, seen)
+            assert grobner._lt_numerator(ring, leads) == lt_numerator(ring, leads), leads
+    assert min(seen.values()) >= 5, seen
+
+
+def test_lt_numerator_matches_the_reference_on_theta_bases(monkeypatch):
+    # every numerator that k_computed(2..13) asks for: the leading terms of
+    # each checker basis and the colon ideals of the running numerator
+    numerator = grobner._lt_numerator
+    calls = []
+
+    def recording(ring, leads):
+        calls.append((ring, list(leads)))
+        return numerator(ring, leads)
+
+    monkeypatch.setattr(grobner, "_lt_numerator", recording)
+    for n in range(2, 14):
+        assert k_computed(n) == k_expected(n)
+    assert len(calls) > 100
+    for ring, leads in calls:
+        assert numerator(ring, leads) == lt_numerator(ring, leads)
+
+
+def _dropped_terms_are_charged_as_the_kernel_would(gb, x, limits):
+    """normal_form and ideal_member against one kernel call on all of x's
+    keys, under each budget limit; True when some limit ran out.  The
+    kernel takes the same steps under any limit and stops at the first
+    step past it, so it runs out exactly when its steps exceed the limit."""
+    want, steps = _reduction.normal_form_terms(x.keys, *gb._key_basis(), 10**9)
+    ran_out = False
+    for limit in limits:
+        for reduce in (normal_form, ideal_member):
+            budget = Budget(limit)
+            if steps > limit:
+                with pytest.raises(BudgetExceeded) as info:
+                    reduce(x, gb, budget)
+                assert (info.value.used, info.value.limit) == (limit + 1, limit)
+                ran_out = True
+            else:
+                got = reduce(x, gb, budget)
+                assert got == (Poly(gb.ring, want) if reduce is normal_form else not want)
+                assert budget.used == steps
+    return ran_out
+
+
+def test_basis_variables_drop_out_with_the_kernel_remainder_and_units():
+    # the theta bases of n = 9..16 and a lifted BSpin basis lead with the
+    # variables u2, u3, u5, u9: the terms they divide are dropped before the
+    # kernel runs, at one unit each, with the kernel's remainder and units
+    rng = random.Random(96)
+    bases = []
+    for n in range(9, 17):
+        ctx = bso_context(n)
+        chk = RegularSequenceChecker(ctx.ring)
+        k = k_expected(n)
+        for j in range(k):
+            assert chk.append(theta(ctx, j))
+        bases.append((chk.basis, theta(ctx, k)))
+    pres = present("BSpin", 11)
+    lifted = pres.ring.poly(t + (0,) for t in theta(bso_context(11), pres.k).terms)
+    bases.append((pres.relations, lifted))
+    exhausted = 0
+    for gb, member in bases:
+        ring = gb.ring
+        assert [str(g) for g in gb.polys[-4:]] == ["u9", "u5", "u3", "u2"]
+        variables = [ring.index(v) for v in ("u2", "u3", "u5", "u9")]
+        other = ring.poly([random_monomial(ring, rng, 6) for _ in range(20)])
+        for x in (member, other):
+            dropped = sum(1 for k in x.keys if any(ring.exponent(k, i) for i in variables))
+            assert dropped
+            # the dropped terms alone exhaust dropped - 1
+            limits = [10**7, dropped - 1] if len(x.keys) > 100 else [10**7, 0, dropped - 1, dropped, dropped + 1]
+            exhausted += _dropped_terms_are_charged_as_the_kernel_would(gb, x, limits)
+    assert exhausted == 2 * len(bases)
+    # u5 sorts behind u2^2 + u4, which the kernel tries first on u2^2*u5:
+    # the terms u5 divides are left to the kernel
+    ring = bso_ring(6)
+    gb = groebner_basis(ring, [parse_poly(ring, "u2^2+u4"), parse_poly(ring, "u5")])
+    x = parse_poly(ring, "u2^2*u5+u4*u5+u3*u5")
+    assert _dropped_terms_are_charged_as_the_kernel_would(gb, x, [10**7, 0, 1, 2])
+
+
 def test_hilbert_expansion_json_shape():
     ring = ring_new([("u2", Bidegree(2, 1))])
     hs = hilbert_series(groebner_basis(ring, []))
@@ -393,6 +512,9 @@ def test_theta_appends_reduce_no_pair_to_zero(monkeypatch):
 
 
 def test_append_reuses_the_membership_remainder(monkeypatch):
+    # f reaches the kernel once, in ideal_member, without the term u2*u3
+    # that the basis variable u2 divides; the append reuses that remainder
+    # and seeds the basis with it as it is
     ring = bso_ring(5)
     chk = RegularSequenceChecker(ring)
     assert chk.append(ring.gen("u2"))
@@ -401,13 +523,39 @@ def test_append_reuses_the_membership_remainder(monkeypatch):
     kernel = _reduction.normal_form_terms
 
     def recording(terms, *args):
-        reduced.append(terms)
+        reduced.append(tuple(terms))
         return kernel(terms, *args)
 
     monkeypatch.setattr(_reduction, "normal_form_terms", recording)
     assert not ideal_member(f, chk.basis)
+    assert reduced == [parse_poly(ring, "u5").keys]
     assert chk.append(f)
-    assert reduced.count(f.keys) == 1
+    assert len(reduced) == 1
+
+
+def test_seeded_appends_reduce_the_seed_once(monkeypatch):
+    # an append reduces f by the current basis once, then S-pairs and the
+    # tails of the final basis; the remainder of f seeds the new basis as
+    # it is, without a second kernel call
+    kernel = _reduction.normal_form_terms
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(_reduction, "normal_form_terms", counting)
+    ctx = bso_context(13)
+    budget = Budget()
+    chk = RegularSequenceChecker(ctx.ring, budget)
+    per_append = []
+    for j in range(7):
+        f = theta(ctx, j)
+        before = calls[0]
+        assert chk.append(f)
+        per_append.append(calls[0] - before)
+    assert per_append == [1, 1, 1, 1, 2, 3, 80]
+    assert (budget.used, budget.skipped) == (5273, 502)
 
 
 def test_complete_intersection_numerator():

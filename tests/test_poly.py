@@ -28,6 +28,7 @@ from oracles import (
     from_grevlex_key,
     grevlex_key,
     monomial_bidegree,
+    monomials_of_bidegree,
     mul_terms,
     random_bihomogeneous,
 )
@@ -253,6 +254,48 @@ def test_bidegree_reads_the_keys_without_decoding():
                 assert bd == want.pop()
                 homogeneous += 1
     assert homogeneous > 100
+
+
+def _monomials_of_bidegree_unpruned(ring, p, q):
+    """``oracles.monomials_of_bidegree`` without its reachability test: every
+    branch is entered, and the ones that cannot reach (q)[p] add nothing."""
+    n = len(ring)
+    out = []
+    acc = [0] * n
+
+    def rec(i, p_left, q_left):
+        if p_left < 0 or q_left < 0:
+            return
+        if i == n:
+            if p_left == 0 and q_left == 0:
+                out.append(tuple(acc))
+            return
+        bp, bq = ring.bidegrees[i]
+        caps = []
+        if bp:
+            caps.append(p_left // bp)
+        if bq:
+            caps.append(q_left // bq)
+        for e in range(min(caps) + 1):
+            acc[i] = e
+            rec(i + 1, p_left - e * bp, q_left - e * bq)
+        acc[i] = 0
+
+    rec(0, p, q)
+    return out
+
+
+def test_pruned_bidegree_enumerator_matches_the_unpruned():
+    rng = random.Random(27)
+    found = empty = 0
+    for ring in _key_rings():
+        for _ in range(8):
+            p, q = rng.randint(-1, 13), rng.randint(-1, 7)
+            want = _monomials_of_bidegree_unpruned(ring, p, q)
+            assert monomials_of_bidegree(ring, p, q) == want
+            found += bool(want)
+            empty += not want
+    assert found > 40 and empty > 20
 
 
 def test_guard_test_is_exponentwise_divisibility():

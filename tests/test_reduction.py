@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from subtlesw import _reduction, spaces
+from subtlesw import _reduction, grobner, spaces
 from subtlesw._reduction import DivisorTable
 from subtlesw.grobner import DEFAULT_BUDGET, Budget, BudgetExceeded, groebner_basis, normal_form
 from subtlesw.poly import MAX_EXPONENT, ExponentOverflow, bso_ring, parse_poly
@@ -95,6 +95,13 @@ def test_identical_groebner_runs_and_budgets(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(_reduction, "normal_form_terms", oracles.packed_normal_form_terms)
         assert k_units((8, 10, 11, 12)) == {n: used[n] for n in (8, 10, 11, 12)}
+
+
+def test_bench_ideal_numerator_matches_the_reference():
+    ring = bso_ring(8)
+    gb = groebner_basis(ring, [parse_poly(ring, s) for s in BENCH_GENS])
+    leads = [g.keys[0] for g in gb]
+    assert grobner._lt_numerator(ring, leads) == oracles.lt_numerator(ring, leads)
 
 
 def test_normal_form_matches_the_reference_kernel(monkeypatch):

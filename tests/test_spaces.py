@@ -4,7 +4,7 @@ from operator import ge
 import pytest
 
 from subtlesw import _reduction, spaces
-from subtlesw.grobner import Budget, BudgetExceeded, HilbertSeries, groebner_basis, hilbert_series, ideal_member, normal_form
+from subtlesw.grobner import Budget, BudgetExceeded, GroebnerBasis, HilbertSeries, groebner_basis, hilbert_series, ideal_member, normal_form
 from subtlesw.poly import Bidegree, bso_ring, bso_top_ring, parse_poly, ring_new
 from subtlesw.steenrod import bso_context, bso_top_context, theta
 from subtlesw.spaces import (
@@ -358,22 +358,33 @@ def test_tables():
 
 
 def test_k_computed_reduces_theta_k_once(monkeypatch):
+    # theta_7 at n = 13 reaches GroebnerBasis._remainder once, which makes
+    # one kernel call and finds the remainder zero.  The kernel gets the 364
+    # terms that none of the basis variables u2, u3, u5, u9 divides.
     ctx = bso_context(13)
     theta7 = theta(ctx, 7)
     assert len(theta7.terms) == 8271
-    theta7_keys = tuple(map(ctx.ring.sort_key, theta7.terms))
-    kernel = _reduction.normal_form_terms
+    remainder, kernel = GroebnerBasis._remainder, _reduction.normal_form_terms
+    inside = []  # kernel inputs of each open _remainder call
     results = []
 
-    def record(terms, basis, table, max_steps):
-        nf, steps = kernel(terms, basis, table, max_steps)
-        if terms == theta7_keys:
-            results.append(nf)
-        return nf, steps
+    def record_remainder(self, x, budget, reuse=False):
+        inside.append([])
+        nf = remainder(self, x, budget, reuse)
+        sizes = inside.pop()
+        if x.keys == theta7.keys:
+            results.append((sizes, nf))
+        return nf
 
-    monkeypatch.setattr(_reduction, "normal_form_terms", record)
+    def record_kernel(terms, *args):
+        if inside:
+            inside[-1].append(len(terms))
+        return kernel(terms, *args)
+
+    monkeypatch.setattr(GroebnerBasis, "_remainder", record_remainder)
+    monkeypatch.setattr(_reduction, "normal_form_terms", record_kernel)
     assert k_computed(13, Budget()) == 7
-    assert results == [()]
+    assert results == [([364], ())]
 
 
 def test_k_computed_hands_the_kernel_no_empty_input(monkeypatch):
