@@ -111,6 +111,10 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     Pairs are treated in increasing lcm order; for homogeneous input this is
     the sugar strategy, since the sugar of a pair is the degree of its lcm,
     the top field of its key.  Returns the basis and its divisor table.
+    A new element's lcms with the leading terms before it are computed once
+    and serve both its pairs and the Hilbert colon below.  The chain
+    criterion scans every leading term for one that divides a pair's lcm,
+    so the guard test, which fails for most, comes first.
 
     ``key_polys`` are nonzero key polynomials.  ``known`` is a reduced basis
     of homogeneous polynomials, as this function returns it, that the ideal
@@ -145,17 +149,18 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     def add(f):
         nonlocal num, floor
         m = f[0]
+        lcms = [lcm_of(g[0], m) for g in G]
         if expected is not None:
-            colon = [lcm_of(g[0], m) - m + one for g in G]
+            colon = [lcm - m + one for lcm in lcms]
             num = _p2_axpy(num, -1, *ring.key_bidegree(m), _lt_numerator(ring, colon))
             gap = _p2_axpy(num, -1, 0, 0, expected)
             floor = min(p + q for p, q in gap) << ring.degree_shift if gap else None
         G.append(f)
         table.append(m)
         j = len(G) - 1
-        for i in range(j):
+        for i, lcm in enumerate(lcms):
             pairs.add((i, j))
-            heapq.heappush(queue, (lcm_of(G[i][0], m), (i, j)))
+            heapq.heappush(queue, (lcm, (i, j)))
 
     if expected is not None:
         (f,) = key_polys
@@ -176,7 +181,7 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
         skip = lti + ltj - one == lcm  # coprime leading terms reduce to zero
         if not skip:
             for k, lead in enumerate(leads):
-                if k in (i, j) or (lead - lcm) & guard != guard:
+                if (lead - lcm) & guard != guard or k == i or k == j:
                     continue
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)

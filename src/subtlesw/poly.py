@@ -108,21 +108,36 @@ class Ring:
     unbounded field.  Below it lies one ``FIELD_BITS``-bit field per
     generator, in reversed tie-break order (``t`` first, then the list
     reversed), holding ``FIELD_MAX - e``; one zero guard bit sits above each
-    field.  With exponents at most ``FIELD_MAX``:
+    field.  Below every exponent field lies the p field, which holds
+    ``p_max - p`` for the cohomological degree p, with
+    ``p_max = FIELD_MAX * sum(p_i)`` over the generators' p_i, and a zero
+    guard bit above it; a ring whose generators all have p = 0 has none.
+    It behaves as one more complemented exponent field, and it sits lowest
+    because p is a function of the exponents, so it never decides the
+    order.  With exponents at most ``FIELD_MAX``:
 
     * the key of a product is ``a + b - unit_key``, where ``unit_key`` is the
-      key of the monomial 1 (every field ``FIELD_MAX``, degree 0);
+      key of the monomial 1 (every field ``FIELD_MAX``, p field ``p_max``,
+      degree 0); ``steps[i]`` moves the degree, the field of generator i
+      and the p field by one power of generator i;
+    * the bidegree is one mask and one shift (:meth:`key_bidegree`);
     * ``a`` divides ``b`` exactly when
       ``((a | guard_mask) - b) & guard_mask == guard_mask``: a field borrows
-      from its guard bit exactly when ``a``'s exponent there exceeds ``b``'s;
+      from its guard bit exactly when ``a``'s exponent there exceeds
+      ``b``'s, and the p field borrows only when ``a``'s p exceeds ``b``'s,
+      which cannot happen when ``a`` divides ``b``;
     * ``((a ^ unit_key) + unit_key) & guard_mask`` keeps the guard bits of
-      the fields whose exponent is nonzero (:meth:`support`);
+      the fields whose exponent is nonzero (:meth:`support`); a carry out
+      of the p field stops at its own guard bit;
     * ``a & limit_mask == limit_mask`` exactly when no exponent of ``a``
       exceeds ``MAX_EXPONENT``;
     * ``FIELD_MAX`` is odd, so the low bit of a field is set exactly when
       its exponent is even (``low_mask`` holds those bits);
     * the key of ``a`` squared is ``2 * a - unit_key``, and a key whose
       exponents are all even is the square of ``unit_key + ((a - unit_key) >> 1)``.
+
+    ``guard_mask``, ``limit_mask`` and ``low_mask`` hold bits of the
+    exponent fields only.
     """
 
     __slots__ = (
@@ -138,8 +153,10 @@ class Ring:
         "steps",
         "_shifts",
         "_odd_position",
-        "_field_weights",
-        "_p_weights",
+        "_fields",
+        "_weights",
+        "_p_max",
+        "_p_mask",
         "_hash",
     )
 
@@ -162,21 +179,29 @@ class Ring:
         tiebreak = [i for i in range(len(names)) if i != self.tau_index]
         if self.tau_index is not None:
             tiebreak.append(self.tau_index)
+        # the p field and its guard bit lie lowest; a ring without p has none
+        self._p_max = p_max = FIELD_MAX * sum(bd.p for bd in self.bidegrees)
+        width = p_max.bit_length()
+        self._p_mask = (1 << width) - 1
+        base = width + 1 if width else 0
         # the last generator to break ties owns the most significant field
         shifts = [0] * len(names)
         for r, i in enumerate(tiebreak):
-            shifts[i] = r * _FIELD_WIDTH
+            shifts[i] = base + r * _FIELD_WIDTH
         self._shifts = tuple(shifts)
-        self.degree_shift = top = len(names) * _FIELD_WIDTH
-        self.unit_key = sum(FIELD_MAX << s for s in shifts)
+        self.degree_shift = top = base + len(names) * _FIELD_WIDTH
+        self._fields = sum(FIELD_MAX << s for s in shifts)
+        self.unit_key = self._fields + p_max
         self.guard_mask = sum(1 << s + FIELD_BITS for s in shifts)
         self.limit_mask = sum(1 << s + FIELD_BITS - 1 for s in shifts)
         self.low_mask = sum(1 << s for s in shifts)
         self._odd_position = {1 << s: i for i, s in enumerate(shifts)}
-        # steps[i] multiplies by generator i: its degree up, its field one down
-        self.steps = tuple((w << top) - (1 << s) for w, s in zip(d, shifts))
-        self._field_weights = tuple(zip(shifts, d))
-        self._p_weights = tuple((s, bd.p) for s, bd in zip(shifts, self.bidegrees) if bd.p)
+        # steps[i] multiplies by generator i: its degree up, its field one
+        # down, the p field down by its p
+        self.steps = tuple(
+            (w << top) - (1 << s) - bd.p for w, s, bd in zip(d, shifts, self.bidegrees)
+        )
+        self._weights = tuple(zip(shifts, d, (bd.p for bd in self.bidegrees)))
         self._hash = hash((self.names, self.bidegrees))
 
     # -- basic queries -----------------------------------------------------
@@ -236,9 +261,9 @@ class Ring:
         return key >> self.degree_shift
 
     def key_bidegree(self, key):
-        """Bidegree of the monomial with packed key ``key``: p weighs the
-        exponent fields, and q is the rest of the combined degree."""
-        p = sum(w * (FIELD_MAX - (key >> s & FIELD_MAX)) for s, w in self._p_weights)
+        """Bidegree of the monomial with packed key ``key``: p is read off
+        the p field, and q is the rest of the combined degree."""
+        p = self._p_max - (key & self._p_mask)
         return Bidegree(p, (key >> self.degree_shift) - p)
 
     def support(self, key):
@@ -248,12 +273,18 @@ class Ring:
     def key_lcm(self, a, b):
         """Packed key of the least common multiple of two packed keys."""
         # guard bits of the fields where a's exponent is at most b's, widened
-        # to masks of those fields: lcm takes b's field there, a's elsewhere
+        # to masks of those fields: lcm takes b's field there, a's elsewhere;
+        # where a's p exceeds b's the p field borrows from the lowest field,
+        # which flips its choice only when the two exponents there agree
         ge = ((a | self.guard_mask) - b) & self.guard_mask
         take_b = ge - (ge >> FIELD_BITS)
-        body = (b & take_b) | (a & (self.unit_key ^ take_b))
-        w = sum(d * (FIELD_MAX - (body >> s & FIELD_MAX)) for s, d in self._field_weights)
-        return (w << self.degree_shift) | body
+        body = (b & take_b) | (a & (self._fields ^ take_b))
+        d = p = 0
+        for s, dw, pw in self._weights:
+            e = FIELD_MAX - (body >> s & FIELD_MAX)
+            d += dw * e
+            p += pw * e
+        return (d << self.degree_shift) | body | (self._p_max - p)
 
     # -- element construction ----------------------------------------------
 
@@ -420,11 +451,20 @@ class Poly:
         return self.ring.from_sort_key(self.keys[0])
 
     def bidegree(self):
-        """Common Bidegree, ZERO_DEGREE for 0, or INHOMOGENEOUS."""
-        if not self.keys:
+        """Common Bidegree, ZERO_DEGREE for 0, or INHOMOGENEOUS.
+
+        Nothing is decoded.  The keys are sorted and the degree is their top
+        field, so the first and last keys share a degree exactly when all
+        do; one pass then compares the p fields of all the keys.
+        """
+        keys = self.keys
+        if not keys:
             return ZERO_DEGREE
-        bidegrees = set(map(self.ring.key_bidegree, self.keys))
-        return bidegrees.pop() if len(bidegrees) == 1 else INHOMOGENEOUS
+        ring = self.ring
+        top = ring.degree_shift
+        if keys[0] >> top != keys[-1] >> top or len(set(map(ring._p_mask.__and__, keys))) > 1:
+            return INHOMOGENEOUS
+        return ring.key_bidegree(keys[0])
 
     def __str__(self):
         if not self.keys:

@@ -4,6 +4,8 @@ from operator import add, le
 import pytest
 
 from subtlesw.poly import (
+    FIELD_BITS,
+    FIELD_MAX,
     INHOMOGENEOUS,
     MAX_EXPONENT,
     ZERO_DEGREE,
@@ -179,6 +181,9 @@ def _key_rings():
     rings.append(ring_new(list(zip(base.names, base.bidegrees)) + [("v16", Bidegree(16, 8))]))
     rings.append(ring_new([("x1", (1, 0)), ("y1", (0, 1)), ("x2", (2, 3)), ("y2", (1, 1))]))
     rings.append(ring_new([]))
+    rings.append(bso_ring(24))
+    rings.append(ring_new([("t", (0, 1))]))  # every p is 0: no p field
+    rings.append(ring_new([("x1", (1000, 0)), ("y1", (7, 900))]))  # a wide p field
     return rings
 
 
@@ -222,9 +227,22 @@ def test_packed_keys_unpack_and_multiply_by_adding():
             assert from_grevlex_key(ring, grevlex_key(ring, m)) == m
             assert ring.key_degree(key) == grevlex_key(ring, m)[0]
             assert (key & ring.limit_mask == ring.limit_mask) == (max(m, default=0) <= MAX_EXPONENT)
-        assert ring.sort_key(a) + ring.sort_key(b) - ring.unit_key == ring.sort_key(ab)
-        assert ring.key_lcm(ring.sort_key(a), ring.sort_key(b)) == ring.sort_key(tuple(map(max, a, b)))
+        ka, kb = ring.sort_key(a), ring.sort_key(b)
+        pa, pb = (a, ka), (b, kb)
+        pab = (ab, ka + kb - ring.unit_key)
+        pbb = (tuple(map(add, b, b)), kb + kb - ring.unit_key)
+        for m, key in (pab, pbb):
+            assert key == ring.sort_key(m)
+        # lcms of keys and of products, whose exponents reach 2 * MAX_EXPONENT
+        for (x, kx), (y, ky) in ((pa, pb), (pab, pbb), (pbb, pa), (pab, pab)):
+            lcm = tuple(map(max, x, y))
+            key = ring.key_lcm(kx, ky)
+            assert key == ring.key_lcm(ky, kx) == ring.sort_key(lcm)
+            assert ring.key_bidegree(key) == monomial_bidegree(ring, lcm)
     assert ring_new([]).sort_key(()) == ring_new([]).unit_key == 0
+    # a ring without p has no p field; otherwise the p field lies lowest
+    assert ring_new([("t", (0, 1))]).unit_key == FIELD_MAX
+    assert ring_new([("w1", (1, 0))]).unit_key == (FIELD_MAX << FIELD_BITS + 1) + FIELD_MAX
 
 
 def test_key_bidegree_is_the_tuple_reference():
@@ -241,8 +259,14 @@ def test_bidegree_reads_the_keys_without_decoding():
     rng = random.Random(26)
     homogeneous = 0
     for ring in _key_rings():
+        # the monomials of one bidegree, which random_bihomogeneous lists,
+        # grow fast with the generators: the widest ring draws lower degrees
+        factors = 2 if len(ring) > 16 else 4
         for i in range(20):
-            x = random_bihomogeneous(ring, rng) if ring.names and i % 2 else _random_poly(ring, rng)
+            if ring.names and i % 2:
+                x = random_bihomogeneous(ring, rng, factors)
+            else:
+                x = _random_poly(ring, rng)
             bd = x.bidegree()
             assert x._terms is None
             want = {monomial_bidegree(ring, m) for m in x.terms}
@@ -254,6 +278,9 @@ def test_bidegree_reads_the_keys_without_decoding():
                 assert bd == want.pop()
                 homogeneous += 1
     assert homogeneous > 100
+    x = parse_poly(bso_ring(5), "t^2*u2+t*u3")  # both of combined degree 5, p = 2 and p = 3
+    assert x.bidegree() is INHOMOGENEOUS
+    assert x._terms is None
 
 
 def _monomials_of_bidegree_unpruned(ring, p, q):
