@@ -4,7 +4,9 @@ Times computing the ideal's reduced Groebner basis (the Buchberger driver's
 pair handling dominates), a batch of deep normal forms against that basis
 (kernel-bound), and the Hilbert series and Krull dimension of the quotient
 (the monomial-ideal recursions on the basis's leading keys), best of
-REPEAT runs, and the reduction steps of the batch.  Run with
+REPEAT runs, the kernel calls of one basis computation (counted by wrapping
+``_reduction.normal_form_terms``, which the Groebner layer looks up on every
+call), and the reduction steps of the batch.  Run with
 
     PYTHONPATH=src python3 benchmarks/bench_kernel.py
 """
@@ -12,6 +14,7 @@ REPEAT runs, and the reduction steps of the batch.  Run with
 import random
 import time
 
+from subtlesw import _reduction
 from subtlesw.grobner import Budget, groebner_basis, hilbert_series, krull_dimension, normal_form
 from subtlesw.poly import bso_ring, parse_poly
 
@@ -43,6 +46,24 @@ def best_of(repeat, fn):
     return min(times)
 
 
+def kernel_calls(fn):
+    """``fn()`` and the calls of the reduction kernel while it runs."""
+    kernel = _reduction.normal_form_terms
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    _reduction.normal_form_terms = counting
+    try:
+        result = fn()
+    finally:
+        _reduction.normal_form_terms = kernel
+    return result, calls
+
+
 def main():
     ring = bso_ring(8)
     gens = [parse_poly(ring, s) for s in GENS]
@@ -59,6 +80,8 @@ def main():
 
     for label, fn in workloads:
         print(f"{label:<24}{best_of(REPEAT, fn):>9.3f}s")
+    _, calls = kernel_calls(lambda: groebner_basis(ring, gens))
+    print(f"{'groebner basis calls':<24}{calls:>9}")
     budget = Budget()
     for x in elems:
         normal_form(x, gb, budget)

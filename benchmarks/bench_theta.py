@@ -5,7 +5,8 @@ bso_context(n) and then k_computed(n).  k(n) = 7 for these n, so k_computed
 reuses the thetas just built and its time is the Groebner part alone.  Prints
 one line per n, with the terms the ``theta`` cache holds after the thetas
 (every theta step is Sq^{p-1}, which takes a closed form with no memo), the
-budget units (pairs plus reduction steps) that k_computed spent, and the
+budget units (pairs plus reduction steps) that k_computed spent, its
+kernel calls (counted by ``bench_kernel.kernel_calls``), and the
 pairs it skipped because they lie below the lowest degree where the Hilbert
 numerator of the leading terms still misses the expected one.  A last row
 times theta_0..theta_8 at n = 17, the theta layer at the wall; k(17) itself
@@ -19,6 +20,7 @@ pays.  Run with
 
 import time
 
+from bench_kernel import kernel_calls
 from subtlesw import steenrod
 from subtlesw.grobner import Budget
 from subtlesw.spaces import k_computed
@@ -58,12 +60,13 @@ def main():
         seconds, terms, cached, check = time_thetas(n, J)
         budget = Budget()
         t1 = time.perf_counter()
-        k = k_computed(n, budget)
+        k, calls = kernel_calls(lambda: k_computed(n, budget))
         t2 = time.perf_counter()
         print(
             f"n={n:<3} theta_0..{J} {seconds:8.3f}s ({terms} terms, {cached} cached)"
             f"   bidegree {check * 1e3:6.2f}ms"
-            f"   k={k} {t2 - t1:8.3f}s ({budget.used} units, {budget.skipped} skipped)"
+            f"   k={k} {t2 - t1:8.3f}s ({budget.used} units, {calls} kernel calls,"
+            f" {budget.skipped} skipped)"
         )
     seconds, terms, cached, check = time_thetas(WALL_N, WALL_J)
     print(

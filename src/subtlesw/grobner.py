@@ -5,7 +5,10 @@ The engine is Buchberger's algorithm with the two classical pair criteria
 lcm order, the normal strategy; for homogeneous input this is the sugar
 strategy.  Reduction runs in :mod:`subtlesw._reduction`.  Bases are fully
 interreduced, so each ideal has one canonical basis for the ring's monomial
-order regardless of generator order.
+order regardless of generator order.  Every element joins already reduced
+by the ones before it, so the final interreduction sends to the kernel only
+the tails that a later leading term can reach: one of lower degree than the
+element's lead, or one equal to a tail term.
 
 Hilbert series of quotients are exact bivariate rational functions computed
 from the leading-term ideal by the standard pivot recursion on monomial
@@ -136,6 +139,16 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     mean G is a basis and f is regular; an empty queue with them unequal
     means G is a basis and f is not.  The verdict is read off the final
     leading terms, which must give ``num``.
+
+    The final interreduction keeps the minimal elements of G and reduces
+    the tail of one only when a kept lead added to G after it has a lower
+    degree than its own lead or equals one of its tail terms.  Each tail is
+    already reduced by the elements before it in G: ``known`` is reduced,
+    and every other element was reduced by G when it joined.  No tail term
+    has a higher degree than its lead, so a later lead of the same or a
+    higher degree divides a tail term only by being equal to it.  The
+    kernel would take no step on any other tail, so the result, its steps
+    and its units are those of reducing every tail.
     """
     one, guard = ring.unit_key, ring.guard_mask
     lcm_of = ring.key_lcm
@@ -213,12 +226,23 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     by_lead = {f[0]: f for f in G}
     minimal = [by_lead[lt] for lt in _minimalize(ring, by_lead)]
     table = DivisorTable(ring, [f[0] for f in minimal])
-    # In a graded order a monomial never divides a smaller one, so f's own
-    # lead never reduces its tail or any term the tail produces: reducing
-    # the tail by the whole basis takes the reducers and steps it would take
-    # with f left out.  A monomial has no tail to reduce.
+    # The reach rule of the docstring, in one reverse pass over G that keeps
+    # the kept leads added after f and their lowest degree.  f's own lead
+    # never reduces its tail: in a graded order a monomial never divides a
+    # smaller one.  A monomial has no tail to reduce.
+    shift = ring.degree_shift
+    kept = {f[0] for f in minimal}
+    later, low, reach = set(), float("inf"), set()
+    for f in reversed(G):
+        m = f[0]
+        if m in kept:
+            d = m >> shift
+            if len(f) > 1 and (low < d or not later.isdisjoint(f)):
+                reach.add(m)
+            later.add(m)
+            low = min(low, d)
     final = [
-        (f[0],) + _kernel_nf(f[1:], minimal, table, budget) if len(f) > 1 else f
+        (f[0],) + _kernel_nf(f[1:], minimal, table, budget) if f[0] in reach else f
         for f in minimal
     ]
     return final, table

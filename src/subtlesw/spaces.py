@@ -63,6 +63,16 @@ def k_computed(n, budget=None):
     return j
 
 
+def _theta_basis(ring, thetas, budget):
+    """Reduced basis of the ideal of ``thetas``, and whether they form a
+    regular sequence.  The basis is built by certified appends while the
+    sequence stays regular, and by ``groebner_basis`` otherwise.
+    ``budget`` is a resolved Budget, so both paths charge the same one."""
+    checker = RegularSequenceChecker(ring, budget)
+    regular = all(checker.append(f) for f in thetas)
+    return (checker.basis if regular else groebner_basis(ring, thetas, budget)), regular
+
+
 def verify_theta(n, k=None, budget=None):
     """Certify the theta presentation data for one n.
 
@@ -81,9 +91,7 @@ def verify_theta(n, k=None, budget=None):
     ctx = bso_context(n)
     thetas = [theta(ctx, j) for j in range(k + 1)]
 
-    checker = RegularSequenceChecker(ring, budget)
-    regular = all(checker.append(f) for f in thetas[:k])
-    basis = checker.basis if regular else groebner_basis(ring, thetas[:k], budget)
+    basis, regular = _theta_basis(ring, thetas[:k], budget)
     in_ideal = ideal_member(thetas[k], basis, budget)
 
     h = formsf2.h_of(n)
@@ -135,6 +143,8 @@ def present(family, n=None, budget=None):
 
     BO/BSO (and their topological shadows) are free; BSpin quotients by the
     theta relations and adjoins v_{2^k}; BG2 is free on t, u4, u6, u7.
+    The theta relations are built by the certified appends of
+    ``verify_theta`` (see ``_theta_basis``), under one budget.
     """
     fam = str(family)
     key = fam.lower()
@@ -177,7 +187,7 @@ def present(family, n=None, budget=None):
     ambient = Ring(
         list(zip(base.names, base.bidegrees)) + [(vname, vdeg)]
     )
-    rel = groebner_basis(base, [theta(ctx, j) for j in range(k)], budget)
+    rel, _ = _theta_basis(base, [theta(ctx, j) for j in range(k)], _resolve_budget(budget))
     lifted = GroebnerBasis(ambient, [_lift(ambient, p, 1) for p in rel])
     return Presentation(fam, n, ambient, lifted, k)
 

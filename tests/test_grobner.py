@@ -535,8 +535,9 @@ def test_append_reuses_the_membership_remainder(monkeypatch):
 
 def test_seeded_appends_reduce_the_seed_once(monkeypatch):
     # an append reduces f by the current basis once, then S-pairs and the
-    # tails of the final basis; the remainder of f seeds the new basis as
-    # it is, without a second kernel call
+    # tails of the final basis that a later leading term reaches; the
+    # remainder of f seeds the new basis as it is, without a second kernel
+    # call
     kernel = _reduction.normal_form_terms
     calls = [0]
 
@@ -554,8 +555,56 @@ def test_seeded_appends_reduce_the_seed_once(monkeypatch):
         before = calls[0]
         assert chk.append(f)
         per_append.append(calls[0] - before)
-    assert per_append == [1, 1, 1, 1, 2, 3, 80]
+    assert per_append == [1, 1, 1, 1, 1, 1, 40]
     assert (budget.used, budget.skipped) == (5273, 502)
+
+
+def _final_pass_steps(monkeypatch, ring, gens):
+    """The reduced basis of ``gens``, its budget units, and the steps of
+    each kernel call of the final interreduction: the calls after the last
+    divisor table that ``_buchberger`` builds."""
+    kernel, table = _reduction.normal_form_terms, grobner.DivisorTable
+    events = []
+
+    def recording_kernel(*args):
+        nf, steps = kernel(*args)
+        events.append(steps)
+        return nf, steps
+
+    def recording_table(*args):
+        events.append(None)
+        return table(*args)
+
+    monkeypatch.setattr(_reduction, "normal_form_terms", recording_kernel)
+    monkeypatch.setattr(grobner, "DivisorTable", recording_table)
+    budget = Budget()
+    gb = groebner_basis(ring, [parse_poly(ring, s) for s in gens], budget)
+    final = events[len(events) - events[::-1].index(None):]
+    return gb_strings(gb), budget.used, final
+
+
+def test_final_pass_reduces_a_tail_that_a_later_lower_lead_reaches(monkeypatch):
+    # u4*u5 joins after u3^3*u4^4+u3*u4^3*u5^2, and its lead, of lower
+    # degree, divides that tail; the tail takes one step to zero, and every
+    # other tail is final
+    ring = bso_ring(5)
+    gens = ("t*u3*u5", "u2^2+u4", "u2^2*u3+u3*u4+u2*u5", "u2^2*u3^3*u4^3+u2^4*u3*u4*u5^2")
+    basis, units, final = _final_pass_steps(monkeypatch, ring, gens)
+    assert basis == ["u3^3*u4^4", "u4*u5", "t*u3*u5", "u2*u5", "u2^2+u4"]
+    assert units == 11
+    assert final == [1]
+
+
+def test_final_pass_reduces_a_tail_term_equal_to_a_later_lead(monkeypatch):
+    # u6, the remainder of u2^3, joins after u2*u4+u6 at the same degree and
+    # equals its tail term; the tail takes one step to zero, and every other
+    # tail is final
+    ring = bso_ring(6)
+    gens = ("u2^2+u4", "t*u2^2*u3^3", "u2*u4+u6", "u2^3")
+    basis, units, final = _final_pass_steps(monkeypatch, ring, gens)
+    assert basis == ["t*u3^3*u4", "u4^2", "u2*u4", "u6", "u2^2+u4"]
+    assert units == 11
+    assert final == [1]
 
 
 def test_complete_intersection_numerator():

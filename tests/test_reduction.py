@@ -97,6 +97,25 @@ def test_identical_groebner_runs_and_budgets(monkeypatch):
         assert k_units((8, 10, 11, 12)) == {n: used[n] for n in (8, 10, 11, 12)}
 
 
+def test_kernel_calls_of_the_bench_ideal_and_k13(monkeypatch):
+    # the final interreduction sends only the tails that a later leading
+    # term reaches to the kernel
+    kernel = _reduction.normal_form_terms
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(_reduction, "normal_form_terms", counting)
+    ring = bso_ring(8)
+    groebner_basis(ring, [parse_poly(ring, s) for s in BENCH_GENS])
+    assert calls[0] == 493
+    calls[0] = 0
+    assert spaces.k_computed(13) == 7
+    assert calls[0] == 47
+
+
 def test_bench_ideal_numerator_matches_the_reference():
     ring = bso_ring(8)
     gb = groebner_basis(ring, [parse_poly(ring, s) for s in BENCH_GENS])

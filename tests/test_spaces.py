@@ -210,6 +210,17 @@ def test_bspin_series_match_the_closed_form():
         assert hilbert_series(p.relations) == closed, n
 
 
+def test_present_relations_are_the_basis_of_the_thetas():
+    # present builds the relations by certified appends; they are the
+    # reduced basis that groebner_basis gives for the same thetas
+    for n in range(3, 13):
+        p = present("BSpin", n)
+        ctx = bso_context(n)
+        rel = groebner_basis(ctx.ring, [theta(ctx, j) for j in range(p.k)])
+        lifted = [p.ring.poly(t + (0,) for t in g.terms) for g in rel]
+        assert list(p.relations) == lifted, n
+
+
 def test_torsor_relation_literals():
     rows5 = torsor_relations(5)
     assert [r.j for r in rows5] == [0, 1, 2]
