@@ -109,11 +109,11 @@ def _kernel_nf(terms, basis, table, budget):
 
 
 def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
-    """Reduced Groebner basis in key space, smallest leading term first.
+    """The reduced Groebner basis of ``known`` and ``key_polys``.
 
     Pairs are treated in increasing lcm order; for homogeneous input this is
     the sugar strategy, since the sugar of a pair is the degree of its lcm,
-    the top field of its key.  Returns the basis and its divisor table.
+    the top field of its key.  Returns a GroebnerBasis.
     A new element's lcms with the leading terms before it are computed once
     and serve both its pairs and the Hilbert colon below.  The chain
     criterion scans every leading term for one that divides a pair's lcm,
@@ -138,7 +138,8 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     there reduces to zero, and it is skipped as treated.  Equal numerators
     mean G is a basis and f is regular; an empty queue with them unequal
     means G is a basis and f is not.  The verdict is read off the final
-    leading terms, which must give ``num``.
+    leading terms, which must give ``num``; the result is None when f is
+    not regular.
 
     The final interreduction keeps the minimal elements of G and reduces
     the tail of one only when a kept lead added to G after it has a lower
@@ -245,7 +246,7 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
         (f[0],) + _kernel_nf(f[1:], minimal, table, budget) if f[0] in reach else f
         for f in minimal
     ]
-    return final, table
+    return GroebnerBasis(ring, [Poly(ring, f) for f in reversed(final)])
 
 
 def _leading_variables(ring, basis):
@@ -272,37 +273,29 @@ class GroebnerBasis:
     first, which takes fewer steps to the same unique remainder.
     """
 
-    __slots__ = ("ring", "polys", "_keys", "_table", "_drop", "_last")
+    __slots__ = ("ring", "polys", "_state", "_last")
 
     def __init__(self, ring, polys):
         self.ring = ring
         self.polys = tuple(polys)
-        self._keys = None
-        self._table = None
-        self._drop = None  # guard bits of the variables that lead the key basis
-        self._last = None  # (polynomial, remainder keys) of the last reduction
-
-    @classmethod
-    def _of_keys(cls, ring, keys, table):
-        """The basis of ``_buchberger``'s result: keys ascending, and their table."""
-        gb = cls(ring, [Poly(ring, f) for f in reversed(keys)])
-        gb._keys = keys
-        gb._table = table
-        return gb
+        self._state = None  # see _key_basis
+        self._last = None  # (polynomial, budget, remainder keys) of the last reduction
 
     def _key_basis(self):
-        """The basis in key space, ascending, and its divisor table, built once."""
-        if self._keys is None:
-            self._keys = sorted(p.keys for p in self.polys)
-        if self._table is None:
-            self._table = DivisorTable(self.ring, [f[0] for f in self._keys])
-        return self._keys, self._table
+        """The basis in key space, ascending, its divisor table, and the
+        guard bits of the variables that lead it, built together once."""
+        if self._state is None:
+            keys = sorted(p.keys for p in self.polys)
+            table = DivisorTable(self.ring, [f[0] for f in keys])
+            self._state = (keys, table, _leading_variables(self.ring, keys))
+        return self._state
 
-    def _remainder(self, x, budget, reuse=False):
-        """Remainder keys of ``x``.  The last remainder is kept; with
-        ``reuse``, a request for that same polynomial object returns it
-        without reducing, or charging, again.  The zero polynomial is its
-        own remainder and costs nothing.
+    def _remainder(self, x, budget):
+        """Remainder keys of ``x``.  The last remainder is kept, with the
+        budget it was charged to: a request for that same polynomial object
+        under that same budget returns it without reducing, or charging,
+        again, so a budget pays once for each reduction done under it.  The
+        zero polynomial is its own remainder and costs nothing.
 
         The terms that a variable at the start of the key basis divides are
         dropped before the kernel runs, at one budget unit each.  The kernel
@@ -316,18 +309,16 @@ class GroebnerBasis:
         if not x.keys:
             return ()
         last = self._last
-        if reuse and last is not None and last[0] is x:
-            return last[1]
-        keys, table = self._key_basis()
-        if self._drop is None:
-            self._drop = _leading_variables(self.ring, keys)
+        if last is not None and last[0] is x and last[1] is budget:
+            return last[2]
+        keys, table, drop = self._key_basis()
         terms = x.keys
-        if self._drop:
-            one, drop = self.ring.unit_key, self._drop
+        if drop:
+            one = self.ring.unit_key
             terms = [t for t in terms if not ((t ^ one) + one) & drop]
             budget.charge(min(len(x.keys) - len(terms), budget.remaining + 1))
         nf = _kernel_nf(terms, keys, table, budget) if terms else ()
-        self._last = (x, nf)
+        self._last = (x, budget, nf)
         return nf
 
     def lead_exponents(self):
@@ -362,7 +353,7 @@ def groebner_basis(ring, gens, budget=None):
             raise RingError("generator lies in a different ring")
         if g:
             keys.append(g.keys)
-    return GroebnerBasis._of_keys(ring, *_buchberger(ring, keys, budget))
+    return _buchberger(ring, keys, budget)
 
 
 def normal_form(x, gb, budget=None):
@@ -478,12 +469,10 @@ class HilbertSeries:
             return NotImplemented
         mine = list(self.denominator)
         theirs = list(other.denominator)
-        common = []
         for f in list(mine):
             if f in theirs:
                 mine.remove(f)
                 theirs.remove(f)
-                common.append(f)
         a, b = self.numerator, other.numerator
         for p, q in theirs:
             a = _p2_axpy(a, -1, p, q, a)
@@ -521,10 +510,6 @@ class HilbertSeries:
             "numerator": [[c, p, q] for (p, q), c in num],
             "denominator": [[p, q] for (p, q) in self.denominator],
         }
-
-    def expansion_json(self, max_d):
-        exp = self.expand(max_d)
-        return [[dim, p, q] for (p, q), dim in sorted(exp.items())]
 
     def __repr__(self):
         return f"HilbertSeries({self.numerator!r} / {self.denominator!r})"
@@ -574,8 +559,9 @@ class RegularSequenceChecker:
     ``append(f)`` decides whether f is a nonzerodivisor on the current
     quotient R/J.  An f that reduces to zero lies in J, so it is a zero
     divisor, because R/J is not 0 (J is generated in positive degree).
-    When f was just reduced by ``basis`` (``ideal_member`` or
-    ``normal_form``), that remainder is reused.  A nonzero remainder joins
+    When f was just reduced by ``basis`` under the checker's ``budget``
+    (``ideal_member`` or ``normal_form``), that remainder is reused; under
+    another budget f is reduced again.  A nonzero remainder joins
     the basis as it is, without a second reduction, the basis grows by its
     pairs only, and the exact Hilbert-series drop decides; pairs
     below the lowest degree where the series still misses it are skipped
@@ -603,7 +589,7 @@ class RegularSequenceChecker:
             return False
         if bd.d <= 0:
             raise ValueError("sequence elements must have positive combined degree")
-        nf = self._basis._remainder(f, self.budget, reuse=True)
+        nf = self._basis._remainder(f, self.budget)
         if not nf:
             return False
         want = _p2_axpy(self._num, -1, bd.p, bd.q, self._num)
@@ -612,7 +598,7 @@ class RegularSequenceChecker:
         if found is None:
             return False
         self._num = want
-        self._basis = GroebnerBasis._of_keys(self.ring, *found)
+        self._basis = found
         self.length += 1
         return True
 

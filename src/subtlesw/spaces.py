@@ -22,6 +22,7 @@ from .grobner import (
     groebner_basis,
     hilbert_series,
     ideal_member,
+    is_regular_sequence,
 )
 from .poly import Bidegree, Poly, Ring, RingError, RingMap, bo_ring, bo_top_ring, bso_ring, bso_top_ring
 from .steenrod import bso_context, bso_top_context, theta
@@ -95,8 +96,7 @@ def verify_theta(n, k=None, budget=None):
     in_ideal = ideal_member(thetas[k], basis, budget)
 
     h = formsf2.h_of(n)
-    tau_checker = RegularSequenceChecker(ring, budget)
-    tau_prefix = all(tau_checker.append(f) for f in [ring.gen("t")] + thetas[:h])
+    tau_prefix = is_regular_sequence(ring, [ring.gen("t")] + thetas[:h], budget)[0]
 
     return {
         "n": n,

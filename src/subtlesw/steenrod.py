@@ -20,7 +20,18 @@ import functools
 import re
 from operator import and_
 
-from .poly import ExponentOverflow, Poly, RingError, bo_ring, bo_top_ring, bso_ring, bso_top_ring
+from .poly import (
+    INHOMOGENEOUS,
+    ZERO_DEGREE,
+    Bidegree,
+    ExponentOverflow,
+    Poly,
+    RingError,
+    bo_ring,
+    bo_top_ring,
+    bso_ring,
+    bso_top_ring,
+)
 
 
 def binom_mod2(a, b):
@@ -358,8 +369,6 @@ class ThomModuleElement:
         return bool(self.coefficient)
 
     def bidegree(self):
-        from .poly import Bidegree, INHOMOGENEOUS, ZERO_DEGREE
-
         bd = self.coefficient.bidegree()
         if bd is ZERO_DEGREE or bd is INHOMOGENEOUS:
             return bd

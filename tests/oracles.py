@@ -32,6 +32,15 @@ def _reachable(ring, i, p, q):
     return any(_reachable(ring, i + 1, p - e * bp, q - e * bq) for e in range(_exponent_cap(ring, i, p, q) + 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _count(ring, i, p, q):
+    """How many exponents of generators i, i + 1, ... make up (q)[p]."""
+    if i == len(ring):
+        return int(p == 0 and q == 0)
+    bp, bq = ring.bidegrees[i]
+    return sum(_count(ring, i + 1, p - e * bp, q - e * bq) for e in range(_exponent_cap(ring, i, p, q) + 1))
+
+
 def monomials_of_bidegree(ring, p, q):
     """Every exponent tuple of bidegree exactly (q)[p], lexicographically
     ascending.  A branch is entered only when the generators after it can
@@ -326,10 +335,20 @@ def random_monomial(ring, rng, max_factors):
     return tuple(e)
 
 
+POOL_LIMIT = 200_000
+
+
 def random_bihomogeneous(ring, rng, max_factors=4, max_terms=4):
-    """A random nonzero bihomogeneous polynomial with a few terms."""
+    """A random nonzero bihomogeneous polynomial with a few terms, drawn
+    from every monomial of a random monomial's bidegree.  That pool is
+    counted first: above ``POOL_LIMIT`` monomials it raises ValueError
+    rather than list them."""
     m0 = random_monomial(ring, rng, max_factors)
-    pool = monomials_of_bidegree(ring, *monomial_bidegree(ring, m0))
+    p, q = monomial_bidegree(ring, m0)
+    size = _count(ring, 0, p, q)
+    if size > POOL_LIMIT:
+        raise ValueError(f"{size} monomials of bidegree ({q})[{p}] exceed the pool limit {POOL_LIMIT}")
+    pool = monomials_of_bidegree(ring, p, q)
     rng.shuffle(pool)
     take = pool[: rng.randint(1, min(max_terms, len(pool)))]
     return ring.poly(take)

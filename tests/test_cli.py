@@ -261,3 +261,9 @@ def test_installed_entry_point():
         out = subprocess.run(command, capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert out.stdout == "u2*u3+u5\n"
+
+
+@pytest.mark.parametrize("argv", [["theta", "--flavor", "bso", "--n", "5", "--j", "-1"]], ids=["theta-j"])
+def test_input_checks(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and "usage error" in err

@@ -287,3 +287,18 @@ def test_pair_ring_shape():
     r5 = pair_ring(2, True)
     assert r5.names == ("x1", "x2", "x3", "y1", "y2")
     assert bidegree_of(r5.gen("y1")).p == 2
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: Field2e(2).inv(0), ZeroDivisionError),
+        (lambda: h_expected(1), ValueError),
+        (lambda: beta_map(1), ValueError),
+    ],
+    ids=["inverse-of-0", "h-n", "beta-n"],
+)
+def test_input_checks(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error

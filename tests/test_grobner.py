@@ -4,7 +4,7 @@ import random
 import pytest
 
 from subtlesw import _reduction, grobner
-from subtlesw.poly import INHOMOGENEOUS, Bidegree, Poly, bso_ring, parse_poly, ring_new
+from subtlesw.poly import INHOMOGENEOUS, Bidegree, Poly, RingError, bso_ring, parse_poly, ring_new
 from subtlesw.grobner import (
     Budget,
     BudgetExceeded,
@@ -19,7 +19,7 @@ from subtlesw.grobner import (
     krull_dimension,
     normal_form,
 )
-from subtlesw.spaces import k_computed, k_expected, present
+from subtlesw.spaces import PoincareReport, k_computed, k_expected, present
 from subtlesw.steenrod import bso_context, theta
 
 from oracles import (
@@ -293,7 +293,8 @@ def _dropped_terms_are_charged_as_the_kernel_would(gb, x, limits):
     keys, under each budget limit; True when some limit ran out.  The
     kernel takes the same steps under any limit and stops at the first
     step past it, so it runs out exactly when its steps exceed the limit."""
-    want, steps = _reduction.normal_form_terms(x.keys, *gb._key_basis(), 10**9)
+    keys, table, _ = gb._key_basis()
+    want, steps = _reduction.normal_form_terms(x.keys, keys, table, 10**9)
     ran_out = False
     for limit in limits:
         for reduce in (normal_form, ideal_member):
@@ -350,7 +351,8 @@ def test_basis_variables_drop_out_with_the_kernel_remainder_and_units():
 def test_hilbert_expansion_json_shape():
     ring = ring_new([("u2", Bidegree(2, 1))])
     hs = hilbert_series(groebner_basis(ring, []))
-    assert hs.expansion_json(6) == [[1, 0, 0], [1, 2, 1], [1, 4, 2]]
+    rows = PoincareReport(hs, hs.expand(6)).to_json()["expansion"]
+    assert rows == [[1, 0, 0], [1, 2, 1], [1, 4, 2]]
 
 
 def test_hilbert_series_equality_cancels_common_factors():
@@ -513,8 +515,8 @@ def test_theta_appends_reduce_no_pair_to_zero(monkeypatch):
 
 def test_append_reuses_the_membership_remainder(monkeypatch):
     # f reaches the kernel once, in ideal_member, without the term u2*u3
-    # that the basis variable u2 divides; the append reuses that remainder
-    # and seeds the basis with it as it is
+    # that the basis variable u2 divides; the append, under the same
+    # budget, reuses that remainder and seeds the basis with it as it is
     ring = bso_ring(5)
     chk = RegularSequenceChecker(ring)
     assert chk.append(ring.gen("u2"))
@@ -527,10 +529,41 @@ def test_append_reuses_the_membership_remainder(monkeypatch):
         return kernel(terms, *args)
 
     monkeypatch.setattr(_reduction, "normal_form_terms", recording)
-    assert not ideal_member(f, chk.basis)
+    assert not ideal_member(f, chk.basis, chk.budget)
     assert reduced == [parse_poly(ring, "u5").keys]
     assert chk.append(f)
     assert len(reduced) == 1
+
+
+def _checker_before_theta3():
+    """A checker at n = 9 that holds theta_0..theta_2, and theta_3."""
+    ctx = bso_context(9)
+    chk = RegularSequenceChecker(ctx.ring, Budget())
+    assert all(chk.append(theta(ctx, j)) for j in range(3))
+    return chk, theta(ctx, 3)
+
+
+def test_append_units_do_not_depend_on_an_earlier_membership_test():
+    # a remainder computed under another budget is not reused: the append
+    # reduces theta_3 again and charges the same 6 units either way
+    for earlier in (False, True):
+        chk, f = _checker_before_theta3()
+        if earlier:
+            assert not ideal_member(f, chk.basis, Budget())
+        before = chk.budget.used
+        assert chk.append(f)
+        assert chk.budget.used - before == 6
+
+
+def test_membership_then_append_under_one_budget_charges_once():
+    # under the checker's own budget the append reuses the remainder that
+    # ideal_member charged: the pair of calls costs the 6 units once
+    chk, f = _checker_before_theta3()
+    before = chk.budget.used
+    assert not ideal_member(f, chk.basis, chk.budget)
+    assert chk.budget.used - before == 6
+    assert chk.append(f)
+    assert chk.budget.used - before == 6
 
 
 def test_seeded_appends_reduce_the_seed_once(monkeypatch):
@@ -682,3 +715,22 @@ def test_groebner_basis_equality_and_iteration():
     assert list(gb) == list(gb.polys)
     assert gb == groebner_basis(ring, [ring.gen("u2"), ring.gen("u2")])
     assert hash(gb) == hash(groebner_basis(ring, [ring.gen("u2")]))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: groebner_basis(bso_ring(4), [bso_ring(5).gen("u2")]), RingError),
+        (lambda: normal_form(bso_ring(5).gen("u2"), groebner_basis(bso_ring(4), [])), RingError),
+        (lambda: RegularSequenceChecker(bso_ring(4)).append(bso_ring(5).gen("u2")), RingError),
+        (lambda: RegularSequenceChecker(bso_ring(4)).append(bso_ring(4).gen("u2") + bso_ring(4).gen("u3")),
+         InhomogeneousError),
+        (lambda: RegularSequenceChecker(bso_ring(4)).append(bso_ring(4).one), ValueError),
+        (lambda: is_regular_sequence(bso_ring(4), [bso_ring(5).gen("u2")]), RingError),
+    ],
+    ids=["basis-ring", "nf-ring", "append-ring", "append-inhomogeneous", "append-degree-0", "sequence-ring"],
+)
+def test_input_checks(call, error):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is error

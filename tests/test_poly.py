@@ -526,3 +526,26 @@ def test_ring_map_checks_and_homomorphism():
         y = random_bihomogeneous(src, rng)
         assert f(x + y) == f(x) + f(y)
         assert f(x * y) == f(x) * f(y)
+
+
+def test_random_bihomogeneous_refuses_a_pool_past_the_limit():
+    # seed 0 draws a monomial of bso_ring(16) whose bidegree holds 714,569
+    # monomials: the oracle counts them and raises rather than list them
+    with pytest.raises(ValueError, match="714569 monomials"):
+        random_bihomogeneous(bso_ring(16), random.Random(0), 12)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: ring_new([("x1", (-1, 2))]), RingError),
+        (lambda: ring_new([("w2", (2, 1))]), RingError),
+        (lambda: ring_new([("v3", (3, 0))]), RingError),
+        (lambda: bso_ring(3).monomial({"u2": -1}), ExponentOverflow),
+    ],
+    ids=["negative-bidegree", "w-bidegree", "v-index", "monomial-exponent"],
+)
+def test_input_checks(call, error):
+    with pytest.raises((ValueError, OverflowError)) as info:
+        call()
+    assert type(info.value) is error

@@ -5,7 +5,7 @@ import pytest
 
 from subtlesw import _reduction, spaces
 from subtlesw.grobner import Budget, BudgetExceeded, GroebnerBasis, HilbertSeries, groebner_basis, hilbert_series, ideal_member, normal_form
-from subtlesw.poly import Bidegree, bso_ring, bso_top_ring, parse_poly, ring_new
+from subtlesw.poly import Bidegree, RingError, bso_ring, bso_top_ring, parse_poly, ring_new
 from subtlesw.steenrod import bso_context, bso_top_context, theta
 from subtlesw.spaces import (
     FAMILIES,
@@ -379,9 +379,9 @@ def test_k_computed_reduces_theta_k_once(monkeypatch):
     inside = []  # kernel inputs of each open _remainder call
     results = []
 
-    def record_remainder(self, x, budget, reuse=False):
+    def record_remainder(self, x, budget):
         inside.append([])
-        nf = remainder(self, x, budget, reuse)
+        nf = remainder(self, x, budget)
         sizes = inside.pop()
         if x.keys == theta7.keys:
             results.append((sizes, nf))
@@ -423,3 +423,22 @@ def test_theta_k_membership_across_n():
         ctx = bso_context(n)
         gb = groebner_basis(bso_ring(n), [theta(ctx, j) for j in range(k)])
         assert ideal_member(theta(ctx, k), gb)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: k_computed(1), ValueError),
+        (lambda: verify_theta(1), ValueError),
+        (lambda: torsor_relations(2), ValueError),
+        (lambda: t_map(bso_top_ring(3).gen("w2")), RingError),
+        (lambda: t_map(ring_new([("t", (0, 1)), ("u2", (2, 1)), ("u4", (4, 2))]).gen("u2")), RingError),
+        (lambda: t_map(ring_new([("u2", (2, 1)), ("u3", (3, 1))]).gen("u2")), RingError),
+        (lambda: i_map(bso_ring(3).gen("u2")), RingError),
+    ],
+    ids=["k-n", "verify-n", "torsor-n", "t-map-class", "t-map-range", "t-map-no-tau", "i-map-class"],
+)
+def test_input_checks(call, error):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is error

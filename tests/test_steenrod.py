@@ -397,3 +397,26 @@ def test_squares_match_termwise_fold_at_the_instability_edge(ctx):
             assert thom_sq(ctx, k, w).coefficient == thom_sq_by_fold(ctx, k, x)
         for k in range(max(0, p + py - 2), p + py + 2):
             assert cartan(ctx, k, x, y) == cartan_by_fold(ctx, k, x, y)
+
+
+def _thom_one(n):
+    return thom_element(bso_context(n), bso_ring(n).one)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: sq(bso_context(5), 1, bso_ring(6).gen("u2")), RingError),
+        (lambda: sq(bso_context(5), -1, bso_ring(5).gen("u2")), ValueError),
+        (lambda: theta(bso_context(5), -1), ValueError),
+        (lambda: thom_element(bso_context(5), bso_ring(6).gen("u2")), RingError),
+        (lambda: _thom_one(5) + _thom_one(6), RingError),
+        (lambda: thom_sq(bso_context(5), -1, _thom_one(5)), ValueError),
+        (lambda: thom_sq(bso_context(6), 1, _thom_one(5)), RingError),
+    ],
+    ids=["sq-ring", "sq-index", "theta-index", "thom-ring", "thom-add", "thom-sq-index", "thom-sq-context"],
+)
+def test_input_checks(call, error):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is error
