@@ -96,7 +96,7 @@ def normal_form_terms(terms, basis, table, max_steps):
             continue
         m = -head
         if m & limit != limit:
-            raise ExponentOverflow("monomial exponent exceeds 32 bits")
+            raise ExponentOverflow
         support = ((m ^ one) + one) & guard
         candidates = fits.get(support)
         if candidates is None:

@@ -232,7 +232,7 @@ def _build_parser():
     for sp, budget in budgeted.items():
         sp.add_argument("--format", choices=["json", "jsonl", "csv", "text"], default="text")
         if budget:
-            sp.add_argument("--budget", type=int, default=None, help="reduction-step budget per Groebner run")
+            sp.add_argument("--budget", type=int, default=None, help="reduction-step budget per ktable row, else per command")
     return p
 
 

@@ -79,8 +79,11 @@ class Budget:
         return self.limit - self.used
 
     def charge(self, n=1):
+        """Spend ``n`` units.  A charge past the limit stops at limit + 1
+        and raises, so every overrun reports the same count."""
         self.used += n
         if self.used > self.limit:
+            self.used = self.limit + 1
             raise BudgetExceeded(self.used, self.limit, self.context)
 
 
@@ -101,10 +104,7 @@ def _resolve_budget(budget, context=""):
 
 def _kernel_nf(terms, basis, table, budget):
     nf, steps = _reduction.normal_form_terms(terms, basis, table, budget.remaining)
-    if steps:
-        budget.charge(steps)
-    if nf is None:
-        budget.charge(1)  # the kernel stopped at the limit: this raises
+    budget.charge(steps + (nf is None))  # a kernel stopped at the limit raises
     return nf
 
 
@@ -303,8 +303,7 @@ class GroebnerBasis:
         order, and removes each such term in one step with no tail.  In a
         reduced basis no other element has a term that a basis variable
         divides, so no later step makes or cancels such a term, and the
-        remainder, the steps and the budget units do not change.  Dropped
-        terms past the budget raise as the kernel would, at limit + 1.
+        remainder, the steps and the budget units do not change.
         """
         if not x.keys:
             return ()
@@ -316,7 +315,7 @@ class GroebnerBasis:
         if drop:
             one = self.ring.unit_key
             terms = [t for t in terms if not ((t ^ one) + one) & drop]
-            budget.charge(min(len(x.keys) - len(terms), budget.remaining + 1))
+            budget.charge(len(x.keys) - len(terms))
         nf = _kernel_nf(terms, keys, table, budget) if terms else ()
         self._last = (x, budget, nf)
         return nf

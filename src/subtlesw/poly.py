@@ -44,7 +44,8 @@ class ParseError(ValueError):
 
 
 class ExponentOverflow(OverflowError):
-    pass
+    def __init__(self, message=f"monomial exponent exceeds {MAX_EXPONENT.bit_length()} bits"):
+        super().__init__(message)
 
 
 class Bidegree(NamedTuple):
@@ -405,7 +406,7 @@ class Poly:
             seen = functools.reduce(and_, row, seen)
             acc.symmetric_difference_update(row)
         if seen != limit:
-            raise ExponentOverflow("monomial exponent exceeds 32 bits")
+            raise ExponentOverflow
         return ring.poly_of_keys(acc)
 
     def shifted(self, step):
@@ -429,7 +430,7 @@ class Poly:
         the exponent limit is checked as in a product."""
         limit = self.ring.limit_mask
         if functools.reduce(and_, keys, limit) != limit:
-            raise ExponentOverflow("monomial exponent exceeds 32 bits")
+            raise ExponentOverflow
         return Poly(self.ring, keys)
 
     def __pow__(self, n):
@@ -501,85 +502,38 @@ def ring_new(generators):
 
 # -- parsing and printing ----------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<op>[+*^])|(?P<name>[a-z][0-9]*)|(?P<num>[0-9]+))")
-
-
-def _tokenize(text):
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            tail = text[pos:].lstrip()
-            if not tail:
-                break
-            raise ParseError(f"unexpected character {tail[0]!r}")
-        if m.group("op"):
-            toks.append(("op", m.group("op")))
-        elif m.group("name"):
-            toks.append(("name", m.group("name")))
-        else:
-            toks.append(("num", m.group("num")))
-        pos = m.end()
-    return toks
+_FACTOR_RE = re.compile(r"\s*(?:(?P<name>[a-z][0-9]*)\s*(?:\^\s*(?P<exp>[0-9]+)\s*)?|(?P<num>[0-9]+)\s*)")
 
 
 def parse_poly(ring, text):
     """Parse ``poly := term ('+' term)*`` with terms ``factor ('*' factor)*``.
 
     Factors are ``gen ('^' uint)?`` or the literals 0 and 1.  Whitespace is
-    ignored; unknown generators are errors.
+    ignored; unknown generators are errors.  The text is split on '+', each
+    term on '*', and each factor is one match of ``_FACTOR_RE``.
     """
-    toks = _tokenize(text)
-    if not toks:
+    if not text.strip():
         raise ParseError("empty polynomial")
-    pos = 0
-    n = len(ring.names)
     monos = []
-
-    def peek():
-        return toks[pos] if pos < len(toks) else (None, None)
-
-    while True:
-        exps = [0] * n
+    for term in text.split("+"):
+        exps = [0] * len(ring.names)
         dead = False
-        while True:
-            kind, val = peek()
-            if kind == "name":
-                pos += 1
-                idx = ring.index(val)
-                e = 1
-                if peek() == ("op", "^"):
-                    pos += 1
-                    kind2, val2 = peek()
-                    if kind2 != "num":
-                        raise ParseError("expected an exponent after '^'")
-                    pos += 1
-                    e = int(val2)
-                exps[idx] += e
+        for factor in term.split("*"):
+            m = _FACTOR_RE.fullmatch(factor)
+            if m is None:
+                raise ParseError(f"malformed factor {factor.strip()!r}")
+            name, exp, num = m.group("name", "exp", "num")
+            if name is not None:
+                idx = ring.index(name)
+                exps[idx] += 1 if exp is None else int(exp)
                 if exps[idx] > MAX_EXPONENT:
-                    raise ExponentOverflow("monomial exponent exceeds 32 bits")
-            elif kind == "num":
-                pos += 1
-                if val == "0":
-                    dead = True
-                elif val != "1":
-                    raise ParseError(f"bare integer {val} is not a factor")
-            else:
-                raise ParseError("expected a factor")
-            if peek() == ("op", "*"):
-                pos += 1
-                continue
-            break
+                    raise ExponentOverflow
+            elif num == "0":
+                dead = True
+            elif num != "1":
+                raise ParseError(f"bare integer {num} is not a factor")
         if not dead:
-            monos.append(tuple(exps))
-        kind, val = peek()
-        if (kind, val) == ("op", "+"):
-            pos += 1
-            continue
-        if kind is None:
-            break
-        raise ParseError(f"unexpected token {val!r}")
+            monos.append(exps)
     return ring.poly(monos)
 
 

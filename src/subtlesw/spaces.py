@@ -327,7 +327,9 @@ def h_map(x):
 
 def g2_gysin_check(budget=None):
     """Certify that v8 drops the BSpin_7 series by (1 - T^8 S^4) and that the
-    BG2 series equals the dropped series."""
+    BG2 series equals the dropped series.  The BSpin_7 presentation and the
+    basis with v8 charge one budget."""
+    budget = _resolve_budget(budget)
     pres = present("BSpin", 7, budget)
     dropped = hilbert_series(pres.relations).times_factor(8, 4)
     gb1 = groebner_basis(pres.ring, list(pres.relations) + [pres.ring.gen("v8")], budget)

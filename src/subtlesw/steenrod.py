@@ -196,12 +196,13 @@ def _sq_gen(ctx, k, m):
 
 
 @functools.lru_cache(maxsize=None)
-def _sq_mono(ctx, k, key, p):
-    """Sq^k on the monomial with packed key ``key`` and cohomological degree ``p``.
+def _sq_mono(ctx, k, key):
+    """Sq^k on the monomial with packed key ``key``.
 
-    The key is never decoded: the tau exponent is one field read, the parity
-    of every exponent is the low bit of its field, and squares and square
-    roots are doublings and halvings of the key (see :class:`~subtlesw.poly.Ring`).
+    The key is never decoded: the tau exponent is one field read, the
+    cohomological degree p is read off the p field, the parity of every
+    exponent is the low bit of its field, and squares and square roots are
+    doublings and halvings of the key (see :class:`~subtlesw.poly.Ring`).
     """
     ring = ctx.ring
     if ctx.motivic:
@@ -209,9 +210,10 @@ def _sq_mono(ctx, k, key, p):
         if a:
             # split off tau^a (degree 0): Sq acts on the rest, tau^a shifts every key
             step = a * ring.steps[ring.tau_index]
-            return _sq_mono(ctx, k, key - step, p).shifted(step)
+            return _sq_mono(ctx, k, key - step).shifted(step)
     if k == 0:
         return Poly(ring, (key,))
+    p = ring.key_bidegree(key).p
     if k > p:
         return ring.zero  # instability
     odd = ring.odd_positions(key)
@@ -220,7 +222,7 @@ def _sq_mono(ctx, k, key, p):
             return ring.zero
         c = k >> 1
         one = ring.unit_key
-        res = _sq_mono(ctx, c, one + ((key - one) >> 1), p >> 1).squared()
+        res = _sq_mono(ctx, c, one + ((key - one) >> 1)).squared()
         if ctx.motivic and (c & 1) and res:
             res = _tau_shift(ctx, res)
         return res
@@ -233,7 +235,7 @@ def _sq_mono(ctx, k, key, p):
         left = _sq_gen(ctx, a, m)
         if not left:
             continue
-        right = _sq_mono(ctx, k - a, rest, p - m)
+        right = _sq_mono(ctx, k - a, rest)
         if right:
             parts.append((a, k - a, left * right))
     return _cartan_sum(ctx, parts)
@@ -282,7 +284,7 @@ def _below_top(ctx, key, p, q, plain, twisted):
             seen &= part[0] + tau_step
         (twisted if both_odd else plain).symmetric_difference_update(part)
     if seen != ring.limit_mask:
-        raise ExponentOverflow("monomial exponent exceeds 32 bits")
+        raise ExponentOverflow
 
 
 def sq(ctx, k, x):
@@ -303,7 +305,7 @@ def sq(ctx, k, x):
         if k and p == k + 1:
             _below_top(ctx, key, p, q, plain, twisted)
         else:
-            plain.symmetric_difference_update(_sq_mono(ctx, k, key, p).keys)
+            plain.symmetric_difference_update(_sq_mono(ctx, k, key).keys)
     return _join(ctx, plain, twisted)
 
 

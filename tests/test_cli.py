@@ -120,6 +120,21 @@ def test_env_budget_read_before_the_work_and_only_where_it_applies(capsys, monke
     assert code == 0 and json.loads(out)["meta"]["budget"] == 7
 
 
+@pytest.mark.parametrize(
+    "error, code, err_text",
+    [(ArithmeticError("no match"), 1, "verification failure: no match\n"), (RuntimeError("boom"), 70, "RuntimeError: boom\n")],
+    ids=["arithmetic", "internal"],
+)
+def test_other_failures_map_to_exit_codes(capsys, monkeypatch, error, code, err_text):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_jbound", fail)
+    got, out, err = run(capsys, ["jbound", "--n", "5"])
+    assert got == code and out == "" and err.endswith(err_text)
+    assert err.startswith("Traceback") == (code == 70)
+
+
 def test_family_choices():
     assert cli.FAMILIES == ["bo", "bso", "bspin", "bg2", "bo_top", "bso_top", "bspin_top"]
 

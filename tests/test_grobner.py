@@ -699,6 +699,16 @@ def test_budget_exceeded_reporting():
         Budget(-1)
 
 
+def test_charge_past_the_limit_stops_at_limit_plus_one():
+    b = Budget(5, context="c")
+    b.charge(5)
+    assert b.used == 5 and b.remaining == 0
+    with pytest.raises(BudgetExceeded) as info:
+        b.charge(100)
+    assert b.used == info.value.used == 6
+    assert str(info.value) == "budget exceeded after 6 of 5 reduction steps (c)"
+
+
 def test_budget_charges_shared_across_calls():
     ring = bso_ring(5)
     b = Budget(10**6)

@@ -102,15 +102,67 @@ def test_parse_print_roundtrip_examples():
 
 def test_parse_errors():
     ring = bso_ring(5)
-    for bad in ("", "u9", "u2+", "u2^", "u2^x", "2*u2", "u2 u3", "u2-u3", "(u2)"):
+    malformed = (
+        "", " \t", "+", "u2+", "+u2", "u2++u3", "u2**u3", "*u2", "u2*", "u2^", "^2", "u2^x",
+        "u2^-1", "u2^2^3", "u2^ 3 4", "2*u2", "01", "00", "1^2", "0u2", "u2 u3", "tu2", "u2 3",
+        "u 2", "u2-u3", "(u2)", "u9", "U2", "u2;", "w2", "u2^1.5",
+    )
+    for bad in malformed:
         with pytest.raises((ParseError, RingError)):
             parse_poly(ring, bad)
+
+
+def _spelling(ring, monos, rng):
+    """A random legal spelling of the F2 sum of the distinct ``monos``:
+    whitespace around every token, ``^1``, ``^0`` and ``*1`` factors, powers
+    split into repeated factors, shuffled factors and terms, ``0*...`` dead
+    terms, and duplicate terms that cancel."""
+
+    def ws():
+        return rng.choice(["", "", " ", "\t", "  \n"])
+
+    def term(mono, dead=False):
+        factors = ["0"] if dead else []
+        for name, e in zip(ring.names, mono):
+            while e:
+                part = rng.randint(1, e)
+                e -= part
+                if part == 1 and rng.random() < 0.5:
+                    factors.append(name)
+                else:
+                    factors.append(f"{name}{ws()}^{ws()}{part}")
+        factors += ["1"] * rng.randint(0, 1)
+        factors += [f"{rng.choice(ring.names)}{ws()}^{ws()}0"] * rng.randint(0, 1)
+        rng.shuffle(factors)
+        return f"{ws()}*{ws()}".join(factors or ["1"])
+
+    n = len(ring.names)
+    terms = [term(m) for m in monos]
+    for _ in range(rng.randint(0, 2)):  # a dead term
+        terms.append(term([rng.randint(0, 2) for _ in range(n)], dead=True))
+    for _ in range(rng.randint(0, 2)):  # a pair of spellings that cancel
+        extra = [rng.randint(0, 2) for _ in range(n)]
+        terms += [term(extra), term(extra)]
+    rng.shuffle(terms)
+    return ws() + f"{ws()}+{ws()}".join(terms or ["0"]) + ws()
+
+
+def test_parse_accepts_every_legal_spelling():
+    rng = random.Random(21)
+    for ring in (bso_ring(5), bo_ring(3), bso_top_ring(4)):
+        n = len(ring.names)
+        for _ in range(300):
+            monos = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 5))}
+            text = _spelling(ring, sorted(monos), rng)
+            assert parse_poly(ring, text) == ring.poly(monos), text
 
 
 def test_parse_exponent_overflow():
     ring = bso_ring(3)
     with pytest.raises(ExponentOverflow):
         parse_poly(ring, f"u2^{2**32}")
+    with pytest.raises(ExponentOverflow):
+        parse_poly(ring, f"0*u2^{2**31}*u2^{2**31}")  # even in a dead term
     with pytest.raises(ExponentOverflow):
         ring.gen("u2") ** (2**32)
     # 2^32 - 1 is the largest legal exponent

@@ -343,6 +343,25 @@ def test_g2_gysin_check(monkeypatch):
     assert broken["v8_regular"] is False
 
 
+def test_g2_gysin_check_spends_one_budget(monkeypatch):
+    # the BSpin_7 relations and the basis with v8 charge one Budget of the
+    # given size, as verify_theta does
+    seen = []
+
+    def spy(fn):
+        def wrapped(*args):
+            seen.append(args[-1])
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(spaces, "_theta_basis", spy(spaces._theta_basis))
+    monkeypatch.setattr(spaces, "groebner_basis", spy(spaces.groebner_basis))
+    assert g2_gysin_check(50) == {"v8_regular": True, "series_identity": True}
+    assert len(seen) == 2 and seen[0] is seen[1]
+    assert isinstance(seen[0], Budget) and seen[0].limit == 50
+
+
 def test_j_lower_bound():
     assert j_lower_bound(11) == {1, 2, 4}
     assert j_lower_bound(3) == {1}
