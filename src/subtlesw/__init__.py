@@ -19,14 +19,11 @@ from .poly import (
     Ring,
     RingError,
     RingMap,
-    apply_map,
-    bidegree_of,
     bo_ring,
     bo_top_ring,
     bso_ring,
     bso_top_ring,
     parse_poly,
-    ring_new,
 )
 from .grobner import (
     DEFAULT_BUDGET,
@@ -54,7 +51,6 @@ from .steenrod import (
     cartan,
     sq,
     theta,
-    thom_element,
     thom_sq,
 )
 from .formsf2 import (
@@ -75,18 +71,15 @@ from .formsf2 import (
 from .spaces import (
     FAMILIES,
     Presentation,
-    TableReport,
     TorsorRow,
     g2_gysin_check,
     h_row,
-    htable,
     h_map,
     i_map,
     j_lower_bound,
     k_computed,
     k_expected,
     k_row,
-    ktable,
     poincare,
     present,
     t_map,

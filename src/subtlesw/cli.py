@@ -4,7 +4,7 @@ Every subcommand is deterministic given its flags: the monomial order is
 fixed and there is no randomness, so identical invocations print identical
 payloads (timing metadata aside).  JSON output carries a "meta" object with
 the tool version, the wall time and, for a subcommand that takes --budget,
-the effective reduction budget (--budget, else SUBTLE_BUDGET); JSON Lines
+the effective reduction budget (--budget, else DEFAULT_BUDGET); JSON Lines
 output streams table rows as they finish (in n order) so partial progress
 survives budget exhaustion.
 
@@ -45,12 +45,12 @@ class Scalar(NamedTuple):
 
 class Table(NamedTuple):
     """Rows in key order and their columns.  `rows` may be lazy: jsonl prints
-    each row as it comes.  It passes when every row is true in `check`, or
-    there is no `check`.  `rows_ms`, if given, fills with each row's time."""
+    each row as it comes.  It passes when every row is true in `check`.
+    `rows_ms`, if given, fills with each row's time."""
 
     rows: Iterable[dict]
     columns: list
-    check: str | None = None
+    check: str
     rows_ms: dict | None = None
 
 
@@ -95,10 +95,10 @@ def _cmd_theta(args):
 
 
 def _range_table(args, row_fn):
-    """Expected against computed for n in --from..--to; --verify fails a mismatch."""
+    """Expected against computed for n in --from..--to; a mismatch fails."""
     rows_ms = {}
     rows = _timed_rows(range(args.from_n, args.to_n + 1), row_fn, rows_ms)
-    return Table(rows, ["n", "expected", "computed", "ok"], "ok" if args.verify else None, rows_ms)
+    return Table(rows, ["n", "expected", "computed", "ok"], "ok", rows_ms)
 
 
 def _cmd_ktable(args):
@@ -187,7 +187,6 @@ def _build_parser():
     def add_range(sp, to_n):
         sp.add_argument("--from", dest="from_n", type=int, default=2)
         sp.add_argument("--to", dest="to_n", type=int, default=to_n)
-        sp.add_argument("--verify", action="store_true", help="exit 1 on any mismatch")
 
     def add_family(sp):
         sp.add_argument("--flavor", choices=FAMILIES, required=True)
@@ -232,7 +231,7 @@ def _build_parser():
     for sp, budget in budgeted.items():
         sp.add_argument("--format", choices=["json", "jsonl", "csv", "text"], default="text")
         if budget:
-            sp.add_argument("--budget", type=int, default=None, help="reduction-step budget per ktable row, else per command")
+            sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="reduction-step budget per ktable row, else per command")
     return p
 
 
@@ -243,12 +242,8 @@ def main(argv=None):
     except SystemExit as e:
         return int(e.code or 0)
     fmt = args.format
-    budgeted = "budget" in args
     t0 = time.monotonic()
     try:
-        if budgeted and args.budget is None:
-            env = os.environ.get("SUBTLE_BUDGET")
-            args.budget = int(env) if env else DEFAULT_BUDGET
         res = args.func(args)
         if isinstance(res, Table):
             rows = []
@@ -259,13 +254,13 @@ def main(argv=None):
             body, unstreamed, rows_ms = {"rows": rows}, [], res.rows_ms
             grid = [res.columns] + [[_cell(row[c]) for c in res.columns] for row in rows]
             lines = ["\t".join(cells) for cells in grid]
-            ok = res.check is None or all(row[res.check] for row in rows)
+            ok = all(row[res.check] for row in rows)
         else:
             body, lines, ok = res
             unstreamed, rows_ms = [body], None
             grid = [["key", "value"]] + [[k, _jval(body[k])] for k in sorted(body)]
         meta = {"version": __version__, "wall_time_ms": round((time.monotonic() - t0) * 1000, 3)}
-        if budgeted:
+        if "budget" in args:
             meta["budget"] = args.budget
         if rows_ms is not None:
             meta["rows_ms"] = rows_ms

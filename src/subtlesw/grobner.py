@@ -320,9 +320,6 @@ class GroebnerBasis:
         self._last = (x, budget, nf)
         return nf
 
-    def lead_exponents(self):
-        return [p.lead_monomial() for p in self.polys]
-
     def __iter__(self):
         return iter(self.polys)
 

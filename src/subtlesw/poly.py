@@ -30,7 +30,7 @@ FIELD_BITS = 33
 FIELD_MAX = 2**FIELD_BITS - 1
 _FIELD_WIDTH = FIELD_BITS + 1  # the field and its guard bit
 
-#: Markers returned by :func:`bidegree_of` for the two degenerate cases.
+#: Markers returned by :meth:`Poly.bidegree` for the two degenerate cases.
 INHOMOGENEOUS = "inhomogeneous"
 ZERO_DEGREE = "zero"  # the zero polynomial is homogeneous of every bidegree
 
@@ -100,6 +100,11 @@ def _check_generator(name, bd):
 
 class Ring:
     """An ordered list of bigraded generators and the induced monomial order.
+
+    ``generators`` lists (name, Bidegree) pairs.  Names must be printable in
+    the term grammar (t, or one of u/w/v/x/y followed by an index) and the
+    named classes must carry their standard bidegrees; x and y generators
+    are unconstrained apart from positivity.
 
     A monomial is an exponent tuple aligned with the generator list.  Its
     sort key, the form a :class:`Poly` stores, packs it into one nonnegative
@@ -256,10 +261,6 @@ class Ring:
             out.append(self._odd_position[bit])
             odd ^= bit
         return out
-
-    def key_degree(self, key):
-        """Combined degree of the monomial with packed key ``key``."""
-        return key >> self.degree_shift
 
     def key_bidegree(self, key):
         """Bidegree of the monomial with packed key ``key``: p is read off
@@ -485,21 +486,6 @@ class Poly:
         return f"<{self}>"
 
 
-def bidegree_of(x):
-    """Bidegree of ``x``; INHOMOGENEOUS for mixed terms, ZERO_DEGREE for 0."""
-    return x.bidegree()
-
-
-def ring_new(generators):
-    """Build a bigraded ring from (name, Bidegree) pairs.
-
-    Names must be printable in the term grammar (t, or one of u/w/v/x/y
-    followed by an index) and the named classes must carry their standard
-    bidegrees; x and y generators are unconstrained apart from positivity.
-    """
-    return Ring(generators)
-
-
 # -- parsing and printing ----------------------------------------------------
 
 _FACTOR_RE = re.compile(r"\s*(?:(?P<name>[a-z][0-9]*)\s*(?:\^\s*(?P<exp>[0-9]+)\s*)?|(?P<num>[0-9]+)\s*)")
@@ -560,24 +546,20 @@ class RingMap:
         self.images = images
 
     def __call__(self, x):
-        return apply_map(self, x)
+        """The image of ``x``: each generator replaced by its image."""
+        if x.ring != self.source:
+            raise RingError("polynomial is not in the map's source ring")
+        acc = set()
+        for mono in x.terms:
+            prod = self.target.one
+            for img, e in zip(self.images, mono):
+                if e:
+                    prod = prod * img**e
+            acc.symmetric_difference_update(prod.keys)
+        return self.target.poly_of_keys(acc)
 
     def __repr__(self):
         return f"RingMap({self.source!r} -> {self.target!r})"
-
-
-def apply_map(f, x):
-    """Apply a RingMap to a polynomial by substituting generator images."""
-    if x.ring != f.source:
-        raise RingError("polynomial is not in the map's source ring")
-    acc = set()
-    for mono in x.terms:
-        prod = f.target.one
-        for img, e in zip(f.images, mono):
-            if e:
-                prod = prod * img**e
-        acc.symmetric_difference_update(prod.keys)
-    return f.target.poly_of_keys(acc)
 
 
 # -- standard rings -----------------------------------------------------------

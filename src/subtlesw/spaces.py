@@ -24,8 +24,20 @@ from .grobner import (
     ideal_member,
     is_regular_sequence,
 )
-from .poly import Bidegree, Poly, Ring, RingError, RingMap, bo_ring, bo_top_ring, bso_ring, bso_top_ring
-from .steenrod import bso_context, bso_top_context, theta
+from .poly import (
+    MAX_EXPONENT,
+    Bidegree,
+    ExponentOverflow,
+    Poly,
+    Ring,
+    RingError,
+    RingMap,
+    bo_ring,
+    bo_top_ring,
+    bso_ring,
+    bso_top_ring,
+)
+from .steenrod import SteenrodContext, bso_context, bso_top_context, theta
 
 FAMILIES = ("BO", "BSO", "BSpin", "BG2", "BO_top", "BSO_top", "BSpin_top")
 
@@ -258,29 +270,20 @@ def torsor_relations(n, max_j=None):
 # -- grading maps ----------------------------------------------------------------
 
 
-def _class_span(ring, letter, extra=()):
-    idx = []
-    for name in ring.names:
-        if name in extra:
-            continue
-        if name[0] != letter or not name[1:].isdigit():
-            raise RingError(f"{name} is not a {letter}-class; map undefined")
-        idx.append(int(name[1:]))
-    idx.sort()
-    if not idx or idx[0] not in (1, 2) or idx != list(range(idx[0], idx[-1] + 1)):
-        raise RingError(f"{letter}-classes must form a contiguous range from 1 or 2")
-    return idx[0], idx[-1]
+def _classes(source, letter):
+    """The context of ``source``, which must hold the ``letter``-classes of
+    one range, t exactly when they are u-classes, and no other generator."""
+    ctx = SteenrodContext(source)
+    if ctx.letter != letter or len(source) != ctx.n - ctx.start + 1 + ctx.motivic:
+        raise RingError(f"{source!r} is not a ring of {letter}-classes; map undefined")
+    return ctx
 
 
 @functools.lru_cache(maxsize=None)
 def _t_ringmap(source):
-    start, n = _class_span(source, "u", extra=("t",))
-    if not source.has("t"):
-        raise RingError("t_map expects a motivic ring")
-    target = bo_top_ring(n) if start == 1 else bso_top_ring(n)
-    images = []
-    for name in source.names:
-        images.append(target.one if name == "t" else target.gen("w" + name[1:]))
+    ctx = _classes(source, "u")
+    target = bo_top_ring(ctx.n) if ctx.start == 1 else bso_top_ring(ctx.n)
+    images = [target.one if name == "t" else target.gen("w" + name[1:]) for name in source.names]
     return RingMap(source, target, images)
 
 
@@ -291,8 +294,8 @@ def t_map(x):
 
 @functools.lru_cache(maxsize=None)
 def _i_ringmap(source):
-    start, n = _class_span(source, "w")
-    target = bo_ring(n) if start == 1 else bso_ring(n)
+    ctx = _classes(source, "w")
+    target = bo_ring(ctx.n) if ctx.start == 1 else bso_ring(ctx.n)
     images = [target.gen("u" + name[1:]) for name in source.names]
     return RingMap(source, target, images)
 
@@ -312,12 +315,14 @@ def h_map(x):
     tau = target.steps[target.tau_index]
     out = set()
     # w_i to u_i sends distinct monomials to distinct ones, and so does the
-    # tau shift, since it leaves the u-part alone
+    # tau shift, since it leaves the u-part alone.  Every u_i has q = i // 2,
+    # so c >= 0, and the image has no tau, so c is the new tau exponent;
+    # it is checked before the shift, which would carry out of the tau field
     for key in f(x).keys:
         bd = target.key_bidegree(key)
         c = bd.p // 2 - bd.q
-        if c < 0:
-            raise ArithmeticError(f"negative tau exponent on {x.ring.names}: {c}")
+        if c > MAX_EXPONENT:
+            raise ExponentOverflow
         out.add(key + c * tau)
     return target.poly_of_keys(out)
 
@@ -354,20 +359,6 @@ def j_lower_bound(n):
 # -- tables ----------------------------------------------------------------------
 
 
-class TableReport:
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = list(rows)
-
-    @property
-    def all_ok(self):
-        return all(r["ok"] for r in self.rows)
-
-    def to_json(self):
-        return {"rows": self.rows}
-
-
 def k_row(n, budget=None):
     expected = k_expected(n)
     computed = k_computed(n, budget)
@@ -378,11 +369,3 @@ def h_row(n):
     expected = formsf2.h_expected(n)
     computed = formsf2.h_of(n)
     return {"n": n, "expected": expected, "computed": computed, "ok": expected == computed}
-
-
-def ktable(from_n=2, to_n=10, budget=None):
-    return TableReport([k_row(n, budget) for n in range(from_n, to_n + 1)])
-
-
-def htable(from_n=2, to_n=200):
-    return TableReport([h_row(n) for n in range(from_n, to_n + 1)])

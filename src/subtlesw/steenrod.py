@@ -54,7 +54,7 @@ class SteenrodContext:
     """
 
     __slots__ = (
-        "ring", "n", "letter", "motivic", "start", "_class_pos", "_allowed", "_forbidden", "_hash"
+        "ring", "n", "letter", "motivic", "start", "_class_pos", "_forbidden", "_hash"
     )
 
     def __init__(self, ring):
@@ -84,7 +84,6 @@ class SteenrodContext:
         allowed = set(self._class_pos.values())
         if self.motivic:
             allowed.add(ring.tau_index)
-        self._allowed = frozenset(allowed)
         # guard bits of the generators the action is undefined on
         off = ring.sort_key([0 if pos in allowed else 1 for pos in range(len(ring))])
         self._forbidden = ring.support(off)
@@ -107,16 +106,13 @@ class SteenrodContext:
     def _check_argument(self, x):
         if x.ring != self.ring:
             raise RingError("polynomial lies outside the context ring")
+        ring = self.ring
         # a field of the AND of all keys stays all ones where every exponent is 0
-        seen = functools.reduce(and_, x.keys, self.ring.unit_key)
-        if not self.ring.support(seen) & self._forbidden:
-            return
-        for mono in x.terms:
-            for pos, e in enumerate(mono):
-                if e and pos not in self._allowed:
-                    raise RingError(
-                        f"Steenrod action undefined on generator {self.ring.names[pos]}"
-                    )
+        seen = functools.reduce(and_, x.keys, ring.unit_key)
+        bad = ring.support(seen) & self._forbidden
+        if bad:
+            pos = next(i for i, step in enumerate(ring.steps) if ring.support(ring.unit_key + step) & bad)
+            raise RingError(f"Steenrod action undefined on generator {ring.names[pos]}")
 
     def __eq__(self, other):
         return (
@@ -179,11 +175,9 @@ def _cartan_sum(ctx, parts):
 
 @functools.lru_cache(maxsize=None)
 def _sq_gen(ctx, k, m):
-    """Sq^k on the single index-m class, by the Wu formula."""
+    """Sq^k on the single index-m class, by the Wu formula; k <= m."""
     if k == 0:
         return ctx.class_poly(m)
-    if k > m:
-        return ctx.ring.zero
     if k == m:
         c = ctx.class_poly(m)
         return c * c
@@ -383,10 +377,6 @@ class ThomModuleElement:
 
     def __repr__(self):
         return f"ThomModuleElement({self})"
-
-
-def thom_element(ctx, coefficient):
-    return ThomModuleElement(ctx, coefficient)
 
 
 def thom_sq(ctx, k, e):

@@ -540,7 +540,7 @@ def _minimalize(ring, keys):
 def lt_numerator(ring, leads):
     """Numerator of the Hilbert series of R/(monomial ideal of ``leads``)."""
     one = ring.unit_key
-    support, degree = ring.support, ring.key_degree
+    support = ring.support
     bidegs = [(bd.p, bd.q) for bd in ring.bidegrees]
     bits = [support(one + step) for step in ring.steps]  # in ring order
     generator_of = {bit: i for i, bit in enumerate(bits)}
@@ -560,7 +560,7 @@ def lt_numerator(ring, leads):
             res = {(0, 0): 1}
             for g, s in zip(gens, sups):
                 p, q = bidegs[generator_of[s]]
-                e = degree(g) // (p + q)
+                e = ring.key_bidegree(g).d // (p + q)
                 res = _p2_axpy(res, -1, e * p, e * q, res)
         else:
             # the first generator, in ring order, in the most mixed supports

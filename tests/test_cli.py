@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import subtlesw
-from subtlesw import cli
+from subtlesw import cli, formsf2, spaces
 from subtlesw.grobner import DEFAULT_BUDGET
 
 
@@ -36,9 +36,24 @@ def test_sq_flavors(capsys):
 
 
 def test_ktable_verify_exit_codes(capsys):
-    code, out, _ = run(capsys, ["ktable", "--from", "2", "--to", "10", "--verify"])
+    code, out, _ = run(capsys, ["ktable", "--from", "2", "--to", "10"])
     assert code == 0
     assert len(out.strip().splitlines()) == 1 + 9  # header plus nine rows
+
+
+def test_table_mismatch_prints_every_row_and_exits_1(capsys, monkeypatch):
+    # one wrong expected value per table: every row still prints, the verdict fails
+    k_expected, h_expected = spaces.k_expected, formsf2.h_expected
+    monkeypatch.setattr(spaces, "k_expected", lambda n: k_expected(n) + (n == 3))
+    monkeypatch.setattr(formsf2, "h_expected", lambda n: h_expected(n) + (n == 5))
+    cases = [(["ktable", "--to", "4"], 3, "3\t3\t2\tfalse"), (["htable", "--to", "6"], 5, "5\t3\t2\tfalse")]
+    for argv, rows, bad in cases:
+        code, out, _ = run(capsys, argv)
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 1 + rows and bad in lines
+        code, _, err = run(capsys, argv + ["--verify"])
+        assert code == 2 and "unrecognized arguments: --verify" in err
 
 
 def test_ktable_json_payload(capsys):
@@ -97,25 +112,11 @@ def test_budget_exceeded_exit_code(capsys):
 
 
 def test_env_budget(capsys, monkeypatch):
-    monkeypatch.setenv("SUBTLE_BUDGET", "10")
-    code, _, err = run(capsys, ["ktable", "--from", "9", "--to", "9"])
-    assert code == 3
-    monkeypatch.delenv("SUBTLE_BUDGET")
-
-
-def test_env_budget_read_before_the_work_and_only_where_it_applies(capsys, monkeypatch):
-    monkeypatch.setenv("SUBTLE_BUDGET", "abc")
-    # a budgeted command fails on it before printing a row
-    code, out, err = run(capsys, ["ktable", "--from", "2", "--to", "4", "--format", "jsonl"])
-    assert code == 2 and out == "" and "usage error" in err
-    # a command without --budget ignores it
-    code, out, _ = run(capsys, ["htable", "--from", "2", "--to", "4", "--format", "jsonl"])
-    assert code == 0 and len(out.splitlines()) == 3 + 1
-    monkeypatch.setenv("SUBTLE_BUDGET", "10")
-    code, out, _ = run(capsys, ["torsor", "--n", "5", "--format", "json"])
-    assert code == 0 and "budget" not in json.loads(out)["meta"]
-    code, out, _ = run(capsys, ["present", "--flavor", "bso", "--n", "3", "--format", "json"])
-    assert code == 0 and json.loads(out)["meta"]["budget"] == 10
+    # the budget is --budget or DEFAULT_BUDGET; the environment plays no part
+    for value in ("10", "abc"):
+        monkeypatch.setenv("SUBTLE_BUDGET", value)
+        code, out, _ = run(capsys, ["ktable", "--from", "9", "--to", "9", "--format", "json"])
+        assert code == 0 and json.loads(out)["meta"]["budget"] == DEFAULT_BUDGET
     code, out, _ = run(capsys, ["present", "--flavor", "bso", "--n", "3", "--budget", "7", "--format", "json"])
     assert code == 0 and json.loads(out)["meta"]["budget"] == 7
 
@@ -208,7 +209,7 @@ def test_g2check_command(capsys):
 
 
 def test_htable_command(capsys):
-    code, out, _ = run(capsys, ["htable", "--from", "2", "--to", "40", "--verify", "--format", "json"])
+    code, out, _ = run(capsys, ["htable", "--from", "2", "--to", "40", "--format", "json"])
     assert code == 0
     doc = json.loads(out)
     assert all(r["ok"] for r in doc["rows"])

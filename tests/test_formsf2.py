@@ -20,7 +20,21 @@ from subtlesw.formsf2 import (
     twisted_sequence,
 )
 from subtlesw.grobner import groebner_basis, is_regular_sequence, krull_dimension
-from subtlesw.poly import bidegree_of, parse_poly
+from subtlesw.poly import parse_poly
+
+
+def test_equality_of_fields_subspaces_and_forms():
+    assert Field2e(3) == Field2e(3) and hash(Field2e(3)) == hash(Field2e(3))
+    assert Field2e(3) != Field2e(4) and Field2e(3) != 3
+    s = Subspace([[1, 1, 0], [0, 1, 1]])
+    assert s == Subspace([[1, 0, 1], [0, 1, 1]])  # the same span from another basis
+    assert s != Subspace([[1, 1, 0], [0, 1, 1]], e=2)  # another field
+    assert s != Subspace([[1, 1, 0, 0], [0, 1, 1, 0]])  # another ambient dimension
+    assert s != Subspace([[1, 1, 0]])  # other rows
+    b = BilinearFormF2([[1, 0], [1, 1]])
+    assert b == BilinearFormF2([[3, 2], [1, 1]])  # entries reduced mod 2
+    assert b != BilinearFormF2([[1, 1], [0, 1]]) and b != BilinearFormF2([[1, 0, 0], [1, 1, 0], [0, 0, 0]])
+    assert b != b.to_json()
 
 
 def test_form_basics():
@@ -84,7 +98,7 @@ def test_twisted_sequence_literals():
         twisted_sequence(b, 0)
     # all generators of form_ring carry p-degree 1 and no weight
     ring = form_ring(2)
-    assert bidegree_of(seq[0]).q == 0
+    assert seq[0].bidegree().q == 0
 
 
 def test_quillen_twisted_sequences_are_regular():
@@ -278,7 +292,7 @@ def test_beta_preserves_p_degree():
         for name in src.names:
             img = f(src.gen(name))
             if img:
-                assert bidegree_of(img).p == bidegree_of(src.gen(name)).p
+                assert img.bidegree().p == src.gen(name).bidegree().p
 
 
 def test_pair_ring_shape():
@@ -286,7 +300,7 @@ def test_pair_ring_shape():
     assert r.names == ("x1", "x2", "y1", "y2")
     r5 = pair_ring(2, True)
     assert r5.names == ("x1", "x2", "x3", "y1", "y2")
-    assert bidegree_of(r5.gen("y1")).p == 2
+    assert r5.gen("y1").bidegree().p == 2
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from subtlesw import _reduction, grobner
-from subtlesw.poly import INHOMOGENEOUS, Bidegree, Poly, RingError, bso_ring, parse_poly, ring_new
+from subtlesw.poly import INHOMOGENEOUS, Bidegree, Poly, Ring, RingError, bso_ring, parse_poly
 from subtlesw.grobner import (
     Budget,
     BudgetExceeded,
@@ -111,7 +111,7 @@ def test_reduced_basis_is_canonical():
             assert groebner_basis(ring, gens + [gens[0] * gens[-1]]) == gb
     # reduced: no term of any element divisible by another leading term
     gb = groebner_basis(ring, [parse_poly(ring, "u2*u3+u4"), parse_poly(ring, "u2^2")])
-    lts = gb.lead_exponents()
+    lts = [p.lead_monomial() for p in gb]
     for g in gb:
         for m in g.terms:
             others = [lt for lt in lts if lt != g.lead_monomial()]
@@ -139,7 +139,7 @@ def test_s_polynomials_reduce_to_zero():
 
 
 def test_hilbert_series_free_algebra():
-    ring = ring_new([("u2", Bidegree(2, 1)), ("u3", Bidegree(3, 1))])
+    ring = Ring([("u2", Bidegree(2, 1)), ("u3", Bidegree(3, 1))])
     hs = hilbert_series(groebner_basis(ring, []))
     assert hs.to_json() == {"numerator": [[1, 0, 0]], "denominator": [[2, 1], [3, 1]]}
     exp = hs.expand(10)
@@ -148,7 +148,7 @@ def test_hilbert_series_free_algebra():
 
 
 def test_hilbert_series_principal_ideal():
-    ring = ring_new([("u2", Bidegree(2, 1)), ("u3", Bidegree(3, 1))])
+    ring = Ring([("u2", Bidegree(2, 1)), ("u3", Bidegree(3, 1))])
     hs = hilbert_series(groebner_basis(ring, [ring.gen("u2") * ring.gen("u3")]))
     assert hs.to_json()["numerator"] == [[1, 0, 0], [-1, 5, 2]]
     free = hilbert_series(groebner_basis(ring, []))
@@ -164,13 +164,13 @@ def test_hilbert_series_complete_intersection_cross_checked():
     want = free.times_factor(2, 1).times_factor(3, 1).times_factor(5, 2)
     assert hs == want
     # degreewise dimension count agrees with standard monomial enumeration
-    lts = gb.lead_exponents()
+    lts = [p.lead_monomial() for p in gb]
     for (p, q), dim in hs.expand(20).items():
         assert dim == count_standard_monomials(ring, lts, p, q)
 
 
 def _oracle_rings():
-    xy = ring_new([("x1", (1, 0)), ("y1", (0, 1)), ("x2", (2, 1)), ("y2", (1, 3))])
+    xy = Ring([("x1", (1, 0)), ("y1", (0, 1)), ("x2", (2, 1)), ("y2", (1, 3))])
     return [bso_ring(n) for n in range(3, 9)] + [xy]
 
 
@@ -203,7 +203,7 @@ def _oracle_ideals(seed):
 def test_hilbert_series_of_monomial_ideals_counts_standard_monomials():
     seen = {"power": 0, "t": 0, "mixed": 0, "unit": 0}
     for ring, gb in _oracle_ideals(91):
-        lts = gb.lead_exponents()
+        lts = [p.lead_monomial() for p in gb]
         for m in lts:
             support = [i for i, e in enumerate(m) if e]
             seen["unit"] += not support
@@ -220,13 +220,13 @@ def test_hilbert_series_of_monomial_ideals_counts_standard_monomials():
 def test_krull_dimension_matches_the_subset_oracle():
     rng = random.Random(92)
     for ring, gb in _oracle_ideals(93):
-        assert krull_dimension(gb) == krull_dimension_by_subsets(ring, gb.lead_exponents())
+        assert krull_dimension(gb) == krull_dimension_by_subsets(ring, [p.lead_monomial() for p in gb])
     # leading terms of polynomial ideals, which are not monomial
     for ring in _oracle_rings()[:4]:
         for _ in range(10):
             gens = [random_bihomogeneous(ring, rng, max_factors=3) for _ in range(3)]
             gb = groebner_basis(ring, gens)
-            assert krull_dimension(gb) == krull_dimension_by_subsets(ring, gb.lead_exponents())
+            assert krull_dimension(gb) == krull_dimension_by_subsets(ring, [p.lead_monomial() for p in gb])
 
 
 def _random_leads(ring, rng, seen):
@@ -349,14 +349,14 @@ def test_basis_variables_drop_out_with_the_kernel_remainder_and_units():
 
 
 def test_hilbert_expansion_json_shape():
-    ring = ring_new([("u2", Bidegree(2, 1))])
+    ring = Ring([("u2", Bidegree(2, 1))])
     hs = hilbert_series(groebner_basis(ring, []))
     rows = PoincareReport(hs, hs.expand(6)).to_json()["expansion"]
     assert rows == [[1, 0, 0], [1, 2, 1], [1, 4, 2]]
 
 
 def test_hilbert_series_equality_cancels_common_factors():
-    ring = ring_new([("u2", Bidegree(2, 1)), ("u3", Bidegree(3, 1))])
+    ring = Ring([("u2", Bidegree(2, 1)), ("u3", Bidegree(3, 1))])
     a = HilbertSeries({(0, 0): 1}, [(2, 1)])
     b = HilbertSeries({(0, 0): 1, (3, 1): -1}, [(2, 1), (3, 1)])
     assert a == b  # (1-T^3S) cancels
@@ -372,9 +372,9 @@ def test_hilbert_series_rejects_inhomogeneous():
 
 
 def test_krull_dimension_examples():
-    ring = ring_new([("x1", Bidegree(1, 0)), ("y1", Bidegree(1, 0))])
+    ring = Ring([("x1", Bidegree(1, 0)), ("y1", Bidegree(1, 0))])
     assert krull_dimension(groebner_basis(ring, [ring.gen("x1") * ring.gen("y1")])) == 1
-    four = ring_new(
+    four = Ring(
         [("x1", (1, 0)), ("y1", (1, 0)), ("x2", (1, 0)), ("y2", (1, 0))]
     )
     assert krull_dimension(groebner_basis(four, [])) == 4

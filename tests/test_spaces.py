@@ -5,20 +5,19 @@ import pytest
 
 from subtlesw import _reduction, spaces
 from subtlesw.grobner import Budget, BudgetExceeded, GroebnerBasis, HilbertSeries, groebner_basis, hilbert_series, ideal_member, normal_form
-from subtlesw.poly import Bidegree, RingError, bso_ring, bso_top_ring, parse_poly, ring_new
+from subtlesw.poly import MAX_EXPONENT, Bidegree, ExponentOverflow, Ring, RingError, bso_ring, bso_top_ring, parse_poly
 from subtlesw.steenrod import bso_context, bso_top_context, theta
 from subtlesw.spaces import (
     FAMILIES,
     chern_square_ideal,
     g2_gysin_check,
     h_map,
-    htable,
+    h_row,
     i_map,
     j_lower_bound,
     k_computed,
     k_expected,
     k_row,
-    ktable,
     poincare,
     present,
     t_map,
@@ -117,7 +116,7 @@ def test_present_bspin3():
     assert sorted(str(g) for g in p.relations) == ["u2", "u3"]
     assert p.k == 2
     # quotient is the free algebra H[v4]
-    free = ring_new([("t", (0, 1)), ("v4", (4, 2))])
+    free = Ring([("t", (0, 1)), ("v4", (4, 2))])
     assert hilbert_series(p.relations) == hilbert_series(groebner_basis(free, []))
 
 
@@ -191,7 +190,7 @@ def test_bspin_series_match_stated_free_algebras():
     }
     for n, gens in stated.items():
         p = present("BSpin", n)
-        free = ring_new(gens)
+        free = Ring(gens)
         assert hilbert_series(p.relations) == hilbert_series(groebner_basis(free, []))
 
 
@@ -285,6 +284,19 @@ def test_t_then_h_roundtrip_random():
         assert t_map(h_map(x)) == x
 
 
+def test_h_map_rejects_a_tau_exponent_past_the_limit():
+    # the tau exponent is p // 2 - q: about 1.5 M for w3^M*w5^M*w7^M, and
+    # 2.5 M for w3^M*...*w11^M, which would wrap the tau field into u11's
+    top = bso_top_ring(11)
+    m = MAX_EXPONENT
+    for indices in ((3, 5, 7), range(3, 12)):
+        with pytest.raises(ExponentOverflow):
+            h_map(top.monomial({f"w{i}": m for i in indices}))
+    x = top.monomial({"w3": m})  # tau exponent M // 2
+    assert h_map(x) == bso_ring(11).monomial({"t": m // 2, "u3": m})
+    assert t_map(h_map(x)) == x
+
+
 def test_h_product_rule():
     rng = random.Random(52)
     top = bso_top_ring(6)
@@ -372,19 +384,10 @@ def test_j_lower_bound():
 
 
 def test_tables():
-    kt = ktable(2, 7)
-    assert kt.all_ok
-    assert kt.to_json() == {
-        "rows": [
-            {"n": n, "expected": K_TABLE[n], "computed": K_TABLE[n], "ok": True}
-            for n in range(2, 8)
-        ]
-    }
-    ht = htable(2, 50)
-    assert ht.all_ok
-    assert len(ht.rows) == 49
-    row = k_row(5)
-    assert row == {"n": 5, "expected": 3, "computed": 3, "ok": True}
+    assert [k_row(n) for n in range(2, 8)] == [
+        {"n": n, "expected": K_TABLE[n], "computed": K_TABLE[n], "ok": True} for n in range(2, 8)
+    ]
+    assert all(h_row(n)["ok"] for n in range(2, 51))
 
 
 def test_k_computed_reduces_theta_k_once(monkeypatch):
@@ -451,11 +454,12 @@ def test_theta_k_membership_across_n():
         (lambda: verify_theta(1), ValueError),
         (lambda: torsor_relations(2), ValueError),
         (lambda: t_map(bso_top_ring(3).gen("w2")), RingError),
-        (lambda: t_map(ring_new([("t", (0, 1)), ("u2", (2, 1)), ("u4", (4, 2))]).gen("u2")), RingError),
-        (lambda: t_map(ring_new([("u2", (2, 1)), ("u3", (3, 1))]).gen("u2")), RingError),
+        (lambda: t_map(Ring([("t", (0, 1)), ("u2", (2, 1)), ("u4", (4, 2))]).gen("u2")), RingError),
+        (lambda: t_map(Ring([("u2", (2, 1)), ("u3", (3, 1))]).gen("u2")), RingError),
+        (lambda: t_map(Ring([("t", (0, 1)), ("u2", (2, 1)), ("v4", (4, 2))]).gen("u2")), RingError),
         (lambda: i_map(bso_ring(3).gen("u2")), RingError),
     ],
-    ids=["k-n", "verify-n", "torsor-n", "t-map-class", "t-map-range", "t-map-no-tau", "i-map-class"],
+    ids=["k-n", "verify-n", "torsor-n", "t-map-class", "t-map-range", "t-map-no-tau", "t-map-extra", "i-map-class"],
 )
 def test_input_checks(call, error):
     with pytest.raises(ValueError) as info:
