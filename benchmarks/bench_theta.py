@@ -8,21 +8,30 @@ one line per n, with the terms the ``theta`` cache holds after the thetas
 budget units (pairs plus reduction steps) that k_computed spent, its
 kernel calls (counted by ``bench_kernel.kernel_calls``), and the
 pairs it skipped because they lie below the lowest degree where the Hilbert
-numerator of the leading terms still misses the expected one.  A last row
-times theta_0..theta_8 at n = 17, the theta layer at the wall; k(17) itself
-is out of reach, so that row certifies nothing.  Every row also gives the
-time of ``Poly.bidegree()`` on its largest theta (best of BIDEGREE_REPEAT),
-the homogeneity check that every append of the regular-sequence checker
-pays.  Run with
+numerator of the leading terms still misses the expected one.  A further
+row times theta_0..theta_8 at n = 17, the theta layer at the wall; k(17)
+itself is out of reach, so that row certifies nothing.  Each of these rows
+also gives the time of ``Poly.bidegree()`` on its largest theta (best of
+BIDEGREE_REPEAT), the homogeneity check that every append of the
+regular-sequence checker pays.
+
+The last row is the wall itself.  At n = 17 it appends theta_0..theta_6 and
+tests theta_7 for membership (it is not a member), then runs the theta_7
+append under WALL_UNITS budget units past that prefix, which end in
+``BudgetExceeded``.  It prints the seconds until then, units per second,
+the kernel calls of the append and the peak RSS of the process
+(``ru_maxrss``).  Run with
 
     PYTHONPATH=src python3 benchmarks/bench_theta.py
 """
 
+import resource
 import time
 
 from bench_kernel import kernel_calls
 from subtlesw import steenrod
-from subtlesw.grobner import Budget
+from subtlesw.grobner import Budget, BudgetExceeded, RegularSequenceChecker, ideal_member
+from subtlesw.poly import bso_ring
 from subtlesw.spaces import k_computed
 from subtlesw.steenrod import bso_context, theta
 
@@ -30,6 +39,7 @@ NS = range(13, 17)
 J = 7  # k(n) for every n in NS
 WALL_N, WALL_J = 17, 8
 BIDEGREE_REPEAT = 5
+WALL_UNITS = 150_000  # budget of the theta_7 append at n = WALL_N
 
 
 def clear_caches():
@@ -55,6 +65,27 @@ def time_thetas(n, last):
     return seconds, terms[-1], sum(terms), check
 
 
+def wall_append():
+    """Seconds of the theta_7 append at n = WALL_N until it spends WALL_UNITS
+    past the prefix, with the thetas built and the prefix certified."""
+    ctx = bso_context(WALL_N)
+    budget = Budget()
+    checker = RegularSequenceChecker(bso_ring(WALL_N), budget)
+    for j in range(WALL_J - 1):
+        if not checker.append(theta(ctx, j)):
+            raise ArithmeticError(f"theta_{j} is a zero divisor at n={WALL_N}")
+    last = theta(ctx, WALL_J - 1)
+    if ideal_member(last, checker.basis, budget):
+        raise ArithmeticError(f"theta_{WALL_J - 1} lies in the ideal at n={WALL_N}")
+    budget.limit = budget.used + WALL_UNITS
+    t0 = time.perf_counter()
+    try:
+        checker.append(last)
+    except BudgetExceeded:
+        return time.perf_counter() - t0
+    raise ArithmeticError(f"the theta_{WALL_J - 1} append finished inside the budget")
+
+
 def main():
     for n in NS:
         seconds, terms, cached, check = time_thetas(n, J)
@@ -72,6 +103,12 @@ def main():
     print(
         f"n={WALL_N:<3} theta_0..{WALL_J} {seconds:8.3f}s ({terms} terms, {cached} cached)"
         f"   bidegree {check * 1e3:6.2f}ms"
+    )
+    seconds, calls = kernel_calls(wall_append)
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(
+        f"n={WALL_N:<3} theta_{WALL_J - 1} append {seconds:8.3f}s to {WALL_UNITS} units"
+        f" ({WALL_UNITS / seconds:.0f} units/s, {calls} kernel calls, {rss:.0f} MiB peak RSS)"
     )
 
 

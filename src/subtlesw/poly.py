@@ -21,12 +21,17 @@ import re
 from operator import and_, mul
 from typing import Iterable, NamedTuple
 
-MAX_EXPONENT = 2**32 - 1
+#: The largest exponent of one generator in a monomial.  Exponents stay
+#: below 2**9 in every computation here, k(17) included, and every operation
+#: on a packed key (add, compare, hash, guard test) costs in proportion to
+#: its width, so the limit is kept small; past it ``ExponentOverflow`` is
+#: raised, never a wrapped result.
+MAX_EXPONENT = 2**15 - 1
 
 #: Width of one exponent field of a packed key, and its largest value.  A
 #: field holds any sum of two exponents up to MAX_EXPONENT, so a product of
 #: two in-range monomials never wraps.
-FIELD_BITS = 33
+FIELD_BITS = 16
 FIELD_MAX = 2**FIELD_BITS - 1
 _FIELD_WIDTH = FIELD_BITS + 1  # the field and its guard bit
 

@@ -22,6 +22,7 @@ from operator import and_
 
 from .poly import (
     INHOMOGENEOUS,
+    MAX_EXPONENT,
     ZERO_DEGREE,
     Bidegree,
     ExponentOverflow,
@@ -251,8 +252,9 @@ def _below_top(ctx, key, p, q, plain, twisted):
     tau^((d - 2 q_z) // 2) * z^2, where d - 2 q_z counts the odd-index
     factors of z; here that count is o - [m odd], with o = p - 2(q - a) the
     count for y.  So each part is the keys of Sq^{m-1}(u_m) shifted by one
-    constant, and no two parts share a key.  Every key is checked against
-    ``limit_mask`` before anything cancels, as in a product.
+    constant, and no two parts share a key.  The tau exponent of each part
+    is checked against ``MAX_EXPONENT`` before its shift, and every key
+    against ``limit_mask`` before anything cancels, as in a product.
     """
     ring = ctx.ring
     one = ring.unit_key
@@ -268,14 +270,17 @@ def _below_top(ctx, key, p, q, plain, twisted):
         left = _sq_gen(ctx, m - 1, m).keys
         if not left:
             continue
-        shift = 2 * (key - ring.steps[pos] - one) + (a + (o - (m & 1)) // 2) * tau_step
-        part = [g + shift for g in left]
-        seen = functools.reduce(and_, part, seen)
         # the Cartan indices m - 1 and p - m are both odd
         both_odd = ctx.motivic and not m & 1 and p & 1
-        if both_odd:
-            # the one tau that _join adds; the tau field is the same on every key
-            seen &= part[0] + tau_step
+        # the tau exponent of every key of the part, with the one tau that
+        # _join adds; it is checked before the shift, which would carry out
+        # of the tau field, where limit_mask cannot see it
+        c = a + (o - (m & 1)) // 2
+        if ctx.motivic and c + both_odd > MAX_EXPONENT:
+            raise ExponentOverflow
+        shift = 2 * (key - ring.steps[pos] - one) + c * tau_step
+        part = [g + shift for g in left]
+        seen = functools.reduce(and_, part, seen)
         (twisted if both_odd else plain).symmetric_difference_update(part)
     if seen != ring.limit_mask:
         raise ExponentOverflow

@@ -147,6 +147,9 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, ["sq", "--flavor", "bso", "--n", "5", "--k", "-1", "u2"])
     assert code == 2
+    # one past MAX_EXPONENT
+    code, out, err = run(capsys, ["sq", "--flavor", "bso", "--n", "5", "--k", "1", "u2^32768"])
+    assert code == 2 and out == "" and err == "usage error: monomial exponent exceeds 15 bits\n"
     code, _, err = run(capsys, ["verify", "--n", "5", "--k", "-1"])
     assert code == 2 and "usage error" in err
     code, _, _ = run(capsys, ["nonsense"])

@@ -3,6 +3,8 @@ from operator import add, le
 
 import pytest
 
+from subtlesw import _reduction
+from subtlesw._reduction import DivisorTable
 from subtlesw.poly import (
     FIELD_BITS,
     FIELD_MAX,
@@ -21,6 +23,8 @@ from subtlesw.poly import (
     bso_top_ring,
     parse_poly,
 )
+from subtlesw.spaces import h_map
+from subtlesw.steenrod import bso_context, sq
 
 from oracles import (
     add_terms,
@@ -156,24 +160,74 @@ def test_parse_accepts_every_legal_spelling():
 
 def test_parse_exponent_overflow():
     ring = bso_ring(3)
+    m = MAX_EXPONENT
+    half = (m + 1) // 2
     with pytest.raises(ExponentOverflow):
-        parse_poly(ring, f"u2^{2**32}")
+        parse_poly(ring, f"u2^{m + 1}")
     with pytest.raises(ExponentOverflow):
-        parse_poly(ring, f"0*u2^{2**31}*u2^{2**31}")  # even in a dead term
+        parse_poly(ring, f"0*u2^{half}*u2^{half}")  # even in a dead term
     with pytest.raises(ExponentOverflow):
-        ring.gen("u2") ** (2**32)
-    # 2^32 - 1 is the largest legal exponent
-    assert parse_poly(ring, f"u2^{2**32 - 1}")
+        ring.gen("u2") ** (m + 1)
+    # MAX_EXPONENT is the largest legal exponent
+    assert parse_poly(ring, f"u2^{m}")
 
 
 def test_product_overflow_is_per_position():
     ring = bso_ring(3)
-    big = 2**31
+    big = (MAX_EXPONENT + 1) // 2
     with pytest.raises(ExponentOverflow):
         parse_poly(ring, f"u3+u2^{big}") * parse_poly(ring, f"t+u2^{big}")
     # each factor's largest exponent sits at another generator: no overflow
     prod = parse_poly(ring, f"u3^{big}+u2") * parse_poly(ring, f"u2^{big}+u3")
     assert str(prod) == f"u2^{big}*u3^{big}+u3^{big + 1}+u2^{big + 1}+u2*u3"
+
+
+_R5 = bso_ring(5)
+_TOP7 = bso_top_ring(7)
+
+
+def _kernel_to(e):
+    # u2*t^(e-1) reduced by u2 -> t: one step to t^e
+    g = (_R5.sort_key((0, 1, 0, 0, 0)), _R5.sort_key((1, 0, 0, 0, 0)))
+    term = _R5.sort_key((e - 1, 1, 0, 0, 0))
+    keys, _ = _reduction.normal_form_terms((term,), [g], DivisorTable(_R5, [g[0]]), 10)
+    return _R5.poly_of_keys(keys)
+
+
+#: Each entry point as a builder of a polynomial whose largest exponent is
+#: e, and how far below e that exponent falls: a square's exponents are
+#: even, so it reaches MAX_EXPONENT - 1
+_ENTRY_POINTS = {
+    "parse_poly": (lambda e: parse_poly(_R5, f"u2^{e}"), 0),
+    "Ring.poly": (lambda e: _R5.poly([(0, e, 0, 0, 0)]), 0),
+    "pow": (lambda e: _R5.gen("u2") ** e, 0),
+    "product": (lambda e: _R5.monomial({"u2": e - 1}) * _R5.gen("u2"), 0),
+    "squared": (lambda e: _R5.monomial({"u2": e // 2}).squared(), 1),
+    "shifted": (lambda e: _R5.gen("u2").shifted((e - 1) * _R5.steps[_R5.index("u2")]), 0),
+    # the top square: Sq^6(u3^2) = t*u3^4
+    "sq-top": (lambda e: sq(bso_context(5), 6, _R5.monomial({"t": e - 1, "u3": 2})), 0),
+    # the closed form below it: Sq^9(u3^2*u4) = t*u3^5*u4 + t*u2*u3^4*u5
+    "sq-below-top": (lambda e: sq(bso_context(5), 9, _R5.monomial({"t": e - 1, "u3": 2, "u4": 1})), 0),
+    "kernel": (_kernel_to, 0),
+    # the tau exponent of h(w3^M*w5^M*w7^j) is M + j // 2
+    "h_map": (lambda e: h_map(_TOP7.monomial({"w3": MAX_EXPONENT, "w5": MAX_EXPONENT, "w7": 2 * (e - MAX_EXPONENT)})), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_ENTRY_POINTS))
+def test_every_entry_point_accepts_the_limit_and_raises_past_it(name):
+    build, short = _ENTRY_POINTS[name]
+    x = build(MAX_EXPONENT)
+    assert max(max(m) for m in x.terms) == MAX_EXPONENT - short
+    with pytest.raises(ExponentOverflow):
+        build(MAX_EXPONENT + 1)
+
+
+def test_field_width_pins():
+    # a field holds the sum of two in-range exponents, so products never wrap
+    assert FIELD_MAX >= 2 * MAX_EXPONENT
+    assert MAX_EXPONENT == 2**15 - 1 and FIELD_BITS == 16
+    assert bso_ring(17).unit_key.bit_length() == 313
 
 
 def test_ring_poly_counts_monomials_mod_2():

@@ -340,6 +340,13 @@ def test_top_two_squares_match_termwise_fold_at_the_exponent_limit():
                     assert _outcome(sq, ctx, k, x) == want, (a, b, c, k)
                     raised += want is ExponentOverflow
     assert 0 < raised < 144
+    # with many odd classes the tau exponent of Sq^{p-1} passes the field:
+    # t^M*u3^h*u5^h*...*u11^h must raise, not wrap the tau field
+    ctx = bso_context(11)
+    x = ctx.ring.monomial({"t": MAX_EXPONENT, **{f"u{i}": h for i in (3, 5, 7, 9, 11)}})
+    p = x.bidegree().p
+    assert _outcome(sq_by_fold, ctx, p - 1, x) is ExponentOverflow
+    assert _outcome(sq, ctx, p - 1, x) is ExponentOverflow
 
 
 @pytest.mark.parametrize(
