@@ -419,8 +419,16 @@ class Poly:
         """This polynomial times the monomial with key ``unit_key + step``.
 
         Adding one constant keeps the order, so nothing is multiplied or
-        sorted.
+        sorted.  That key must be the key of a monomial with exponents up
+        to ``MAX_EXPONENT``, else ``ExponentOverflow`` is raised: a step
+        past a field would borrow out of it and wrap, with every guard and
+        limit bit of the sum looking in range.
         """
+        ring = self.ring
+        mono = ring.unit_key + step
+        limit = ring.limit_mask
+        if mono & limit != limit or ring.sort_key(ring.from_sort_key(mono)) != mono:
+            raise ExponentOverflow
         return self._moved(tuple(k + step for k in self.keys))
 
     def squared(self):

@@ -37,7 +37,7 @@ from .poly import (
     bso_ring,
     bso_top_ring,
 )
-from .steenrod import SteenrodContext, bso_context, bso_top_context, theta
+from .steenrod import SteenrodContext, _theta_without, bso_context, bso_top_context, theta
 
 FAMILIES = ("BO", "BSO", "BSpin", "BG2", "BO_top", "BSO_top", "BSpin_top")
 
@@ -52,13 +52,28 @@ def k_expected(n):
     return 4 * l + _K8[n - 8 * l]
 
 
+def _theta_mod(ctx, j, gb):
+    """theta_j less the terms that a variable leading the reduced basis
+    ``gb`` divides, built without them (see ``steenrod._theta_without``).
+
+    Those terms lie in the ideal of ``gb``, and its normal form drops them
+    unread (see ``GroebnerBasis._remainder``), so the result has theta_j's
+    normal form, and with ``gb`` it generates the ideal that theta_j does.
+    A term never built costs no time and no budget unit.
+    """
+    return _theta_without(ctx, j, gb._key_basis()[2])
+
+
 def k_computed(n, budget=None):
     """Recompute k(n): append theta_j while it is not in the ideal so far.
 
     The answer is the unique k with theta_0..theta_{k-1} regular and
     theta_k in the ideal they generate.  Each theta_j is tested for
     membership first and appended only when it lies outside the ideal, where
-    it must be certified regular; so theta_k is reduced to zero once.
+    it must be certified regular; so theta_k is reduced to zero once.  Both
+    take theta_j less the multiples of the variables that lead the basis
+    (see ``_theta_mod``), which give the same answers and the same bases,
+    so theta_k is never built in full.
     """
     if n < 2:
         raise ValueError("k(n) is defined for n >= 2")
@@ -67,13 +82,15 @@ def k_computed(n, budget=None):
     ctx = bso_context(n)
     checker = RegularSequenceChecker(ring, budget)
     j = 0
-    while not ideal_member(theta(ctx, j), checker.basis, budget):
-        if not checker.append(theta(ctx, j)):
+    while True:
+        x = _theta_mod(ctx, j, checker.basis)
+        if ideal_member(x, checker.basis, budget):
+            return j
+        if not checker.append(x):
             raise ArithmeticError(
                 f"theta_{j} ends the regular sequence but is not in the ideal (n={n})"
             )
         j += 1
-    return j
 
 
 def _theta_basis(ring, thetas, budget):
@@ -92,6 +109,7 @@ def verify_theta(n, k=None, budget=None):
     Checks that theta_0..theta_{k-1} is regular, that theta_k lies in the
     ideal it generates, and that tau followed by the first h(n) thetas is
     regular.  Returns a dict with the three booleans and the parameters.
+    theta_k is tested as ``k_computed`` tests it (see ``_theta_mod``).
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -102,13 +120,13 @@ def verify_theta(n, k=None, budget=None):
     budget = _resolve_budget(budget, f"n={n}")
     ring = bso_ring(n)
     ctx = bso_context(n)
-    thetas = [theta(ctx, j) for j in range(k + 1)]
 
-    basis, regular = _theta_basis(ring, thetas[:k], budget)
-    in_ideal = ideal_member(thetas[k], basis, budget)
+    basis, regular = _theta_basis(ring, [theta(ctx, j) for j in range(k)], budget)
+    in_ideal = ideal_member(_theta_mod(ctx, k, basis), basis, budget)
 
     h = formsf2.h_of(n)
-    tau_prefix = is_regular_sequence(ring, [ring.gen("t")] + thetas[:h], budget)[0]
+    prefix = [ring.gen("t")] + [theta(ctx, j) for j in range(h)]
+    tau_prefix = is_regular_sequence(ring, prefix, budget)[0]
 
     return {
         "n": n,

@@ -236,9 +236,18 @@ def _sq_mono(ctx, k, key):
     return _cartan_sum(ctx, parts)
 
 
-def _below_top(ctx, key, p, q, plain, twisted):
-    """Add Sq^{p-1} of the monomial ``key`` of bidegree (q)[p] to the key
-    sets ``plain`` and ``twisted`` (see :func:`_join`), in closed form.
+@functools.lru_cache(maxsize=None)
+def _top_left(ctx, m, drop):
+    """The keys of Sq^{m-1}(u_m) that no generator in ``drop`` divides."""
+    keys = _sq_gen(ctx, m - 1, m).keys
+    support = ctx.ring.support
+    return tuple(g for g in keys if not support(g) & drop)
+
+
+def _below_top(ctx, key, p, q, drop, plain, twisted):
+    """Add Sq^{p-1} of the monomial ``key`` of bidegree (q)[p], less the
+    terms that a generator in ``drop`` divides, to the key sets ``plain``
+    and ``twisted`` (see :func:`_join`), in closed form.
 
     Write the monomial as tau^a * y.  By the Cartan rule and instability,
     Sq^{p-1} leaves exactly one factor u_m of y below its top square.  The
@@ -252,9 +261,13 @@ def _below_top(ctx, key, p, q, plain, twisted):
     tau^((d - 2 q_z) // 2) * z^2, where d - 2 q_z counts the odd-index
     factors of z; here that count is o - [m odd], with o = p - 2(q - a) the
     count for y.  So each part is the keys of Sq^{m-1}(u_m) shifted by one
-    constant, and no two parts share a key.  The tau exponent of each part
-    is checked against ``MAX_EXPONENT`` before its shift, and every key
-    against ``limit_mask`` before anything cancels, as in a product.
+    constant, (y/u_m)^2 times a power of tau, and no two parts share a key.
+    A generator in ``drop`` that divides y/u_m, or t when that power is
+    positive, divides every term of the part, which is skipped whole; of
+    the others only the keys of Sq^{m-1}(u_m) that miss ``drop`` are built.
+    The tau exponent of each part built is checked against ``MAX_EXPONENT``
+    before its shift, and every key against ``limit_mask`` before anything
+    cancels, as in a product.
     """
     ring = ctx.ring
     one = ring.unit_key
@@ -263,11 +276,15 @@ def _below_top(ctx, key, p, q, plain, twisted):
         tau_step = ring.steps[ring.tau_index]
         a = ring.exponent(key, ring.tau_index)
         key -= a * tau_step
+    drop_tau = drop and ring.support(one + tau_step) & drop
     o = p - 2 * (q - a)
     seen = ring.limit_mask
     for pos in ring.odd_positions(key):
+        rest = key - ring.steps[pos]
+        if drop and ring.support(rest) & drop:
+            continue
         m = ring.bidegrees[pos].p
-        left = _sq_gen(ctx, m - 1, m).keys
+        left = _top_left(ctx, m, drop)
         if not left:
             continue
         # the Cartan indices m - 1 and p - m are both odd
@@ -276,9 +293,11 @@ def _below_top(ctx, key, p, q, plain, twisted):
         # _join adds; it is checked before the shift, which would carry out
         # of the tau field, where limit_mask cannot see it
         c = a + (o - (m & 1)) // 2
+        if drop_tau and c + both_odd:
+            continue
         if ctx.motivic and c + both_odd > MAX_EXPONENT:
             raise ExponentOverflow
-        shift = 2 * (key - ring.steps[pos] - one) + c * tau_step
+        shift = 2 * (rest - one) + c * tau_step
         part = [g + shift for g in left]
         seen = functools.reduce(and_, part, seen)
         (twisted if both_odd else plain).symmetric_difference_update(part)
@@ -294,17 +313,29 @@ def sq(ctx, k, x):
     A term of degree k + 1 >= 2 takes the closed form of :func:`_below_top`;
     every other term takes the memoized recursion of :func:`_sq_mono`.
     """
+    return _sq(ctx, k, x, 0)
+
+
+def _sq(ctx, k, x, drop):
+    """Sq^k applied to x less the terms that a generator in ``drop``, a mask
+    of guard bits, divides.  Sq is F2-linear, so that is the sum over the
+    terms of x of their images less those terms; :func:`_below_top` never
+    builds them, and the images of :func:`_sq_mono` are filtered."""
     if k < 0:
         raise ValueError("Sq index must be nonnegative")
     ctx._check_argument(x)
     ring = ctx.ring
+    support = ring.support
     plain, twisted = set(), set()
     for key in x.keys:
         p, q = ring.key_bidegree(key)
         if k and p == k + 1:
-            _below_top(ctx, key, p, q, plain, twisted)
+            _below_top(ctx, key, p, q, drop, plain, twisted)
         else:
-            plain.symmetric_difference_update(_sq_mono(ctx, k, key).keys)
+            keys = _sq_mono(ctx, k, key).keys
+            if drop:
+                keys = [g for g in keys if not support(g) & drop]
+            plain.symmetric_difference_update(keys)
     return _join(ctx, plain, twisted)
 
 
@@ -334,6 +365,16 @@ def theta(ctx, j):
     if j == 0:
         return ctx.class_poly(2)
     return sq(ctx, 1 << (j - 1), theta(ctx, j - 1))
+
+
+def _theta_without(ctx, j, drop):
+    """theta_j less the terms that a generator in ``drop``, a mask of guard
+    bits, divides.  It is built from the cached theta_{j-1} without those
+    terms; theta_j itself is neither built nor cached."""
+    if j == 0:
+        x = theta(ctx, 0)
+        return x if not ctx.ring.support(x.keys[0]) & drop else ctx.ring.zero
+    return _sq(ctx, 1 << (j - 1), theta(ctx, j - 1), drop)
 
 
 class ThomModuleElement:

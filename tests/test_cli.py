@@ -105,10 +105,10 @@ def test_verify_failure_exit_code(capsys):
 
 
 def test_budget_exceeded_exit_code(capsys):
-    code, _, err = run(capsys, ["ktable", "--from", "9", "--to", "9", "--budget", "10"])
+    code, _, err = run(capsys, ["ktable", "--from", "11", "--to", "11", "--budget", "10"])
     assert code == 3
     assert "budget exceeded" in err
-    assert "n=9" in err
+    assert "n=11" in err
 
 
 def test_env_budget(capsys, monkeypatch):

@@ -524,6 +524,23 @@ def test_product_overflow_counts_terms_that_cancel():
     assert ring.gen("u2").shifted((m - 1) * u2) == ring.poly([(0, m, 0)])
 
 
+def test_shifted_raises_on_a_step_past_the_field():
+    # a step of 70,000 borrows out of the u2 field and one of 2^17 = 131,072
+    # moves one whole unit into the u3 field; neither may wrap to u2^4465*u3
+    # or u2*u3
+    ring = bso_ring(3)
+    u2, u3 = (ring.steps[ring.index(g)] for g in ("u2", "u3"))
+    for e in (40_000, 70_000, 131_072, 2 * FIELD_MAX + 2):
+        with pytest.raises(ExponentOverflow):
+            ring.gen("u2").shifted(e * u2)
+        with pytest.raises(ExponentOverflow):
+            ring.zero.shifted(e * u2)
+    x = parse_poly(ring, "u2+t*u3")
+    assert x.shifted(0) == x
+    assert x.shifted(3 * u2 + u3) == parse_poly(ring, "u2^4*u3+t*u2^3*u3^2")
+    assert ring.one.shifted(MAX_EXPONENT * u3) == ring.monomial({"u3": MAX_EXPONENT})
+
+
 def test_squares_parities_and_exponents_read_off_the_keys():
     rng = random.Random(33)
     checked = raised = 0

@@ -3,8 +3,19 @@ from operator import ge
 
 import pytest
 
-from subtlesw import _reduction, spaces
-from subtlesw.grobner import Budget, BudgetExceeded, GroebnerBasis, HilbertSeries, groebner_basis, hilbert_series, ideal_member, normal_form
+from subtlesw import _reduction, spaces, steenrod
+from subtlesw.grobner import (
+    Budget,
+    BudgetExceeded,
+    GroebnerBasis,
+    HilbertSeries,
+    RegularSequenceChecker,
+    groebner_basis,
+    hilbert_series,
+    ideal_member,
+    is_regular_sequence,
+    normal_form,
+)
 from subtlesw.poly import MAX_EXPONENT, Bidegree, ExponentOverflow, Ring, RingError, bso_ring, bso_top_ring, parse_poly
 from subtlesw.steenrod import bso_context, bso_top_context, theta
 from subtlesw.spaces import (
@@ -72,11 +83,27 @@ def test_verify_theta_reports():
         verify_theta(5, -1)
 
 
+def test_verify_theta_certifies_the_tau_prefix_with_h_thetas(monkeypatch):
+    # tau and theta_0..theta_{h-1}, whatever k is: h(9) = 4 and h(13) = 6
+    lengths = []
+
+    def recording(ring, seq, budget=None):
+        lengths.append(len(seq))
+        return is_regular_sequence(ring, seq, budget)
+
+    monkeypatch.setattr(spaces, "is_regular_sequence", recording)
+    for n, k, want in ((9, 1, 5), (13, 2, 7), (9, None, 5)):
+        lengths.clear()
+        rep = verify_theta(n, k)
+        assert lengths == [want] and rep["h"] == want - 1
+        assert rep["tau_prefix_regular"]
+
+
 def test_budget_messages_name_n_unless_the_caller_owns_the_budget():
-    for run in (lambda b: k_computed(9, b), lambda b: verify_theta(9, budget=b)):
+    for run in (lambda b: k_computed(11, b), lambda b: verify_theta(11, budget=b)):
         with pytest.raises(BudgetExceeded) as info:
             run(10)
-        assert str(info.value) == "budget exceeded after 11 of 10 reduction steps (n=9)"
+        assert str(info.value) == "budget exceeded after 11 of 10 reduction steps (n=11)"
         with pytest.raises(BudgetExceeded) as info:
             run(Budget(10))
         assert str(info.value) == "budget exceeded after 11 of 10 reduction steps"
@@ -391,12 +418,17 @@ def test_tables():
 
 
 def test_k_computed_reduces_theta_k_once(monkeypatch):
-    # theta_7 at n = 13 reaches GroebnerBasis._remainder once, which makes
-    # one kernel call and finds the remainder zero.  The kernel gets the 364
-    # terms that none of the basis variables u2, u3, u5, u9 divides.
+    # theta_7 at n = 13 has 8,271 terms, and u2, u3, u5 or u9, the variables
+    # that lead the basis, divide all but 364.  k_computed builds only
+    # those 364, which reach GroebnerBasis._remainder once; it makes one
+    # kernel call on them and finds the remainder zero.
     ctx = bso_context(13)
     theta7 = theta(ctx, 7)
     assert len(theta7.terms) == 8271
+    ring = ctx.ring
+    drop = sum(ring.support(ring.gen(g).keys[0]) for g in ("u2", "u3", "u5", "u9"))
+    kept = tuple(k for k in theta7.keys if not ring.support(k) & drop)
+    assert len(kept) == 364
     remainder, kernel = GroebnerBasis._remainder, _reduction.normal_form_terms
     inside = []  # kernel inputs of each open _remainder call
     results = []
@@ -405,7 +437,7 @@ def test_k_computed_reduces_theta_k_once(monkeypatch):
         inside.append([])
         nf = remainder(self, x, budget)
         sizes = inside.pop()
-        if x.keys == theta7.keys:
+        if x.keys == kept:
             results.append((sizes, nf))
         return nf
 
@@ -418,6 +450,38 @@ def test_k_computed_reduces_theta_k_once(monkeypatch):
     monkeypatch.setattr(_reduction, "normal_form_terms", record_kernel)
     assert k_computed(13, Budget()) == 7
     assert results == [([364], ())]
+
+
+def test_k_computed_never_builds_theta_k():
+    # theta_7 is built only less the multiples of the basis variables, and
+    # the theta cache ends with theta_0..theta_6 of bso_context(13)
+    steenrod.theta.cache_clear()
+    assert k_computed(13) == 7
+    assert steenrod.theta.cache_info().currsize == 7
+
+
+def test_k_computed_bases_match_the_full_theta_appends(monkeypatch):
+    # every basis k_computed builds from theta_j less the basis-variable
+    # multiples is the basis that appending theta_j itself builds
+    append = RegularSequenceChecker.append
+    bases = []
+
+    def recording(self, f):
+        ok = append(self, f)
+        bases.append(tuple(p.keys for p in self.basis))
+        return ok
+
+    for n in range(2, 17):
+        bases.clear()
+        with monkeypatch.context() as m:
+            m.setattr(RegularSequenceChecker, "append", recording)
+            k = k_computed(n)
+        assert k == k_expected(n) == len(bases)
+        ctx = bso_context(n)
+        chk = RegularSequenceChecker(ctx.ring)
+        for j in range(k):
+            assert chk.append(theta(ctx, j))
+            assert tuple(p.keys for p in chk.basis) == bases[j], (n, j)
 
 
 def test_k_computed_hands_the_kernel_no_empty_input(monkeypatch):

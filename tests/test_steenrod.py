@@ -316,6 +316,49 @@ def test_theta_steps_leave_the_monomial_memo_empty():
     assert steenrod._sq_mono.cache_info().currsize == 0
 
 
+def _guard_bits(ring, names):
+    """The drop mask of the generators of ``names`` that ``ring`` has."""
+    return sum(ring.support(ring.gen(g).keys[0]) for g in names if ring.has(g))
+
+
+def _without(x, drop):
+    support = x.ring.support
+    return x.ring.poly_of_keys(k for k in x.keys if not support(k) & drop)
+
+
+_DROPS = [("u2",), ("u2", "u3"), ("u2", "u3", "u5", "u9"), ("t",), ("t", "u3")]
+
+
+@pytest.mark.parametrize("top", [False, True], ids=["bso", "bso_top"])
+def test_restricted_sq_is_the_filtered_full_sq(top):
+    # theta_j less the multiples of the dropped generators, built directly,
+    # is theta_j with those terms filtered out; in the topological flavor
+    # the u-names stand for w-classes and t is absent
+    for n in range(3, 15):
+        ctx = bso_top_context(n) if top else bso_context(n)
+        ring = ctx.ring
+        for names in _DROPS:
+            drop = _guard_bits(ring, [ctx.letter + g[1:] if g != "t" else g for g in names])
+            for j in range(0, 8):
+                got = steenrod._theta_without(ctx, j, drop)
+                assert got == _without(theta(ctx, j), drop), (n, names, j)
+
+
+def test_restricted_sq_is_the_filtered_full_sq_off_the_theta_steps():
+    # terms with tau and of every degree, so _sq_mono's images are filtered
+    # and _below_top sees parts with a positive tau exponent
+    ctx = bso_context(7)
+    ring = ctx.ring
+    rng = random.Random(24)
+    for _ in range(40):
+        x = random_bihomogeneous(ring, rng, 4, 6) + random_bihomogeneous(ring, rng, 4, 6)
+        k = rng.randint(0, 12)
+        full = sq(ctx, k, x)
+        for names in _DROPS:
+            drop = _guard_bits(ring, names)
+            assert steenrod._sq(ctx, k, x, drop) == _without(full, drop), (x, k, names)
+
+
 def _outcome(f, *args):
     try:
         return f(*args)
