@@ -4,9 +4,11 @@ Times computing the ideal's reduced Groebner basis (the Buchberger driver's
 pair handling dominates), a batch of deep normal forms against that basis
 (kernel-bound), and the Hilbert series and Krull dimension of the quotient
 (the monomial-ideal recursions on the basis's leading keys), best of
-REPEAT runs, the kernel calls of one basis computation (counted by wrapping
+REPEAT runs.  For the basis and the batch it also prints the kernel calls,
+the reduction steps and the kernel's rate in steps per second of its own
+time, best of the same runs (counted and timed by wrapping
 ``_reduction.normal_form_terms``, which the Groebner layer looks up on every
-call), and the reduction steps of the batch.  Run with
+call), so a kernel change shows as a rate and not only in seconds.  Run with
 
     PYTHONPATH=src python3 benchmarks/bench_kernel.py
 """
@@ -15,7 +17,7 @@ import random
 import time
 
 from subtlesw import _reduction
-from subtlesw.grobner import Budget, groebner_basis, hilbert_series, krull_dimension, normal_form
+from subtlesw.grobner import groebner_basis, hilbert_series, krull_dimension, normal_form
 from subtlesw.poly import bso_ring, parse_poly
 
 # a fixed bihomogeneous ideal with a 129-element reduced basis
@@ -46,22 +48,28 @@ def best_of(repeat, fn):
     return min(times)
 
 
-def kernel_calls(fn):
-    """``fn()`` and the calls of the reduction kernel while it runs."""
+def kernel_work(fn):
+    """``fn()``, and the calls, steps and seconds of the reduction kernel
+    while it runs."""
     kernel = _reduction.normal_form_terms
-    calls = 0
+    calls = steps = 0
+    seconds = 0.0
 
     def counting(*args):
-        nonlocal calls
+        nonlocal calls, steps, seconds
+        t0 = time.perf_counter()
+        result = kernel(*args)
+        seconds += time.perf_counter() - t0
         calls += 1
-        return kernel(*args)
+        steps += result[1]
+        return result
 
     _reduction.normal_form_terms = counting
     try:
         result = fn()
     finally:
         _reduction.normal_form_terms = kernel
-    return result, calls
+    return result, calls, steps, seconds
 
 
 def main():
@@ -71,21 +79,27 @@ def main():
     rng = random.Random(7)
     elems = [random_monomial(ring, rng, FACTORS) for _ in range(ELEMENTS)]
 
-    workloads = [
+    kernel_bound = [
         ("groebner basis", lambda: groebner_basis(ring, gens)),
         (f"normal_form x{ELEMENTS}", lambda: [normal_form(x, gb) for x in elems]),
+    ]
+    for label, fn in kernel_bound:
+        best = kernel_best = float("inf")
+        for _ in range(REPEAT):
+            t0 = time.perf_counter()
+            _, calls, steps, seconds = kernel_work(fn)
+            best = min(best, time.perf_counter() - t0)
+            kernel_best = min(kernel_best, seconds)
+        print(
+            f"{label:<24}{best:>9.3f}s   {calls} kernel calls, {steps} steps,"
+            f" {steps / kernel_best:,.0f} steps/s in the kernel"
+        )
+    recursions = [
         ("hilbert_series", lambda: hilbert_series(gb)),
         ("krull_dimension", lambda: krull_dimension(gb)),
     ]
-
-    for label, fn in workloads:
+    for label, fn in recursions:
         print(f"{label:<24}{best_of(REPEAT, fn):>9.3f}s")
-    _, calls = kernel_calls(lambda: groebner_basis(ring, gens))
-    print(f"{'groebner basis calls':<24}{calls:>9}")
-    budget = Budget()
-    for x in elems:
-        normal_form(x, gb, budget)
-    print(f"{'normal_form steps':<24}{budget.used:>9}")
 
 
 if __name__ == "__main__":

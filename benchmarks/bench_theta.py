@@ -4,7 +4,7 @@ For n = 13..16, with every cache cleared first, times k_computed(n), which
 builds theta_0..theta_{k-1} and then theta_k less the terms that a
 variable leading the basis divides (k(n) = 7 for these n).  Prints one line
 per n with the budget units (pairs plus reduction steps) it spent, its
-kernel calls (counted by ``bench_kernel.kernel_calls``), the pairs it
+kernel calls (counted by ``bench_kernel.kernel_work``), the pairs it
 skipped because they lie below the lowest degree where the Hilbert
 numerator of the leading terms still misses the expected one, and theta_k's
 full and kept terms: the full theta_k is built only afterwards, for the
@@ -20,8 +20,8 @@ The last row is the wall itself.  At n = 17 it appends theta_0..theta_6 and
 tests theta_7 for membership as k_computed does (it is not a member), then
 runs the theta_7 append under WALL_UNITS budget units past that prefix,
 which end in ``BudgetExceeded``.  It prints the seconds until then, units
-per second, the kernel calls of the append and the peak RSS of the process
-(``ru_maxrss``).  Run with
+per second, the kernel calls of the append, the kernel's steps per second
+of its own time and the peak RSS of the process (``ru_maxrss``).  Run with
 
     PYTHONPATH=src python3 benchmarks/bench_theta.py
 """
@@ -29,7 +29,7 @@ per second, the kernel calls of the append and the peak RSS of the process
 import resource
 import time
 
-from bench_kernel import kernel_calls
+from bench_kernel import kernel_work
 from subtlesw import spaces, steenrod
 from subtlesw.grobner import Budget, BudgetExceeded, RegularSequenceChecker
 from subtlesw.poly import bso_ring
@@ -81,7 +81,7 @@ def cold_k(n):
     spaces.ideal_member = recording
     try:
         t0 = time.perf_counter()
-        k, calls = kernel_calls(lambda: k_computed(n, budget))
+        k, calls, _, _ = kernel_work(lambda: k_computed(n, budget))
         seconds = time.perf_counter() - t0
     finally:
         spaces.ideal_member = member
@@ -130,11 +130,12 @@ def main():
         f"n={WALL_N:<3} theta_{WALL_J} {terms} terms, {kept} kept"
         f"   theta_0..{WALL_J} {thetas:7.3f}s   bidegree {check * 1e3:6.2f}ms"
     )
-    seconds, calls = kernel_calls(lambda: wall_append(checker))
+    seconds, calls, steps, kernel_seconds = kernel_work(lambda: wall_append(checker))
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(
         f"n={WALL_N:<3} theta_{WALL_J - 1} append {seconds:8.3f}s to {WALL_UNITS} units"
-        f" ({WALL_UNITS / seconds:.0f} units/s, {calls} kernel calls, {rss:.0f} MiB peak RSS)"
+        f" ({WALL_UNITS / seconds:.0f} units/s, {calls} kernel calls,"
+        f" {steps / kernel_seconds:.0f} kernel steps/s, {rss:.0f} MiB peak RSS)"
     )
 
 

@@ -1,6 +1,7 @@
 """The reduction kernel against the list-merge reference, step counts included."""
 
 import random
+from heapq import heappush
 
 import pytest
 
@@ -19,7 +20,10 @@ BENCH_GENS = (
 )
 
 
-def test_kernels_agree_on_random_reductions():
+def compare_with_reference():
+    """Random reductions in bso_ring(5) and bso_ring(7), each run by the
+    kernel and the reference under the caps 0, 1, 3 and 10^6: the
+    mismatches, the runs stopped at the cap and the runs that reduced."""
     rng = random.Random(2024)
     mismatch = stopped = reduced = 0
     # small bases first, then longer ones whose products collide more often
@@ -54,9 +58,31 @@ def test_kernels_agree_on_random_reductions():
                     mismatch += 1
                 stopped += got[0] is None
                 reduced += got[1] > 0
+    return mismatch, stopped, reduced
+
+
+def test_kernels_agree_on_random_reductions():
+    mismatch, stopped, reduced = compare_with_reference()
     assert mismatch == 0
     # the sample reaches both the cap and real reductions
     assert stopped > 0 and reduced > 0
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_heap_tier_agrees_with_the_reference(monkeypatch, window):
+    # at the default WINDOW every reduction here fits in the sorted window;
+    # a tiny one makes the kernel refill it from the heap (pairing equal
+    # keys there), test products against its floor and spill its lower half
+    monkeypatch.setattr(_reduction, "WINDOW", window)
+    pushed = []
+
+    def counting_push(heap, t):
+        pushed.append(t)
+        heappush(heap, t)
+
+    monkeypatch.setattr(_reduction, "heappush", counting_push)
+    assert compare_with_reference()[0] == 0
+    assert pushed  # the heap tier ran
 
 
 def test_identical_groebner_runs_and_budgets(monkeypatch):
