@@ -150,8 +150,8 @@ def normal_form_terms(terms, basis, table, max_steps):
         quot = m - g[0]  # quot + t is the key of (m / lt(g)) * t
         # every product lies below the head m, which stays at window[-1]
         # until the products are placed, so window[j] always exists
-        for i in range(1, len(g)):
-            p = quot + g[i]
+        for t in g[1:]:
+            p = quot + t
             if p < floor:
                 heappush(heap, -p)
                 continue

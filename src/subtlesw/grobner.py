@@ -61,10 +61,12 @@ class Budget:
     """Shared counter of reduction work (processed pairs + division steps).
 
     ``skipped`` counts the pairs the Hilbert criterion of a seeded append
-    skipped (see ``_buchberger``); they cost nothing.
+    skipped, ``coprime`` the pairs dropped for coprime leading terms and
+    ``chained`` those the chain criterion dropped (see ``_buchberger``);
+    none of them costs anything.
     """
 
-    __slots__ = ("limit", "used", "context", "skipped")
+    __slots__ = ("limit", "used", "context", "skipped", "coprime", "chained")
 
     def __init__(self, limit=DEFAULT_BUDGET, context=""):
         if limit < 0:
@@ -72,7 +74,7 @@ class Budget:
         self.limit = limit
         self.used = 0
         self.context = context
-        self.skipped = 0
+        self.skipped = self.coprime = self.chained = 0
 
     @property
     def remaining(self):
@@ -115,9 +117,12 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     the sugar strategy, since the sugar of a pair is the degree of its lcm,
     the top field of its key.  Returns a GroebnerBasis.
     A new element's lcms with the leading terms before it are computed once
-    and serve both its pairs and the Hilbert colon below.  The chain
-    criterion scans every leading term for one that divides a pair's lcm,
-    so the guard test, which fails for most, comes first.
+    and serve both its pairs and the Hilbert colon below; each is the sum
+    of the two keys minus their gcd's key, which a dict of this run keeps
+    by the gcd's exponent fields (see ``Ring.key_lcm``).  The chain
+    criterion looks for a leading term that divides a pair's lcm only
+    among the candidates of the divisor table for the lcm's support, the
+    leads whose support lies inside it, as every divisor's does.
 
     ``key_polys`` are nonzero key polynomials.  ``known`` is a reduced basis
     of homogeneous polynomials, as this function returns it, that the ideal
@@ -153,9 +158,10 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     """
     one, guard = ring.unit_key, ring.guard_mask
     lcm_of = ring.key_lcm
+    gcds = {}  # a gcd's exponent fields -> its key, for lcm_of
     G = list(known)
     table = DivisorTable(ring, [f[0] for f in G])  # grows with G
-    leads = table.leads  # G's leading keys with the guard bits set
+    leads, fits, candidates_of = table.leads, table.fits, table.candidates
     pairs = set()  # open pairs (i, j), read by the chain criterion
     queue = []  # the same pairs as a heap of (lcm, (i, j))
     floor = 0  # pairs whose lcm key sorts below floor reduce to zero; None: G is a basis
@@ -163,7 +169,7 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     def add(f):
         nonlocal num, floor
         m = f[0]
-        lcms = [lcm_of(g[0], m) for g in G]
+        lcms = [lcm_of(g[0], m, gcds) for g in G]
         if expected is not None:
             colon = [lcm - m + one for lcm in lcms]
             num = _p2_axpy(num, -1, *ring.key_bidegree(m), _lt_numerator(ring, colon))
@@ -192,17 +198,24 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
             budget.skipped += 1  # below the gap degree: reduces to zero
             continue
         lti, ltj = G[i][0], G[j][0]
-        skip = lti + ltj - one == lcm  # coprime leading terms reduce to zero
-        if not skip:
-            for k, lead in enumerate(leads):
-                if (lead - lcm) & guard != guard or k == i or k == j:
-                    continue
-                a = (i, k) if i < k else (k, i)
-                b = (j, k) if j < k else (k, j)
-                if a not in pairs and b not in pairs:
-                    skip = True  # chain criterion
-                    break
-        if skip:
+        if lti + ltj - one == lcm:
+            budget.coprime += 1  # coprime leading terms reduce to zero
+            continue
+        support = ((lcm ^ one) + one) & guard
+        candidates = fits.get(support)
+        if candidates is None:
+            candidates = candidates_of(support)
+        chained = False
+        for k in candidates:
+            if (leads[k] - lcm) & guard != guard or k == i or k == j:
+                continue
+            a = (i, k) if i < k else (k, i)
+            b = (j, k) if j < k else (k, j)
+            if a not in pairs and b not in pairs:
+                chained = True  # the chain criterion
+                break
+        if chained:
+            budget.chained += 1
             continue
         budget.charge(1)
         qf = lcm - lti

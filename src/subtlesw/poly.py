@@ -277,21 +277,35 @@ class Ring:
         """Guard bits of the generators with a nonzero exponent in ``key``."""
         return ((key ^ self.unit_key) + self.unit_key) & self.guard_mask
 
-    def key_lcm(self, a, b):
-        """Packed key of the least common multiple of two packed keys."""
+    def key_lcm(self, a, b, gcds=None):
+        """Packed key of the least common multiple of two packed keys.
+
+        Keys add, so ``a + b`` is the key of the lcm plus the key of the
+        gcd, and the lcm is ``a + b`` minus the gcd's key.  The gcd's
+        exponent fields are picked from ``a`` and ``b`` with one guard-bit
+        select; its degree and p take a pass over the fields.  ``gcds``, a
+        dict the caller owns, maps the exponent fields of each gcd met so
+        far to its key, so that pass runs once per distinct gcd.
+        """
         # guard bits of the fields where a's exponent is at most b's, widened
-        # to masks of those fields: lcm takes b's field there, a's elsewhere;
-        # where a's p exceeds b's the p field borrows from the lowest field,
-        # which flips its choice only when the two exponents there agree
+        # to masks of those fields: the gcd takes a's field there, b's
+        # elsewhere; where a's p exceeds b's the p field borrows from the
+        # lowest field, which flips its choice only when the two exponents
+        # there agree
         ge = ((a | self.guard_mask) - b) & self.guard_mask
-        take_b = ge - (ge >> FIELD_BITS)
-        body = (b & take_b) | (a & (self._fields ^ take_b))
-        d = p = 0
-        for s, dw, pw in self._weights:
-            e = FIELD_MAX - (body >> s & FIELD_MAX)
-            d += dw * e
-            p += pw * e
-        return (d << self.degree_shift) | body | (self._p_max - p)
+        take_a = ge - (ge >> FIELD_BITS)
+        body = (a & take_a) | (b & (self._fields ^ take_a))
+        gcd = None if gcds is None else gcds.get(body)
+        if gcd is None:
+            d = p = 0
+            for s, dw, pw in self._weights:
+                e = FIELD_MAX - (body >> s & FIELD_MAX)
+                d += dw * e
+                p += pw * e
+            gcd = (d << self.degree_shift) | body | (self._p_max - p)
+            if gcds is not None:
+                gcds[body] = gcd
+        return a + b - gcd
 
     # -- element construction ----------------------------------------------
 

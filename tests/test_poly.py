@@ -5,6 +5,7 @@ import pytest
 
 from subtlesw import _reduction
 from subtlesw._reduction import DivisorTable
+from subtlesw.grobner import groebner_basis
 from subtlesw.poly import (
     FIELD_BITS,
     FIELD_MAX,
@@ -321,6 +322,7 @@ def test_packed_order_is_the_reference_grevlex_order():
 
 
 def test_packed_keys_unpack_and_multiply_by_adding():
+    memos = {}  # one gcd memo per ring, shared by all its pairs
     for ring, a, b in _key_pairs(22):
         ab = tuple(map(add, a, b))  # up to 2 * MAX_EXPONENT
         for m in (a, b, ab):
@@ -342,6 +344,25 @@ def test_packed_keys_unpack_and_multiply_by_adding():
             key = ring.key_lcm(kx, ky)
             assert key == ring.key_lcm(ky, kx) == ring.sort_key(lcm)
             assert ring.key_bidegree(key) == monomial_bidegree(ring, lcm)
+            # keys add: lcm + gcd == a + b
+            gcd = ring.sort_key(tuple(map(min, x, y)))
+            assert key + gcd == kx + ky
+            # a memo shared by the ring's pairs returns what a cold call does
+            gcds = memos.setdefault(ring, {})
+            assert ring.key_lcm(kx, ky, gcds) == ring.key_lcm(ky, kx, gcds) == key
+            # a miss files the gcd's key, and a hit, in either order, reads it
+            memo = {}
+            ring.key_lcm(kx, ky, memo)
+            assert list(memo.values()) == [gcd]
+            memo = dict.fromkeys(memo, gcd - 1)
+            assert ring.key_lcm(ky, kx, memo) == key + 1
+    # the memo of a groebner_basis call dies with it: the ring keeps nothing
+    ring = bso_ring(8)
+    state = {name: getattr(ring, name) for name in Ring.__slots__}
+    u2, u3, u5, t = (ring.gen(name) for name in ("u2", "u3", "u5", "t"))
+    assert len(groebner_basis(ring, [u2 * u3 + u5, u2 * u2 + u3 * t])) > 2
+    assert {name: getattr(ring, name) for name in Ring.__slots__} == state
+    assert not hasattr(ring, "__dict__")
     assert Ring([]).sort_key(()) == Ring([]).unit_key == 0
     # a ring without p has no p field; otherwise the p field lies lowest
     assert Ring([("t", (0, 1))]).unit_key == FIELD_MAX

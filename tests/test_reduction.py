@@ -9,7 +9,7 @@ import oracles
 from subtlesw import _reduction, grobner, spaces
 from subtlesw._reduction import DivisorTable
 from subtlesw.grobner import DEFAULT_BUDGET, Budget, BudgetExceeded, groebner_basis, normal_form
-from subtlesw.poly import MAX_EXPONENT, ExponentOverflow, bso_ring, parse_poly
+from subtlesw.poly import MAX_EXPONENT, ExponentOverflow, Ring, bso_ring, parse_poly
 
 # the fixed ideal of benchmarks/bench_kernel.py, in bso_ring(8)
 BENCH_GENS = (
@@ -140,6 +140,31 @@ def test_kernel_calls_of_the_bench_ideal_and_k13(monkeypatch):
     calls[0] = 0
     assert spaces.k_computed(13) == 7
     assert calls[0] == 47
+
+
+def test_pair_counts_of_the_bench_ideal(monkeypatch):
+    # every pair made is skipped, dropped by one criterion or reduced; the
+    # chain criterion scans only the divisor table's candidates for the
+    # lcm's support, and drops the same pairs as a scan over every lead
+    kernel, lcm = _reduction.normal_form_terms, Ring.key_lcm
+    steps, made = [0], [0]
+
+    def counting_kernel(*args):
+        result = kernel(*args)
+        steps[0] += result[1]
+        return result
+
+    def counting_lcm(*args):
+        made[0] += 1
+        return lcm(*args)
+
+    monkeypatch.setattr(_reduction, "normal_form_terms", counting_kernel)
+    monkeypatch.setattr(Ring, "key_lcm", counting_lcm)
+    ring = bso_ring(8)
+    b = Budget(10**6)
+    groebner_basis(ring, [parse_poly(ring, s) for s in BENCH_GENS], budget=b)
+    reduced = b.used - steps[0]  # one unit per reduced pair, beside the steps
+    assert (made[0], b.skipped, b.coprime, b.chained, reduced) == (8256, 0, 92, 7677, 487)
 
 
 def test_bench_ideal_numerator_matches_the_reference():
