@@ -6,7 +6,9 @@ variable leading the basis divides (k(n) = 7 for these n).  Prints one line
 per n with the budget units (pairs plus reduction steps) it spent, its
 kernel calls (counted by ``bench_kernel.kernel_work``), the pairs it
 skipped because they lie below the lowest degree where the Hilbert
-numerator of the leading terms still misses the expected one, and theta_k's
+numerator of the leading terms still misses the expected one, the seconds
+spent in ``grobner._lt_numerator`` (the appends' colon numerators and final
+checks, timed by wrapping it as ``kernel_work`` wraps the kernel), and theta_k's
 full and kept terms: the full theta_k is built only afterwards, for the
 count.  The line also times theta_0..theta_7 from cold caches and
 ``Poly.bidegree()`` on theta_7 (best of BIDEGREE_REPEAT), the homogeneity
@@ -30,7 +32,7 @@ import resource
 import time
 
 from bench_kernel import kernel_work
-from subtlesw import spaces, steenrod
+from subtlesw import grobner, spaces, steenrod
 from subtlesw.grobner import Budget, BudgetExceeded, RegularSequenceChecker
 from subtlesw.poly import bso_ring
 from subtlesw.spaces import k_computed
@@ -66,9 +68,31 @@ def time_thetas(n, last):
     return seconds, len(top.keys), check
 
 
+def hilbert_work(fn):
+    """``fn()``, and the seconds spent in ``grobner._lt_numerator`` while it
+    runs."""
+    numerator = grobner._lt_numerator
+    seconds = 0.0
+
+    def timed(*args):
+        nonlocal seconds
+        t0 = time.perf_counter()
+        result = numerator(*args)
+        seconds += time.perf_counter() - t0
+        return result
+
+    grobner._lt_numerator = timed
+    try:
+        result = fn()
+    finally:
+        grobner._lt_numerator = numerator
+    return result, seconds
+
+
 def cold_k(n):
-    """A cold k_computed(n): its seconds, k, budget, kernel calls, and the
-    terms of the theta_k it tested for membership."""
+    """A cold k_computed(n): its seconds, k, budget, kernel calls, seconds
+    in the Hilbert numerator, and the terms of the theta_k it tested for
+    membership."""
     clear_caches()
     member = spaces.ideal_member
     tested = []
@@ -81,11 +105,11 @@ def cold_k(n):
     spaces.ideal_member = recording
     try:
         t0 = time.perf_counter()
-        k, calls, _, _ = kernel_work(lambda: k_computed(n, budget))
+        (k, calls, _, _), hilbert = hilbert_work(lambda: kernel_work(lambda: k_computed(n, budget)))
         seconds = time.perf_counter() - t0
     finally:
         spaces.ideal_member = member
-    return seconds, k, budget, calls, tested[-1]
+    return seconds, k, budget, calls, hilbert, tested[-1]
 
 
 def prefix_checker(n, last):
@@ -116,11 +140,11 @@ def wall_append(checker):
 
 def main():
     for n in NS:
-        seconds, k, budget, calls, kept = cold_k(n)
+        seconds, k, budget, calls, hilbert, kept = cold_k(n)
         thetas, terms, check = time_thetas(n, J)
         print(
             f"n={n:<3} k={k} cold {seconds:7.3f}s ({budget.used} units, {calls} kernel calls,"
-            f" {budget.skipped} skipped)   theta_{k} {terms} terms, {kept} kept"
+            f" {budget.skipped} skipped, hilbert {hilbert:6.3f}s)   theta_{k} {terms} terms, {kept} kept"
             f"   theta_0..{J} {thetas:7.3f}s   bidegree {check * 1e3:6.2f}ms"
         )
     thetas, terms, check = time_thetas(WALL_N, WALL_J)

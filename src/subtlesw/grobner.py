@@ -35,7 +35,7 @@ import heapq
 
 from . import _reduction
 from ._reduction import DivisorTable
-from .poly import INHOMOGENEOUS, Poly, RingError, ZERO_DEGREE
+from .poly import FIELD_MAX, INHOMOGENEOUS, Poly, RingError, ZERO_DEGREE
 
 DEFAULT_BUDGET = 10**7
 
@@ -116,10 +116,12 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     Pairs are treated in increasing lcm order; for homogeneous input this is
     the sugar strategy, since the sugar of a pair is the degree of its lcm,
     the top field of its key.  Returns a GroebnerBasis.
-    A new element's lcms with the leading terms before it are computed once
-    and serve both its pairs and the Hilbert colon below; each is the sum
-    of the two keys minus their gcd's key, which a dict of this run keeps
-    by the gcd's exponent fields (see ``Ring.key_lcm``).  The chain
+    A new element's lcms with the leading terms before it are computed in
+    one call and serve both its pairs and the Hilbert colon below; each is
+    the sum of the two keys minus their gcd's key, which a dict of this run
+    keeps by the gcd's exponent fields (see ``Ring.key_lcms``).  An
+    S-polynomial merges the two shifted tails, both descending, with one
+    sort, and drops the keys found in both.  The chain
     criterion looks for a leading term that divides a pair's lcm only
     among the candidates of the divisor table for the lcm's support, the
     leads whose support lies inside it, as every divisor's does.
@@ -134,17 +136,18 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     ``expected`` and ``num`` come with one key polynomial f, already
     reduced by ``known``, which joins G as it is: ``num`` is the Hilbert
     numerator of R/LT(known), and ``expected`` that of R/(known + f) when f
-    is regular on R/(known); the result is None when f is not.  As G
-    grows, ``num`` follows R/LT(G) by N(L + (m)) = N(L) - T^pS^q N(L : m)
-    for a new leading term m of bidegree (p, q) (Traverso, JSC 1996).
-    LT(G) lies in LT(I), and the series of R/I is at least the expected one
-    coefficientwise, so below the lowest combined degree where ``num``
-    differs from ``expected`` LT(G) is all of LT(I): a pair whose lcm lies
-    there reduces to zero, and it is skipped as treated.  Equal numerators
-    mean G is a basis and f is regular; an empty queue with them unequal
-    means G is a basis and f is not.  The verdict is read off the final
-    leading terms, which must give ``num``; the result is None when f is
-    not regular.
+    is regular on R/(known); the result is None when f is not.  The run
+    keeps one numerator, the gap N(R/LT(G)) - ``expected``, which starts at
+    ``num`` - ``expected``.  A new leading term m of bidegree (p, q) takes
+    T^pS^q N(L : m) off it, since N(L + (m)) = N(L) - T^pS^q N(L : m)
+    (Traverso, JSC 1996).  LT(G) lies in LT(I), and the series of R/I is at
+    least the expected one coefficientwise, so below the lowest combined
+    degree of the gap LT(G) is all of LT(I): a pair whose lcm lies there
+    reduces to zero, and it is skipped as treated.  An empty gap means G is
+    a basis and f is regular; an empty queue with a gap left means G is a
+    basis and f is not.  At the end the numerator of the minimal leading
+    terms of G, computed from scratch, must be ``expected`` plus the gap,
+    else ArithmeticError is raised; the verdict is whether the gap is empty.
 
     The final interreduction keeps the minimal elements of G and reduces
     the tail of one only when a kept lead added to G after it has a lower
@@ -157,27 +160,30 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     and its units are those of reducing every tail.
     """
     one, guard = ring.unit_key, ring.guard_mask
-    lcm_of = ring.key_lcm
-    gcds = {}  # a gcd's exponent fields -> its key, for lcm_of
+    lcms_of = ring.key_lcms
+    gcds = {}  # a gcd's exponent fields -> its key, for lcms_of
     G = list(known)
-    table = DivisorTable(ring, [f[0] for f in G])  # grows with G
+    lts = [f[0] for f in G]  # G's leading keys
+    table = DivisorTable(ring, lts)  # grows with G
     leads, fits, candidates_of = table.leads, table.fits, table.candidates
     pairs = set()  # open pairs (i, j), read by the chain criterion
     queue = []  # the same pairs as a heap of (lcm, (i, j))
     floor = 0  # pairs whose lcm key sorts below floor reduce to zero; None: G is a basis
+    if expected is not None:
+        gap = _p2_axpy(num, -1, 0, 0, expected)
 
     def add(f):
-        nonlocal num, floor
+        nonlocal gap, floor
         m = f[0]
-        lcms = [lcm_of(g[0], m, gcds) for g in G]
+        lcms = lcms_of(m, lts, gcds)
         if expected is not None:
-            colon = [lcm - m + one for lcm in lcms]
-            num = _p2_axpy(num, -1, *ring.key_bidegree(m), _lt_numerator(ring, colon))
-            gap = _p2_axpy(num, -1, 0, 0, expected)
+            colon = _minimalize(ring, [lcm - m + one for lcm in lcms])
+            gap = _p2_axpy(gap, -1, *ring.key_bidegree(m), _lt_numerator(ring, colon))
             floor = min(p + q for p, q in gap) << ring.degree_shift if gap else None
+        j = len(G)
         G.append(f)
+        lts.append(m)
         table.append(m)
-        j = len(G) - 1
         for i, lcm in enumerate(lcms):
             pairs.add((i, j))
             heapq.heappush(queue, (lcm, (i, j)))
@@ -197,7 +203,7 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
         if lcm < floor:
             budget.skipped += 1  # below the gap degree: reduces to zero
             continue
-        lti, ltj = G[i][0], G[j][0]
+        lti, ltj = lts[i], lts[j]
         if lti + ltj - one == lcm:
             budget.coprime += 1  # coprime leading terms reduce to zero
             continue
@@ -218,27 +224,35 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
             budget.chained += 1
             continue
         budget.charge(1)
+        # the two shifted tails are descending runs, merged by one sort;
+        # a key in both cancels
         qf = lcm - lti
         qg = lcm - ltj
-        spoly = tuple(sorted({t + qf for t in G[i]} ^ {t + qg for t in G[j]}, reverse=True))
+        spoly = [t + qf for t in G[i][1:]]
+        tail = [t + qg for t in G[j][1:]]
+        both = set(spoly).intersection(tail)
+        spoly += tail
+        spoly.sort(reverse=True)
+        if both:
+            spoly = [t for t in spoly if t not in both]
         if not spoly:
             continue
         nf = _kernel_nf(spoly, G, table, budget)
         if nf:
             add(nf)
 
+    # Minimal generators, ascending, for the check and the interreduction;
+    # every element of G was reduced by the ones before it, so no two share
+    # a leading term.  Interreduction keeps the leading terms, so the result
+    # stays ascending.
+    minimal = _minimalize(ring, lts)
     if expected is not None:
-        found = _lt_numerator(ring, [f[0] for f in G])
-        if found != num:
+        if _lt_numerator(ring, minimal) != _p2_axpy(expected, 1, 0, 0, gap):
             raise ArithmeticError("the running Hilbert numerator disagrees with the basis")
-        if found != expected:
+        if gap:
             return None
-
-    # Minimal generators, ascending; every element of G was reduced by the
-    # ones before it, so no two share a leading term.  Interreduction keeps
-    # the leading terms, so the result stays ascending.
-    by_lead = {f[0]: f for f in G}
-    minimal = [by_lead[lt] for lt in _minimalize(ring, by_lead)]
+    by_lead = dict(zip(lts, G))
+    minimal = [by_lead[lt] for lt in minimal]
     table = DivisorTable(ring, [f[0] for f in minimal])
     # The reach rule of the docstring, in one reverse pass over G that keeps
     # the kept leads added after f and their lowest degree.  f's own lead
@@ -405,29 +419,78 @@ def _minimalize(ring, keys):
     guard = ring.guard_mask
     out, leads = [], []
     for k in sorted(set(keys)):
-        if not any((h - k) & guard == guard for h in leads):
+        for h in leads:
+            if (h - k) & guard == guard:
+                break
+        else:
             out.append(k)
             leads.append(k | guard)
     return tuple(out)
 
 
-def _lt_numerator(ring, leads):
-    """Numerator of the Hilbert series of R/(monomial ideal of ``leads``).
+def _pivot(ring, linked, shared):
+    """One pivot step on the minimal generators ``linked``, (key, support)
+    pairs in ascending order, that share the variables of ``shared``:
+    (p, q, plus, colon) with (p, q) the bidegree of x^e, plus the minimal
+    generators of I + (x^e) and colon those of I : x^e, both ascending.
+
+    x is the variable of ``shared`` in the most generators, first in ring
+    order on ties, and e is its least exponent among them.  Every generator
+    with x is a multiple of x^e, so I + (x^e) is the generators without x
+    plus x^e.  Dividing the multiples of x by x^e keeps every divisibility
+    among them, and none of them is divisible by a generator without x, so
+    the only generators that can leave I : x^e are those without x that a
+    quotient freed of x divides.
+    """
+    one, guard = ring.unit_key, ring.guard_mask
+    best = 0
+    for pivot in ring.pivots:
+        bit = pivot[0]
+        if bit & shared:
+            count = 0
+            for _, s in linked:
+                if s & bit:
+                    count += 1
+            if count > best:
+                best, chosen = count, pivot
+    bit, shift, step, p, q = chosen
+    low = max(g >> shift & FIELD_MAX for g, s in linked if s & bit)  # the field of x^e
+    e = FIELD_MAX - low
+    down = e * step
+    rest, moved, freed = [], [], []
+    for g, s in linked:
+        if not s & bit:
+            rest.append(g)
+        else:
+            h = g - down
+            moved.append(h)
+            if g >> shift & FIELD_MAX == low:
+                freed.append(h | guard)
+    plus = tuple(sorted(rest + [one + down]))
+    kept = []
+    for g in rest:
+        for h in freed:
+            if (h - g) & guard == guard:
+                break
+        else:
+            kept.append(g)
+    return e * p, e * q, plus, tuple(sorted(moved + kept))
+
+
+def _lt_numerator(ring, gens):
+    """Numerator of the Hilbert series of R/I, for I the monomial ideal of
+    its minimal generators ``gens``, ascending (see ``_minimalize``).
 
     The pivot recursion N(I) = N(I + (x^e)) + T^pS^q * N(I : x^e), where
-    (p, q) is the bidegree of x^e, runs on minimal generators.  At every
-    node a generator that shares no variable with the others is factored
-    out: I is then the sum of two ideals in disjoint variables, so N(I) is
-    the product of their numerators, and one monomial of bidegree (p, q)
-    has the numerator 1 - T^pS^q (Bayer & Stillman, JSC 1992; Bigatti, JPAA
-    1997).  A node whose generators are pairwise coprime is that product
-    alone.  The pivot x is the variable in the most of the remaining
-    generators, first in ring order on ties, and e is its least exponent
-    among them: every generator with x is a multiple of x^e, so I + (x^e)
-    is the generators without x plus x^e, already minimal.
+    (p, q) is the bidegree of x^e, runs on minimal generators (see
+    ``_pivot``).  At every node a generator that shares no variable with
+    the others is factored out: I is then the sum of two ideals in disjoint
+    variables, so N(I) is the product of their numerators, and one monomial
+    of bidegree (p, q) has the numerator 1 - T^pS^q (Bayer & Stillman, JSC
+    1992; Bigatti, JPAA 1997).  A node whose generators are pairwise coprime
+    is that product alone.
     """
-    one, support, exponent, bidegree = ring.unit_key, ring.support, ring.exponent, ring.key_bidegree
-    variables = [(support(one + step), step, tuple(bd)) for step, bd in zip(ring.steps, ring.bidegrees)]
+    one, guard, bidegree = ring.unit_key, ring.guard_mask, ring.key_bidegree
     memo = {}
 
     def rec(gens):
@@ -436,7 +499,7 @@ def _lt_numerator(ring, leads):
             return hit
         if gens and gens[0] == one:
             return {}  # the whole ring
-        sups = list(map(support, gens))
+        sups = [((g ^ one) + one) & guard for g in gens]
         seen = shared = 0
         for s in sups:
             shared |= seen & s
@@ -444,20 +507,15 @@ def _lt_numerator(ring, leads):
         res = {(0, 0): 1}
         if shared:
             linked = [(g, s) for g, s in zip(gens, sups) if s & shared]
-            counts = [sum(1 for _, s in linked if s & bit) for bit, _, _ in variables]
-            j = counts.index(max(counts))
-            bit, step, (p, q) = variables[j]
-            e = min(exponent(g, j) for g, s in linked if s & bit)
-            plus = tuple(sorted([g for g, s in linked if not s & bit] + [one + e * step]))
-            colon = _minimalize(ring, [g - e * step if s & bit else g for g, s in linked])
-            res = _p2_axpy(rec(plus), 1, e * p, e * q, rec(colon))
+            p, q, plus, colon = _pivot(ring, linked, shared)
+            res = _p2_axpy(rec(plus), 1, p, q, rec(colon))
         for g, s in zip(gens, sups):
             if not s & shared:
                 res = _p2_axpy(res, -1, *bidegree(g), res)
         memo[gens] = res
         return res
 
-    return rec(_minimalize(ring, leads))
+    return rec(tuple(gens))
 
 
 class HilbertSeries:
@@ -530,7 +588,7 @@ def hilbert_series(gb):
     for p in gb.polys:
         if p.bidegree() is INHOMOGENEOUS:
             raise InhomogeneousError(f"ideal generator {p} is not bihomogeneous")
-    num = _lt_numerator(ring, [p.keys[0] for p in gb.polys])
+    num = _lt_numerator(ring, _minimalize(ring, [p.keys[0] for p in gb.polys]))
     return HilbertSeries(num, [(bd.p, bd.q) for bd in ring.bidegrees])
 
 

@@ -148,7 +148,9 @@ class Ring:
       exponents are all even is the square of ``unit_key + ((a - unit_key) >> 1)``.
 
     ``guard_mask``, ``limit_mask`` and ``low_mask`` hold bits of the
-    exponent fields only.
+    exponent fields only.  ``pivots`` lists, in generator order, what the
+    Hilbert numerator recursion reads of each generator: its guard bit, the
+    shift of its field, its step, and its p and q.
     """
 
     __slots__ = (
@@ -166,6 +168,7 @@ class Ring:
         "_odd_position",
         "_fields",
         "_weights",
+        "pivots",
         "_p_max",
         "_p_mask",
         "_hash",
@@ -213,6 +216,10 @@ class Ring:
             (w << top) - (1 << s) - bd.p for w, s, bd in zip(d, shifts, self.bidegrees)
         )
         self._weights = tuple(zip(shifts, d, (bd.p for bd in self.bidegrees)))
+        self.pivots = tuple(
+            (1 << s + FIELD_BITS, s, step, bd.p, bd.q)
+            for s, step, bd in zip(shifts, self.steps, self.bidegrees)
+        )
         self._hash = hash((self.names, self.bidegrees))
 
     # -- basic queries -----------------------------------------------------
@@ -277,8 +284,9 @@ class Ring:
         """Guard bits of the generators with a nonzero exponent in ``key``."""
         return ((key ^ self.unit_key) + self.unit_key) & self.guard_mask
 
-    def key_lcm(self, a, b, gcds=None):
-        """Packed key of the least common multiple of two packed keys.
+    def key_lcms(self, a, keys, gcds):
+        """Packed keys of the least common multiples of ``a`` with each of
+        ``keys``, in their order.
 
         Keys add, so ``a + b`` is the key of the lcm plus the key of the
         gcd, and the lcm is ``a + b`` minus the gcd's key.  The gcd's
@@ -287,25 +295,28 @@ class Ring:
         dict the caller owns, maps the exponent fields of each gcd met so
         far to its key, so that pass runs once per distinct gcd.
         """
-        # guard bits of the fields where a's exponent is at most b's, widened
-        # to masks of those fields: the gcd takes a's field there, b's
-        # elsewhere; where a's p exceeds b's the p field borrows from the
-        # lowest field, which flips its choice only when the two exponents
-        # there agree
-        ge = ((a | self.guard_mask) - b) & self.guard_mask
-        take_a = ge - (ge >> FIELD_BITS)
-        body = (a & take_a) | (b & (self._fields ^ take_a))
-        gcd = None if gcds is None else gcds.get(body)
-        if gcd is None:
-            d = p = 0
-            for s, dw, pw in self._weights:
-                e = FIELD_MAX - (body >> s & FIELD_MAX)
-                d += dw * e
-                p += pw * e
-            gcd = (d << self.degree_shift) | body | (self._p_max - p)
-            if gcds is not None:
-                gcds[body] = gcd
-        return a + b - gcd
+        guard, fields, shift, p_max = self.guard_mask, self._fields, self.degree_shift, self._p_max
+        top = a | guard
+        out = []
+        for b in keys:
+            # guard bits of the fields where a's exponent is at most b's,
+            # widened to masks of those fields: the gcd takes a's field
+            # there, b's elsewhere; where a's p exceeds b's the p field
+            # borrows from the lowest field, which flips its choice only
+            # when the two exponents there agree
+            ge = (top - b) & guard
+            take_a = ge - (ge >> FIELD_BITS)
+            body = (a & take_a) | (b & (fields ^ take_a))
+            gcd = gcds.get(body)
+            if gcd is None:
+                d = p = 0
+                for s, dw, pw in self._weights:
+                    e = FIELD_MAX - (body >> s & FIELD_MAX)
+                    d += dw * e
+                    p += pw * e
+                gcd = gcds[body] = (d << shift) | body | (p_max - p)
+            out.append(a + b - gcd)
+        return out
 
     # -- element construction ----------------------------------------------
 

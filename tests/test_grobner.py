@@ -19,7 +19,7 @@ from subtlesw.grobner import (
     krull_dimension,
     normal_form,
 )
-from subtlesw.spaces import PoincareReport, k_computed, k_expected, present
+from subtlesw.spaces import PoincareReport, _theta_mod, k_computed, k_expected, present
 from subtlesw.steenrod import bso_context, theta
 
 from oracles import (
@@ -260,14 +260,27 @@ def _random_leads(ring, rng, seen):
     return leads
 
 
-def test_lt_numerator_matches_the_reference_on_random_monomial_ideals():
+def test_lt_numerator_matches_the_reference_on_random_monomial_ideals(monkeypatch):
+    # both branches of the colon rule: a quotient freed of the pivot removes
+    # a generator without it from I : x^e, or removes none
+    pivot = grobner._pivot
+    branches = {"removes": 0, "keeps": 0}
+
+    def counting(ring, linked, shared):
+        p, q, plus, colon = pivot(ring, linked, shared)
+        branches["removes" if len(colon) < len(linked) else "keeps"] += 1
+        return p, q, plus, colon
+
+    monkeypatch.setattr(grobner, "_pivot", counting)
     rng = random.Random(95)
     seen = dict.fromkeys(("isolated", "variable", "power", "t", "mixed", "unit"), 0)
     for ring in _oracle_rings():
         for _ in range(50):
             leads = _random_leads(ring, rng, seen)
-            assert grobner._lt_numerator(ring, leads) == lt_numerator(ring, leads), leads
+            gens = grobner._minimalize(ring, leads)
+            assert grobner._lt_numerator(ring, gens) == lt_numerator(ring, leads), leads
     assert min(seen.values()) >= 5, seen
+    assert min(branches.values()) >= 5, branches
 
 
 def test_lt_numerator_matches_the_reference_on_theta_bases(monkeypatch):
@@ -286,6 +299,32 @@ def test_lt_numerator_matches_the_reference_on_theta_bases(monkeypatch):
     assert len(calls) > 100
     for ring, leads in calls:
         assert numerator(ring, leads) == lt_numerator(ring, leads)
+
+
+def test_the_running_numerator_check_fires(monkeypatch):
+    # a colon numerator knocked off by one term leaves the running gap
+    # wrong, and the final from-scratch numerator of the basis says so
+    ctx = bso_context(13)
+    chk = RegularSequenceChecker(ctx.ring)
+    for j in range(6):
+        assert chk.append(_theta_mod(ctx, j, chk.basis))
+    numerator = grobner._lt_numerator
+    calls = [0]
+
+    def perturbed(ring, gens):
+        calls[0] += 1
+        res = numerator(ring, gens)
+        if calls[0] == 3:  # a colon numerator: only the last call is the final check
+            res = grobner._p2_axpy(res, 1, 40, 40, {(0, 0): 1})
+        return res
+
+    theta_6 = _theta_mod(ctx, 6, chk.basis)
+    monkeypatch.setattr(grobner, "_lt_numerator", perturbed)
+    with pytest.raises(ArithmeticError, match="^the running Hilbert numerator disagrees with the basis$"):
+        chk.append(theta_6)
+    assert calls[0] > 3 and chk.length == 6
+    monkeypatch.undo()
+    assert chk.append(theta_6)
 
 
 def _dropped_terms_are_charged_as_the_kernel_would(gb, x, limits):

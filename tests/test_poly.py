@@ -341,21 +341,22 @@ def test_packed_keys_unpack_and_multiply_by_adding():
         # lcms of keys and of products, whose exponents reach 2 * MAX_EXPONENT
         for (x, kx), (y, ky) in ((pa, pb), (pab, pbb), (pbb, pa), (pab, pab)):
             lcm = tuple(map(max, x, y))
-            key = ring.key_lcm(kx, ky)
-            assert key == ring.key_lcm(ky, kx) == ring.sort_key(lcm)
+            (key,) = ring.key_lcms(kx, [ky], {})
+            assert [key] == ring.key_lcms(ky, [kx], {}) == [ring.sort_key(lcm)]
             assert ring.key_bidegree(key) == monomial_bidegree(ring, lcm)
             # keys add: lcm + gcd == a + b
             gcd = ring.sort_key(tuple(map(min, x, y)))
             assert key + gcd == kx + ky
             # a memo shared by the ring's pairs returns what a cold call does
             gcds = memos.setdefault(ring, {})
-            assert ring.key_lcm(kx, ky, gcds) == ring.key_lcm(ky, kx, gcds) == key
+            assert ring.key_lcms(kx, [ky, kx], gcds) == [key, kx]
+            assert ring.key_lcms(ky, [kx], gcds) == [key]
             # a miss files the gcd's key, and a hit, in either order, reads it
             memo = {}
-            ring.key_lcm(kx, ky, memo)
+            ring.key_lcms(kx, [ky], memo)
             assert list(memo.values()) == [gcd]
             memo = dict.fromkeys(memo, gcd - 1)
-            assert ring.key_lcm(ky, kx, memo) == key + 1
+            assert ring.key_lcms(ky, [kx, kx], memo) == [key + 1] * 2
     # the memo of a groebner_basis call dies with it: the ring keeps nothing
     ring = bso_ring(8)
     state = {name: getattr(ring, name) for name in Ring.__slots__}
