@@ -1,27 +1,33 @@
-"""Time certifying k(n) cold, and the theta it never builds in full.
+"""Time certifying k(n) cold, and the thetas it never builds in full.
 
 For n = 13..16, with every cache cleared first, times k_computed(n), which
-builds theta_0..theta_{k-1} and then theta_k less the terms that a
-variable leading the basis divides (k(n) = 7 for these n).  Prints one line
-per n with the budget units (pairs plus reduction steps) it spent, its
-kernel calls (counted by ``bench_kernel.kernel_work``), the pairs it
-skipped because they lie below the lowest degree where the Hilbert
-numerator of the leading terms still misses the expected one, the seconds
-spent in ``grobner._lt_numerator`` (the appends' colon numerators and final
-checks, timed by wrapping it as ``kernel_work`` wraps the kernel), and theta_k's
-full and kept terms: the full theta_k is built only afterwards, for the
-count.  The line also times theta_0..theta_7 from cold caches and
-``Poly.bidegree()`` on theta_7 (best of BIDEGREE_REPEAT), the homogeneity
-check that every append of the regular-sequence checker pays.
+builds theta_0 and then, for each j >= 1, a representative x_j of theta_j:
+the square of the remainder of x_{j-1} less the terms that a variable
+leading the basis divides (k(n) = 7 for these n).  Prints one line per n
+with the budget units (pairs plus reduction steps) it spent, its kernel
+calls (counted by ``bench_kernel.kernel_work``), the pairs it skipped
+because they lie below the lowest degree where the Hilbert numerator of
+the leading terms still misses the expected one, the seconds spent in
+``grobner._lt_numerator`` (the appends' colon numerators and final
+checks, timed by wrapping it as ``kernel_work`` wraps the kernel), and the
+seconds and terms of the representatives x_1..x_k (``spaces._theta_mod``,
+timed by wrapping it too; perfbench's tracer wraps only
+``steenrod.theta``, which builds none of them).  The line also gives
+theta_k's full terms, built only afterwards for the count, and times
+theta_0..theta_7 from cold caches and ``Poly.bidegree()`` on theta_7 (best
+of BIDEGREE_REPEAT), the homogeneity check that every append of the
+regular-sequence checker pays.
 
 A further row does the same for theta_0..theta_8 at n = 17, the theta layer
 at the wall; k(17) itself is out of reach, so the kept terms of theta_8 are
-those that no variable leading the basis of theta_0..theta_6 divides.
+those of Sq^128(theta_7) that no variable leading the basis of
+theta_0..theta_6 divides.
 
 The last row is the wall itself.  At n = 17 it appends theta_0..theta_6 and
-tests theta_7 for membership as k_computed does (it is not a member), then
-runs the theta_7 append under WALL_UNITS budget units past that prefix,
-which end in ``BudgetExceeded``.  It prints the seconds until then, units
+tests Sq^64(theta_6) less the basis-variable multiples, a representative
+of theta_7, for membership (it is not a member), then runs its append
+under WALL_UNITS budget units past that prefix, which end in
+``BudgetExceeded``.  It prints the seconds until then, units
 per second, the kernel calls of the append, the kernel's steps per second
 of its own time and the peak RSS of the process (``ru_maxrss``).  Run with
 
@@ -91,25 +97,30 @@ def hilbert_work(fn):
 
 def cold_k(n):
     """A cold k_computed(n): its seconds, k, budget, kernel calls, seconds
-    in the Hilbert numerator, and the terms of the theta_k it tested for
-    membership."""
+    in the Hilbert numerator, and the seconds and terms of the
+    representatives x_1..x_k that it builds."""
     clear_caches()
-    member = spaces.ideal_member
-    tested = []
+    theta_mod = spaces._theta_mod
+    built = 0.0
+    terms = []
 
-    def recording(x, gb, budget=None):
-        tested.append(len(x.keys))
-        return member(x, gb, budget)
+    def timed(*args):
+        nonlocal built
+        t0 = time.perf_counter()
+        x = theta_mod(*args)
+        built += time.perf_counter() - t0
+        terms.append(len(x.keys))
+        return x
 
     budget = Budget()
-    spaces.ideal_member = recording
+    spaces._theta_mod = timed
     try:
         t0 = time.perf_counter()
         (k, calls, _, _), hilbert = hilbert_work(lambda: kernel_work(lambda: k_computed(n, budget)))
         seconds = time.perf_counter() - t0
     finally:
-        spaces.ideal_member = member
-    return seconds, k, budget, calls, hilbert, tested[-1]
+        spaces._theta_mod = theta_mod
+    return seconds, k, budget, calls, hilbert, built, terms
 
 
 def prefix_checker(n, last):
@@ -126,7 +137,8 @@ def wall_append(checker):
     """Seconds of the theta_7 append at n = WALL_N until it spends WALL_UNITS
     past the prefix certified by ``checker``, with theta_7 tested first."""
     budget = checker.budget
-    last = spaces._theta_mod(bso_context(WALL_N), WALL_J - 1, checker.basis)
+    ctx = bso_context(WALL_N)
+    last = spaces._theta_mod(ctx, WALL_J - 1, theta(ctx, WALL_J - 2), checker.basis)
     if spaces.ideal_member(last, checker.basis, budget):
         raise ArithmeticError(f"theta_{WALL_J - 1} lies in the ideal at n={WALL_N}")
     budget.limit = budget.used + WALL_UNITS
@@ -140,16 +152,18 @@ def wall_append(checker):
 
 def main():
     for n in NS:
-        seconds, k, budget, calls, hilbert, kept = cold_k(n)
+        seconds, k, budget, calls, hilbert, built, reps = cold_k(n)
         thetas, terms, check = time_thetas(n, J)
         print(
             f"n={n:<3} k={k} cold {seconds:7.3f}s ({budget.used} units, {calls} kernel calls,"
-            f" {budget.skipped} skipped, hilbert {hilbert:6.3f}s)   theta_{k} {terms} terms, {kept} kept"
-            f"   theta_0..{J} {thetas:7.3f}s   bidegree {check * 1e3:6.2f}ms"
+            f" {budget.skipped} skipped, hilbert {hilbert:6.3f}s)"
+            f"   x_1..{k} {built * 1e3:6.2f}ms, {'/'.join(map(str, reps))} terms"
+            f"   theta_{k} {terms} terms   theta_0..{J} {thetas:7.3f}s   bidegree {check * 1e3:6.2f}ms"
         )
     thetas, terms, check = time_thetas(WALL_N, WALL_J)
     checker = prefix_checker(WALL_N, WALL_J - 1)
-    kept = len(spaces._theta_mod(bso_context(WALL_N), WALL_J, checker.basis).keys)
+    ctx = bso_context(WALL_N)
+    kept = len(spaces._theta_mod(ctx, WALL_J, theta(ctx, WALL_J - 1), checker.basis).keys)
     print(
         f"n={WALL_N:<3} theta_{WALL_J} {terms} terms, {kept} kept"
         f"   theta_0..{WALL_J} {thetas:7.3f}s   bidegree {check * 1e3:6.2f}ms"

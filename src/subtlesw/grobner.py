@@ -145,9 +145,13 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     degree of the gap LT(G) is all of LT(I): a pair whose lcm lies there
     reduces to zero, and it is skipped as treated.  An empty gap means G is
     a basis and f is regular; an empty queue with a gap left means G is a
-    basis and f is not.  At the end the numerator of the minimal leading
-    terms of G, computed from scratch, must be ``expected`` plus the gap,
-    else ArithmeticError is raised; the verdict is whether the gap is empty.
+    basis and f is not.  So does a popped pair whose lcm has a higher
+    degree than the gap's lowest: every pair of lower degree is treated,
+    so G is a basis below that degree, and LT(G) is LT(I) where the series
+    of R/I misses the expected one.  At the end the numerator of the
+    minimal leading terms of G, computed from scratch, must be
+    ``expected`` plus the gap, else ArithmeticError is raised; the verdict
+    is whether the gap is empty.
 
     The final interreduction keeps the minimal elements of G and reduces
     the tail of one only when a kept lead added to G after it has a lower
@@ -169,6 +173,7 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     pairs = set()  # open pairs (i, j), read by the chain criterion
     queue = []  # the same pairs as a heap of (lcm, (i, j))
     floor = 0  # pairs whose lcm key sorts below floor reduce to zero; None: G is a basis
+    degree = 1 << ring.degree_shift  # one combined degree, in key units
     if expected is not None:
         gap = _p2_axpy(num, -1, 0, 0, expected)
 
@@ -203,6 +208,8 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
         if lcm < floor:
             budget.skipped += 1  # below the gap degree: reduces to zero
             continue
+        if expected is not None and lcm >= floor + degree:
+            break  # above the gap degree: G is a basis there, and f is not regular
         lti, ltj = lts[i], lts[j]
         if lti + ltj - one == lcm:
             budget.coprime += 1  # coprime leading terms reduce to zero

@@ -23,6 +23,7 @@ from .grobner import (
     hilbert_series,
     ideal_member,
     is_regular_sequence,
+    normal_form,
 )
 from .poly import (
     MAX_EXPONENT,
@@ -37,7 +38,7 @@ from .poly import (
     bso_ring,
     bso_top_ring,
 )
-from .steenrod import SteenrodContext, _theta_without, bso_context, bso_top_context, theta
+from .steenrod import SteenrodContext, _sq, bso_context, bso_top_context, theta
 
 FAMILIES = ("BO", "BSO", "BSpin", "BG2", "BO_top", "BSO_top", "BSpin_top")
 
@@ -52,28 +53,52 @@ def k_expected(n):
     return 4 * l + _K8[n - 8 * l]
 
 
-def _theta_mod(ctx, j, gb):
-    """theta_j less the terms that a variable leading the reduced basis
-    ``gb`` divides, built without them (see ``steenrod._theta_without``).
+def _theta_mod(ctx, j, rep, gb):
+    """Sq^{2^(j-1)} of ``rep``, theta_{j-1} itself or a representative of
+    it (see ``k_computed``), less the terms that a variable leading the
+    reduced basis ``gb`` divides, built without them (see ``steenrod._sq``).
 
     Those terms lie in the ideal of ``gb``, and its normal form drops them
-    unread (see ``GroebnerBasis._remainder``), so the result has theta_j's
+    unread (see ``GroebnerBasis._remainder``), so when the square of
+    ``rep`` is theta_j modulo that ideal the result is too: it has theta_j's
     normal form, and with ``gb`` it generates the ideal that theta_j does.
     A term never built costs no time and no budget unit.
     """
-    return _theta_without(ctx, j, gb._key_basis()[2])
+    return _sq(ctx, 1 << (j - 1), rep, gb._key_basis()[2])
 
 
 def k_computed(n, budget=None):
     """Recompute k(n): append theta_j while it is not in the ideal so far.
 
     The answer is the unique k with theta_0..theta_{k-1} regular and
-    theta_k in the ideal they generate.  Each theta_j is tested for
-    membership first and appended only when it lies outside the ideal, where
-    it must be certified regular; so theta_k is reduced to zero once.  Both
-    take theta_j less the multiples of the variables that lead the basis
-    (see ``_theta_mod``), which give the same answers and the same bases,
-    so theta_k is never built in full.
+    theta_k in J_k, where J_l is the ideal of theta_0..theta_{l-1}.  Each
+    theta_j is tested for membership first and appended only when it lies
+    outside J_j, where it must be certified regular; so theta_k is reduced
+    to zero once.  Both steps take x_j, a representative of theta_j modulo
+    J_j, and no theta_j with j >= 1 is built in full: x_0 is theta_0, and
+    x_{j+1} is Sq^{2^j} of r_j, the remainder of x_j that the membership
+    test has already computed, less the multiples of the variables that
+    lead the basis of J_{j+1} (see ``_theta_mod``).  r_j is theta_j plus an
+    element of J_j, so by (B) below x_{j+1} is theta_{j+1} modulo J_{j+1}.
+    Its remainder by the reduced basis of J_{j+1} is then theta_{j+1}'s, so
+    every membership test has the same answer, and every append the same
+    basis, as with theta_{j+1} itself.  By induction on l:
+
+    (A) Sq^s theta_l lies in J_{l+1} for s < 2^l;
+    (B) Sq^t(J_l) lies in J_{l+1} for every t.
+
+    (B) at l: by the Cartan formula, Sq^t of a multiple of theta_i, i < l,
+    is a sum of multiples of the Sq^v theta_i, and each lies in J_{l+1}.
+    theta_i has degree 2^i + 1, so Sq^v theta_i lies in J_{i+1} for
+    v < 2^i by (A) at i, is theta_{i+1} for v = 2^i, is the top square
+    theta_i^2 for v = 2^i + 1, and is 0 above, by instability.
+    (A) at l >= 1, s >= 1: with b = 2^{l-1}, the Adem relation
+    Sq^s Sq^b = sum over c <= s/2 of a_c Sq^{s+b-c} Sq^c, a_c in F2[tau],
+    writes Sq^s theta_l as a sum of multiples of Sq^{s+b-c} of
+    Sq^c theta_{l-1}, c < 2^{l-1}.  Each Sq^c theta_{l-1} lies in J_l by
+    (A) at l - 1, so each Sq^{s+b-c} of it lies in J_{l+1} by (B) at l
+    (Quillen, Math. Ann. 194, 1971; for the motivic Adem and Cartan
+    formulas, Voevodsky, Publ. IHES 98, 2003).
     """
     if n < 2:
         raise ValueError("k(n) is defined for n >= 2")
@@ -81,16 +106,18 @@ def k_computed(n, budget=None):
     ring = bso_ring(n)
     ctx = bso_context(n)
     checker = RegularSequenceChecker(ring, budget)
+    x = theta(ctx, 0)
     j = 0
     while True:
-        x = _theta_mod(ctx, j, checker.basis)
         if ideal_member(x, checker.basis, budget):
             return j
+        r = normal_form(x, checker.basis, budget)  # ideal_member's, kept in _last
         if not checker.append(x):
             raise ArithmeticError(
                 f"theta_{j} ends the regular sequence but is not in the ideal (n={n})"
             )
         j += 1
+        x = _theta_mod(ctx, j, r, checker.basis)
 
 
 def _theta_basis(ring, thetas, budget):
@@ -109,7 +136,9 @@ def verify_theta(n, k=None, budget=None):
     Checks that theta_0..theta_{k-1} is regular, that theta_k lies in the
     ideal it generates, and that tau followed by the first h(n) thetas is
     regular.  Returns a dict with the three booleans and the parameters.
-    theta_k is tested as ``k_computed`` tests it (see ``_theta_mod``).
+    theta_k is tested as the square of the full theta_{k-1} less the
+    multiples of the variables that lead the basis (see ``_theta_mod``);
+    the tau prefix takes the full thetas.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -122,7 +151,8 @@ def verify_theta(n, k=None, budget=None):
     ctx = bso_context(n)
 
     basis, regular = _theta_basis(ring, [theta(ctx, j) for j in range(k)], budget)
-    in_ideal = ideal_member(_theta_mod(ctx, k, basis), basis, budget)
+    x = _theta_mod(ctx, k, theta(ctx, k - 1), basis) if k else theta(ctx, 0)
+    in_ideal = ideal_member(x, basis, budget)
 
     h = formsf2.h_of(n)
     prefix = [ring.gen("t")] + [theta(ctx, j) for j in range(h)]

@@ -367,16 +367,6 @@ def theta(ctx, j):
     return sq(ctx, 1 << (j - 1), theta(ctx, j - 1))
 
 
-def _theta_without(ctx, j, drop):
-    """theta_j less the terms that a generator in ``drop``, a mask of guard
-    bits, divides.  It is built from the cached theta_{j-1} without those
-    terms; theta_j itself is neither built nor cached."""
-    if j == 0:
-        x = theta(ctx, 0)
-        return x if not ctx.ring.support(x.keys[0]) & drop else ctx.ring.zero
-    return _sq(ctx, 1 << (j - 1), theta(ctx, j - 1), drop)
-
-
 class ThomModuleElement:
     """An element w * alpha of the rank-one free module over the class ring.
 

@@ -19,7 +19,7 @@ from subtlesw.grobner import (
     krull_dimension,
     normal_form,
 )
-from subtlesw.spaces import PoincareReport, _theta_mod, k_computed, k_expected, present
+from subtlesw.spaces import PoincareReport, k_computed, k_expected, present
 from subtlesw.steenrod import bso_context, theta
 
 from oracles import (
@@ -30,6 +30,7 @@ from oracles import (
     random_bihomogeneous,
     random_monomial,
 )
+from test_reduction import BENCH_GENS
 
 
 def gb_strings(gb):
@@ -307,7 +308,7 @@ def test_the_running_numerator_check_fires(monkeypatch):
     ctx = bso_context(13)
     chk = RegularSequenceChecker(ctx.ring)
     for j in range(6):
-        assert chk.append(_theta_mod(ctx, j, chk.basis))
+        assert chk.append(theta(ctx, j))
     numerator = grobner._lt_numerator
     calls = [0]
 
@@ -318,13 +319,66 @@ def test_the_running_numerator_check_fires(monkeypatch):
             res = grobner._p2_axpy(res, 1, 40, 40, {(0, 0): 1})
         return res
 
-    theta_6 = _theta_mod(ctx, 6, chk.basis)
+    theta_6 = theta(ctx, 6)
     monkeypatch.setattr(grobner, "_lt_numerator", perturbed)
     with pytest.raises(ArithmeticError, match="^the running Hilbert numerator disagrees with the basis$"):
         chk.append(theta_6)
     assert calls[0] > 3 and chk.length == 6
     monkeypatch.undo()
     assert chk.append(theta_6)
+
+
+def _bench_checker():
+    """The bench ideal's generators as a sequence g3, g1, g0, g2 (0-based
+    in BENCH_GENS), a checker of the first three, and the last."""
+    ring = bso_ring(8)
+    g = [parse_poly(ring, s) for s in BENCH_GENS]
+    chk = RegularSequenceChecker(ring, Budget())
+    for f in (g[3], g[1], g[0]):
+        assert chk.append(f)
+    return ring, chk, g[2]
+
+
+def test_a_failed_append_stops_once_the_gap_lies_below_the_basis_degree():
+    # g2 is a zero divisor on the ideal of g3, g1, g0.  Once a popped pair's
+    # lcm lies above the lowest degree of the Hilbert gap, G is a basis up
+    # to there, and the append returns: 1,599 units, where treating every
+    # pair took 23,540.  The state is as it was before the append.
+    ring = bso_ring(8)
+    g = [parse_poly(ring, s) for s in BENCH_GENS]
+    b = Budget()
+    assert is_regular_sequence(ring, [g[3], g[1], g[0], g[2]], b) == (False, 4)
+    assert b.used == 1599
+    ring, chk, last = _bench_checker()
+    basis, num = chk.basis, dict(chk._num)
+    assert not chk.append(last)
+    assert chk.budget.used == 1599
+    assert chk.basis is basis and chk._num == num and chk.length == 3
+    # the verdict of the full basis: the series of the ideal of all four
+    # is not the drop by g2's factor
+    bd = last.bidegree()
+    full = hilbert_series(groebner_basis(ring, g))
+    assert full != hilbert_series(basis).times_factor(bd.p, bd.q)
+
+
+def test_a_failed_append_still_checks_the_running_numerator(monkeypatch):
+    # the append that stops early still compares the running numerator
+    # with the one of its minimal leading terms
+    ring, chk, last = _bench_checker()
+    numerator = grobner._lt_numerator
+    calls = [0]
+
+    def perturbed(ring, gens):
+        calls[0] += 1
+        res = numerator(ring, gens)
+        if calls[0] == 1:  # the colon numerator of the appended element
+            res = grobner._p2_axpy(res, 1, 40, 40, {(0, 0): 1})
+        return res
+
+    monkeypatch.setattr(grobner, "_lt_numerator", perturbed)
+    with pytest.raises(ArithmeticError, match="^the running Hilbert numerator disagrees with the basis$"):
+        chk.append(last)
+    assert chk.budget.used <= 1599 and chk.length == 3
 
 
 def _dropped_terms_are_charged_as_the_kernel_would(gb, x, limits):

@@ -17,7 +17,7 @@ from subtlesw.grobner import (
     normal_form,
 )
 from subtlesw.poly import MAX_EXPONENT, Bidegree, ExponentOverflow, Ring, RingError, bso_ring, bso_top_ring, parse_poly
-from subtlesw.steenrod import bso_context, bso_top_context, theta
+from subtlesw.steenrod import bso_context, bso_top_context, sq, theta
 from subtlesw.spaces import (
     FAMILIES,
     chern_square_ideal,
@@ -102,11 +102,11 @@ def test_verify_theta_certifies_the_tau_prefix_with_h_thetas(monkeypatch):
 def test_budget_messages_name_n_unless_the_caller_owns_the_budget():
     for run in (lambda b: k_computed(11, b), lambda b: verify_theta(11, budget=b)):
         with pytest.raises(BudgetExceeded) as info:
-            run(10)
-        assert str(info.value) == "budget exceeded after 11 of 10 reduction steps (n=11)"
+            run(8)
+        assert str(info.value) == "budget exceeded after 9 of 8 reduction steps (n=11)"
         with pytest.raises(BudgetExceeded) as info:
-            run(Budget(10))
-        assert str(info.value) == "budget exceeded after 11 of 10 reduction steps"
+            run(Budget(8))
+        assert str(info.value) == "budget exceeded after 9 of 8 reduction steps"
 
 
 def test_present_families_and_errors():
@@ -418,17 +418,22 @@ def test_tables():
 
 
 def test_k_computed_reduces_theta_k_once(monkeypatch):
-    # theta_7 at n = 13 has 8,271 terms, and u2, u3, u5 or u9, the variables
-    # that lead the basis, divide all but 364.  k_computed builds only
-    # those 364, which reach GroebnerBasis._remainder once; it makes one
-    # kernel call on them and finds the remainder zero.
+    # theta_7 at n = 13 has 8,271 terms.  k_computed tests Sq^64(r_6) in
+    # its place, r_6 the remainder of theta_6 by the basis of
+    # theta_0..theta_5, which has 316 terms; u2, u3, u5 or u9, the
+    # variables that lead the basis of theta_0..theta_6, divide all but
+    # 159.  k_computed builds only those 159, which reach
+    # GroebnerBasis._remainder once; it makes one kernel call on them and
+    # finds the remainder zero.
     ctx = bso_context(13)
-    theta7 = theta(ctx, 7)
-    assert len(theta7.terms) == 8271
     ring = ctx.ring
+    assert len(theta(ctx, 7).terms) == 8271
+    r6 = normal_form(theta(ctx, 6), groebner_basis(ring, [theta(ctx, j) for j in range(6)]))
+    square = sq(ctx, 64, r6)
+    assert len(square.keys) == 316
     drop = sum(ring.support(ring.gen(g).keys[0]) for g in ("u2", "u3", "u5", "u9"))
-    kept = tuple(k for k in theta7.keys if not ring.support(k) & drop)
-    assert len(kept) == 364
+    kept = tuple(k for k in square.keys if not ring.support(k) & drop)
+    assert len(kept) == 159
     remainder, kernel = GroebnerBasis._remainder, _reduction.normal_form_terms
     inside = []  # kernel inputs of each open _remainder call
     results = []
@@ -449,20 +454,21 @@ def test_k_computed_reduces_theta_k_once(monkeypatch):
     monkeypatch.setattr(GroebnerBasis, "_remainder", record_remainder)
     monkeypatch.setattr(_reduction, "normal_form_terms", record_kernel)
     assert k_computed(13, Budget()) == 7
-    assert results == [([364], ())]
+    assert results == [([159], ())]
 
 
 def test_k_computed_never_builds_theta_k():
-    # theta_7 is built only less the multiples of the basis variables, and
-    # the theta cache ends with theta_0..theta_6 of bso_context(13)
+    # every theta_j with j >= 1 is built from the remainder of the one
+    # before, less the multiples of the basis variables, so the theta
+    # cache ends with theta_0 of bso_context(13) only
     steenrod.theta.cache_clear()
     assert k_computed(13) == 7
-    assert steenrod.theta.cache_info().currsize == 7
+    assert steenrod.theta.cache_info().currsize == 1
 
 
 def test_k_computed_bases_match_the_full_theta_appends(monkeypatch):
-    # every basis k_computed builds from theta_j less the basis-variable
-    # multiples is the basis that appending theta_j itself builds
+    # every basis k_computed builds from its representatives x_j is the
+    # basis that appending theta_j itself builds
     append = RegularSequenceChecker.append
     bases = []
 
@@ -480,8 +486,26 @@ def test_k_computed_bases_match_the_full_theta_appends(monkeypatch):
         ctx = bso_context(n)
         chk = RegularSequenceChecker(ctx.ring)
         for j in range(k):
+            r = normal_form(theta(ctx, j), chk.basis)
             assert chk.append(theta(ctx, j))
             assert tuple(p.keys for p in chk.basis) == bases[j], (n, j)
+            # what k_computed builds on: Sq^{2^j}(r_j) + theta_{j+1} lies in
+            # the ideal of theta_0..theta_j, r_j the remainder of theta_j
+            assert not normal_form(sq(ctx, 1 << j, r) + theta(ctx, j + 1), chk.basis), (n, j)
+
+
+@pytest.mark.parametrize("top", [False, True], ids=["bso", "bso_top"])
+def test_squares_below_the_theta_step_stay_in_the_next_ideal(top):
+    # lemma (A) of k_computed: Sq^s theta_l lies in (theta_0..theta_l) for
+    # s < 2^l, and the top square of theta_l is theta_l^2
+    for n in range(3, 12):
+        ctx = bso_top_context(n) if top else bso_context(n)
+        for l in range(5):
+            theta_l = theta(ctx, l)
+            assert sq(ctx, (1 << l) + 1, theta_l) == theta_l * theta_l, (n, l)
+            gb = groebner_basis(ctx.ring, [theta(ctx, i) for i in range(l + 1)])
+            for s in range(1 << l):
+                assert ideal_member(sq(ctx, s, theta_l), gb), (n, l, s)
 
 
 def test_k_computed_hands_the_kernel_no_empty_input(monkeypatch):

@@ -331,16 +331,17 @@ _DROPS = [("u2",), ("u2", "u3"), ("u2", "u3", "u5", "u9"), ("t",), ("t", "u3")]
 
 @pytest.mark.parametrize("top", [False, True], ids=["bso", "bso_top"])
 def test_restricted_sq_is_the_filtered_full_sq(top):
-    # theta_j less the multiples of the dropped generators, built directly,
-    # is theta_j with those terms filtered out; in the topological flavor
-    # the u-names stand for w-classes and t is absent
+    # the theta step Sq^{2^(j-1)} theta_{j-1} less the multiples of the
+    # dropped generators, built directly, is theta_j with those terms
+    # filtered out; in the topological flavor the u-names stand for
+    # w-classes and t is absent
     for n in range(3, 15):
         ctx = bso_top_context(n) if top else bso_context(n)
         ring = ctx.ring
         for names in _DROPS:
             drop = _guard_bits(ring, [ctx.letter + g[1:] if g != "t" else g for g in names])
-            for j in range(0, 8):
-                got = steenrod._theta_without(ctx, j, drop)
+            for j in range(1, 8):
+                got = steenrod._sq(ctx, 1 << (j - 1), theta(ctx, j - 1), drop)
                 assert got == _without(theta(ctx, j), drop), (n, names, j)
 
 
