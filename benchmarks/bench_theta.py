@@ -2,34 +2,33 @@
 
 For n = 13..16, with every cache cleared first, times k_computed(n), which
 builds theta_0 and then, for each j >= 1, a representative x_j of theta_j:
-the square of the remainder of x_{j-1} less the terms that a variable
-leading the basis divides (k(n) = 7 for these n).  Prints one line per n
-with the budget units (pairs plus reduction steps) it spent, its kernel
-calls (counted by ``bench_kernel.kernel_work``), the pairs it skipped
-because they lie below the lowest degree where the Hilbert numerator of
-the leading terms still misses the expected one, the seconds spent in
-``grobner._lt_numerator`` (the appends' colon numerators and final
-checks, timed by wrapping it as ``kernel_work`` wraps the kernel), and the
-seconds and terms of the representatives x_1..x_k (``spaces._theta_mod``,
-timed by wrapping it too; perfbench's tracer wraps only
-``steenrod.theta``, which builds none of them).  The line also gives
-theta_k's full terms, built only afterwards for the count, and times
-theta_0..theta_7 from cold caches and ``Poly.bidegree()`` on theta_7 (best
-of BIDEGREE_REPEAT), the homogeneity check that every append of the
-regular-sequence checker pays.
+the square of the remainder of x_{j-1} (see ``spaces._thetas``; k(n) = 7
+for these n).  Prints one line per n with the budget units (pairs plus
+reduction steps) it spent, its kernel calls (counted by
+``bench_kernel.kernel_work``), the pairs it skipped because they lie below
+the lowest degree where the Hilbert numerator of the leading terms still
+misses the expected one, the seconds spent in ``grobner._lt_numerator``
+(the appends' colon numerators and final checks, timed by wrapping it as
+``kernel_work`` wraps the kernel), and the seconds and terms of the
+representatives x_1..x_k (timed by wrapping ``spaces.sq``, which builds
+them; perfbench's tracer wraps only ``steenrod.theta``, which builds none
+of them).  The line also gives theta_k's full terms, built only afterwards
+for the count, and times theta_0..theta_7 from cold caches and
+``Poly.bidegree()`` on theta_7 (best of BIDEGREE_REPEAT), the homogeneity
+check that every append of the regular-sequence checker pays.
 
 A further row does the same for theta_0..theta_8 at n = 17, the theta layer
 at the wall; k(17) itself is out of reach, so the kept terms of theta_8 are
-those of Sq^128(theta_7) that no variable leading the basis of
-theta_0..theta_6 divides.
+those that no variable leading the basis of theta_0..theta_6 divides.
 
-The last row is the wall itself.  At n = 17 it appends theta_0..theta_6 and
-tests Sq^64(theta_6) less the basis-variable multiples, a representative
-of theta_7, for membership (it is not a member), then runs its append
-under WALL_UNITS budget units past that prefix, which end in
-``BudgetExceeded``.  It prints the seconds until then, units
-per second, the kernel calls of the append, the kernel's steps per second
-of its own time and the peak RSS of the process (``ru_maxrss``).  Run with
+The last row is the wall itself.  At n = 17 it runs the chain of
+``spaces._thetas`` up to x_7, testing x_0..x_7 for membership (none is a
+member), then lets the chain append x_7 under WALL_UNITS budget units past
+that prefix, which end in ``BudgetExceeded``; x_7 has the remainder of
+theta_7, so that append does theta_7's work.  It prints the seconds until
+then, units per second, the kernel calls of the append, the kernel's steps
+per second of its own time and the peak RSS of the process
+(``ru_maxrss``).  Run with
 
     PYTHONPATH=src python3 benchmarks/bench_theta.py
 """
@@ -39,8 +38,7 @@ import time
 
 from bench_kernel import kernel_work
 from subtlesw import grobner, spaces, steenrod
-from subtlesw.grobner import Budget, BudgetExceeded, RegularSequenceChecker
-from subtlesw.poly import bso_ring
+from subtlesw.grobner import Budget, BudgetExceeded
 from subtlesw.spaces import k_computed
 from subtlesw.steenrod import bso_context, theta
 
@@ -52,7 +50,7 @@ WALL_UNITS = 150_000  # budget of the theta_7 append at n = WALL_N
 
 
 def clear_caches():
-    for fn in (steenrod.theta, steenrod._sq_mono, steenrod._sq_gen, steenrod._top_left):
+    for fn in (steenrod.theta, steenrod._sq_mono, steenrod._sq_gen):
         fn.cache_clear()
 
 
@@ -100,51 +98,48 @@ def cold_k(n):
     in the Hilbert numerator, and the seconds and terms of the
     representatives x_1..x_k that it builds."""
     clear_caches()
-    theta_mod = spaces._theta_mod
+    square = spaces.sq
     built = 0.0
     terms = []
 
     def timed(*args):
         nonlocal built
         t0 = time.perf_counter()
-        x = theta_mod(*args)
+        x = square(*args)
         built += time.perf_counter() - t0
         terms.append(len(x.keys))
         return x
 
     budget = Budget()
-    spaces._theta_mod = timed
+    spaces.sq = timed
     try:
         t0 = time.perf_counter()
         (k, calls, _, _), hilbert = hilbert_work(lambda: kernel_work(lambda: k_computed(n, budget)))
         seconds = time.perf_counter() - t0
     finally:
-        spaces._theta_mod = theta_mod
+        spaces.sq = square
     return seconds, k, budget, calls, hilbert, built, terms
 
 
-def prefix_checker(n, last):
-    """A checker of the ideal of theta_0..theta_{last-1} in bso_ring(n)."""
-    ctx = bso_context(n)
-    checker = RegularSequenceChecker(bso_ring(n), Budget())
-    for j in range(last):
-        if not checker.append(theta(ctx, j)):
-            raise ArithmeticError(f"theta_{j} is a zero divisor at n={n}")
-    return checker
+def wall_prefix():
+    """The chain of ``spaces._thetas`` at n = WALL_N stopped at x_{WALL_J-1},
+    which is tested for membership like every x before it, with the basis
+    of the thetas before it and the chain's budget."""
+    budget = Budget()
+    chain = spaces._thetas(bso_context(WALL_N), budget)
+    for j, (x, basis) in zip(range(WALL_J), chain):
+        if spaces.ideal_member(x, basis, budget):
+            raise ArithmeticError(f"theta_{j} lies in the ideal at n={WALL_N}")
+    return chain, basis, budget
 
 
-def wall_append(checker):
-    """Seconds of the theta_7 append at n = WALL_N until it spends WALL_UNITS
-    past the prefix certified by ``checker``, with theta_7 tested first."""
-    budget = checker.budget
-    ctx = bso_context(WALL_N)
-    last = spaces._theta_mod(ctx, WALL_J - 1, theta(ctx, WALL_J - 2), checker.basis)
-    if spaces.ideal_member(last, checker.basis, budget):
-        raise ArithmeticError(f"theta_{WALL_J - 1} lies in the ideal at n={WALL_N}")
+def wall_append(chain, budget):
+    """Seconds of the chain's append of x_{WALL_J-1} until it spends
+    WALL_UNITS past the prefix."""
     budget.limit = budget.used + WALL_UNITS
     t0 = time.perf_counter()
     try:
-        checker.append(last)
+        next(chain)
     except BudgetExceeded:
         return time.perf_counter() - t0
     raise ArithmeticError(f"the theta_{WALL_J - 1} append finished inside the budget")
@@ -161,14 +156,14 @@ def main():
             f"   theta_{k} {terms} terms   theta_0..{J} {thetas:7.3f}s   bidegree {check * 1e3:6.2f}ms"
         )
     thetas, terms, check = time_thetas(WALL_N, WALL_J)
-    checker = prefix_checker(WALL_N, WALL_J - 1)
-    ctx = bso_context(WALL_N)
-    kept = len(spaces._theta_mod(ctx, WALL_J, theta(ctx, WALL_J - 1), checker.basis).keys)
+    chain, basis, budget = wall_prefix()
+    ring, drop = basis.ring, basis._key_basis()[2]
+    kept = sum(1 for key in theta(bso_context(WALL_N), WALL_J).keys if not ring.support(key) & drop)
     print(
         f"n={WALL_N:<3} theta_{WALL_J} {terms} terms, {kept} kept"
         f"   theta_0..{WALL_J} {thetas:7.3f}s   bidegree {check * 1e3:6.2f}ms"
     )
-    seconds, calls, steps, kernel_seconds = kernel_work(lambda: wall_append(checker))
+    seconds, calls, steps, kernel_seconds = kernel_work(lambda: wall_append(chain, budget))
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(
         f"n={WALL_N:<3} theta_{WALL_J - 1} append {seconds:8.3f}s to {WALL_UNITS} units"

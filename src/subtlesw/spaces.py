@@ -12,6 +12,7 @@ topological flavors.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import NamedTuple
 
 from . import formsf2
@@ -38,7 +39,7 @@ from .poly import (
     bso_ring,
     bso_top_ring,
 )
-from .steenrod import SteenrodContext, _sq, bso_context, bso_top_context, theta
+from .steenrod import SteenrodContext, bso_context, bso_top_context, sq, theta
 
 FAMILIES = ("BO", "BSO", "BSpin", "BG2", "BO_top", "BSO_top", "BSpin_top")
 
@@ -53,36 +54,22 @@ def k_expected(n):
     return 4 * l + _K8[n - 8 * l]
 
 
-def _theta_mod(ctx, j, rep, gb):
-    """Sq^{2^(j-1)} of ``rep``, theta_{j-1} itself or a representative of
-    it (see ``k_computed``), less the terms that a variable leading the
-    reduced basis ``gb`` divides, built without them (see ``steenrod._sq``).
+def _thetas(ctx, budget):
+    """Yield (x_j, the reduced basis of J_j) for j = 0, 1, ..., with J_j the
+    ideal of theta_0..theta_{j-1} and x_j = theta_j modulo J_j: x_0 is
+    theta_0, and after each yield x_j joins the basis unless its remainder
+    r_j is zero, and x_{j+1} is Sq^{2^j} of r_j.  No theta_j with j >= 1 is
+    built in full.  ``budget`` is a resolved Budget; a membership test of
+    x_j under it between yields leaves r_j in ``GroebnerBasis._last``, and
+    the append reuses it.  A failed append raises ``ArithmeticError``:
+    x_j is then neither regular nor in J_j.
 
-    Those terms lie in the ideal of ``gb``, and its normal form drops them
-    unread (see ``GroebnerBasis._remainder``), so when the square of
-    ``rep`` is theta_j modulo that ideal the result is too: it has theta_j's
-    normal form, and with ``gb`` it generates the ideal that theta_j does.
-    A term never built costs no time and no budget unit.
-    """
-    return _sq(ctx, 1 << (j - 1), rep, gb._key_basis()[2])
-
-
-def k_computed(n, budget=None):
-    """Recompute k(n): append theta_j while it is not in the ideal so far.
-
-    The answer is the unique k with theta_0..theta_{k-1} regular and
-    theta_k in J_k, where J_l is the ideal of theta_0..theta_{l-1}.  Each
-    theta_j is tested for membership first and appended only when it lies
-    outside J_j, where it must be certified regular; so theta_k is reduced
-    to zero once.  Both steps take x_j, a representative of theta_j modulo
-    J_j, and no theta_j with j >= 1 is built in full: x_0 is theta_0, and
-    x_{j+1} is Sq^{2^j} of r_j, the remainder of x_j that the membership
-    test has already computed, less the multiples of the variables that
-    lead the basis of J_{j+1} (see ``_theta_mod``).  r_j is theta_j plus an
-    element of J_j, so by (B) below x_{j+1} is theta_{j+1} modulo J_{j+1}.
-    Its remainder by the reduced basis of J_{j+1} is then theta_{j+1}'s, so
-    every membership test has the same answer, and every append the same
-    basis, as with theta_{j+1} itself.  By induction on l:
+    r_j is theta_j plus an element of J_j, so by (B) below x_{j+1} is
+    theta_{j+1} modulo J_{j+1}: it has theta_{j+1}'s remainder by the basis
+    of J_{j+1} and generates the same ideal with it, so every membership
+    test and every append go as with theta_{j+1} itself.  Once some x_j
+    lies in J_j, every later J is J_j and every later x is zero.  By
+    induction on l:
 
     (A) Sq^s theta_l lies in J_{l+1} for s < 2^l;
     (B) Sq^t(J_l) lies in J_{l+1} for every t.
@@ -100,34 +87,30 @@ def k_computed(n, budget=None):
     (Quillen, Math. Ann. 194, 1971; for the motivic Adem and Cartan
     formulas, Voevodsky, Publ. IHES 98, 2003).
     """
-    if n < 2:
-        raise ValueError("k(n) is defined for n >= 2")
-    budget = _resolve_budget(budget, f"n={n}")
-    ring = bso_ring(n)
-    ctx = bso_context(n)
-    checker = RegularSequenceChecker(ring, budget)
+    checker = RegularSequenceChecker(ctx.ring, budget)
     x = theta(ctx, 0)
     j = 0
     while True:
-        if ideal_member(x, checker.basis, budget):
-            return j
-        r = normal_form(x, checker.basis, budget)  # ideal_member's, kept in _last
-        if not checker.append(x):
+        yield x, checker.basis
+        r = normal_form(x, checker.basis, budget)
+        if r and not checker.append(x):
             raise ArithmeticError(
-                f"theta_{j} ends the regular sequence but is not in the ideal (n={n})"
+                f"theta_{j} ends the regular sequence but is not in the ideal (n={ctx.n})"
             )
+        x = sq(ctx, 1 << j, r)
         j += 1
-        x = _theta_mod(ctx, j, r, checker.basis)
 
 
-def _theta_basis(ring, thetas, budget):
-    """Reduced basis of the ideal of ``thetas``, and whether they form a
-    regular sequence.  The basis is built by certified appends while the
-    sequence stays regular, and by ``groebner_basis`` otherwise.
-    ``budget`` is a resolved Budget, so both paths charge the same one."""
-    checker = RegularSequenceChecker(ring, budget)
-    regular = all(checker.append(f) for f in thetas)
-    return (checker.basis if regular else groebner_basis(ring, thetas, budget)), regular
+def k_computed(n, budget=None):
+    """Recompute k(n): the unique k with theta_0..theta_{k-1} regular and
+    theta_k in the ideal they generate, read off the chain of ``_thetas``,
+    which tests each theta once: the first j whose x_j is a member."""
+    if n < 2:
+        raise ValueError("k(n) is defined for n >= 2")
+    budget = _resolve_budget(budget, f"n={n}")
+    for j, (x, basis) in enumerate(_thetas(bso_context(n), budget)):
+        if ideal_member(x, basis, budget):
+            return j
 
 
 def verify_theta(n, k=None, budget=None):
@@ -136,9 +119,9 @@ def verify_theta(n, k=None, budget=None):
     Checks that theta_0..theta_{k-1} is regular, that theta_k lies in the
     ideal it generates, and that tau followed by the first h(n) thetas is
     regular.  Returns a dict with the three booleans and the parameters.
-    theta_k is tested as the square of the full theta_{k-1} less the
-    multiples of the variables that lead the basis (see ``_theta_mod``);
-    the tau prefix takes the full thetas.
+    Every theta is its x_j from ``_thetas``, which gives the same verdicts.
+    theta_k lies in J_k once some x_j with j <= k does, so the chain stops
+    at the first member once it holds the tau prefix.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -147,24 +130,22 @@ def verify_theta(n, k=None, budget=None):
     if k < 0:
         raise ValueError("k must be nonnegative")
     budget = _resolve_budget(budget, f"n={n}")
-    ring = bso_ring(n)
     ctx = bso_context(n)
-
-    basis, regular = _theta_basis(ring, [theta(ctx, j) for j in range(k)], budget)
-    x = _theta_mod(ctx, k, theta(ctx, k - 1), basis) if k else theta(ctx, 0)
-    in_ideal = ideal_member(x, basis, budget)
-
     h = formsf2.h_of(n)
-    prefix = [ring.gen("t")] + [theta(ctx, j) for j in range(h)]
-    tau_prefix = is_regular_sequence(ring, prefix, budget)[0]
+    members, prefix = [], [ctx.ring.gen("t")]
+    for x, basis in _thetas(ctx, budget):
+        members.append(ideal_member(x, basis, budget))
+        prefix.append(x)
+        if len(members) >= h and (members[-1] or len(members) > k):
+            break
 
     return {
         "n": n,
         "k": k,
         "h": h,
-        "regular": regular,
-        "theta_k_in_ideal": in_ideal,
-        "tau_prefix_regular": tau_prefix,
+        "regular": not any(members[:k]),
+        "theta_k_in_ideal": any(members[: k + 1]),
+        "tau_prefix_regular": is_regular_sequence(ctx.ring, prefix[: h + 1], budget)[0],
     }
 
 
@@ -203,8 +184,8 @@ def present(family, n=None, budget=None):
 
     BO/BSO (and their topological shadows) are free; BSpin quotients by the
     theta relations and adjoins v_{2^k}; BG2 is free on t, u4, u6, u7.
-    The theta relations are built by the certified appends of
-    ``verify_theta`` (see ``_theta_basis``), under one budget.
+    The theta relations are the reduced basis of J_k that the certified
+    appends of ``_thetas`` build, under one budget.
     """
     fam = str(family)
     key = fam.lower()
@@ -242,12 +223,9 @@ def present(family, n=None, budget=None):
         ring = Ring(gens)
         return Presentation(fam, n, ring, GroebnerBasis(ring, ()), k)
 
-    base = bso_ring(n) if motivic else bso_top_ring(n)
     ctx = bso_context(n) if motivic else bso_top_context(n)
-    ambient = Ring(
-        list(zip(base.names, base.bidegrees)) + [(vname, vdeg)]
-    )
-    rel, _ = _theta_basis(base, [theta(ctx, j) for j in range(k)], _resolve_budget(budget))
+    ambient = Ring(list(zip(ctx.ring.names, ctx.ring.bidegrees)) + [(vname, vdeg)])
+    _, rel = next(itertools.islice(_thetas(ctx, _resolve_budget(budget)), k, None))
     lifted = GroebnerBasis(ambient, [_lift(ambient, p, 1) for p in rel])
     return Presentation(fam, n, ambient, lifted, k)
 

@@ -236,18 +236,9 @@ def _sq_mono(ctx, k, key):
     return _cartan_sum(ctx, parts)
 
 
-@functools.lru_cache(maxsize=None)
-def _top_left(ctx, m, drop):
-    """The keys of Sq^{m-1}(u_m) that no generator in ``drop`` divides."""
-    keys = _sq_gen(ctx, m - 1, m).keys
-    support = ctx.ring.support
-    return tuple(g for g in keys if not support(g) & drop)
-
-
-def _below_top(ctx, key, p, q, drop, plain, twisted):
-    """Add Sq^{p-1} of the monomial ``key`` of bidegree (q)[p], less the
-    terms that a generator in ``drop`` divides, to the key sets ``plain``
-    and ``twisted`` (see :func:`_join`), in closed form.
+def _below_top(ctx, key, p, q, plain, twisted):
+    """Add Sq^{p-1} of the monomial ``key`` of bidegree (q)[p] to the key
+    sets ``plain`` and ``twisted`` (see :func:`_join`), in closed form.
 
     Write the monomial as tau^a * y.  By the Cartan rule and instability,
     Sq^{p-1} leaves exactly one factor u_m of y below its top square.  The
@@ -262,10 +253,7 @@ def _below_top(ctx, key, p, q, drop, plain, twisted):
     factors of z; here that count is o - [m odd], with o = p - 2(q - a) the
     count for y.  So each part is the keys of Sq^{m-1}(u_m) shifted by one
     constant, (y/u_m)^2 times a power of tau, and no two parts share a key.
-    A generator in ``drop`` that divides y/u_m, or t when that power is
-    positive, divides every term of the part, which is skipped whole; of
-    the others only the keys of Sq^{m-1}(u_m) that miss ``drop`` are built.
-    The tau exponent of each part built is checked against ``MAX_EXPONENT``
+    The tau exponent of each part is checked against ``MAX_EXPONENT``
     before its shift, and every key against ``limit_mask`` before anything
     cancels, as in a product.
     """
@@ -276,15 +264,11 @@ def _below_top(ctx, key, p, q, drop, plain, twisted):
         tau_step = ring.steps[ring.tau_index]
         a = ring.exponent(key, ring.tau_index)
         key -= a * tau_step
-    drop_tau = drop and ring.support(one + tau_step) & drop
     o = p - 2 * (q - a)
     seen = ring.limit_mask
     for pos in ring.odd_positions(key):
-        rest = key - ring.steps[pos]
-        if drop and ring.support(rest) & drop:
-            continue
         m = ring.bidegrees[pos].p
-        left = _top_left(ctx, m, drop)
+        left = _sq_gen(ctx, m - 1, m).keys
         if not left:
             continue
         # the Cartan indices m - 1 and p - m are both odd
@@ -293,11 +277,9 @@ def _below_top(ctx, key, p, q, drop, plain, twisted):
         # _join adds; it is checked before the shift, which would carry out
         # of the tau field, where limit_mask cannot see it
         c = a + (o - (m & 1)) // 2
-        if drop_tau and c + both_odd:
-            continue
         if ctx.motivic and c + both_odd > MAX_EXPONENT:
             raise ExponentOverflow
-        shift = 2 * (rest - one) + c * tau_step
+        shift = 2 * (key - ring.steps[pos] - one) + c * tau_step
         part = [g + shift for g in left]
         seen = functools.reduce(and_, part, seen)
         (twisted if both_odd else plain).symmetric_difference_update(part)
@@ -313,29 +295,17 @@ def sq(ctx, k, x):
     A term of degree k + 1 >= 2 takes the closed form of :func:`_below_top`;
     every other term takes the memoized recursion of :func:`_sq_mono`.
     """
-    return _sq(ctx, k, x, 0)
-
-
-def _sq(ctx, k, x, drop):
-    """Sq^k applied to x less the terms that a generator in ``drop``, a mask
-    of guard bits, divides.  Sq is F2-linear, so that is the sum over the
-    terms of x of their images less those terms; :func:`_below_top` never
-    builds them, and the images of :func:`_sq_mono` are filtered."""
     if k < 0:
         raise ValueError("Sq index must be nonnegative")
     ctx._check_argument(x)
     ring = ctx.ring
-    support = ring.support
     plain, twisted = set(), set()
     for key in x.keys:
         p, q = ring.key_bidegree(key)
         if k and p == k + 1:
-            _below_top(ctx, key, p, q, drop, plain, twisted)
+            _below_top(ctx, key, p, q, plain, twisted)
         else:
-            keys = _sq_mono(ctx, k, key).keys
-            if drop:
-                keys = [g for g in keys if not support(g) & drop]
-            plain.symmetric_difference_update(keys)
+            plain.symmetric_difference_update(_sq_mono(ctx, k, key).keys)
     return _join(ctx, plain, twisted)
 
 
@@ -356,7 +326,10 @@ def cartan(ctx, k, x, y):
 def theta(ctx, j):
     """theta_0 = the index-2 class; theta_{j+1} = Sq^{2^j} theta_j.
 
-    In the topological flavor this is the classical rho sequence.
+    In the topological flavor this is the classical rho sequence.  The
+    memo is filled upward, so each call finds theta_{j-1} there and no call
+    recurses more than two levels: a large j ends in ``ExponentOverflow``,
+    or in zero, which every theta after a zero one is.
     """
     if j < 0:
         raise ValueError("theta index must be nonnegative")
@@ -364,6 +337,9 @@ def theta(ctx, j):
         raise RingError("theta is defined in the SO flavors")
     if j == 0:
         return ctx.class_poly(2)
+    for i in range(1, j):
+        if not theta(ctx, i):
+            return ctx.ring.zero
     return sq(ctx, 1 << (j - 1), theta(ctx, j - 1))
 
 

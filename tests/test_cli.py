@@ -150,6 +150,9 @@ def test_usage_errors(capsys):
     # one past MAX_EXPONENT
     code, out, err = run(capsys, ["sq", "--flavor", "bso", "--n", "5", "--k", "1", "u2^32768"])
     assert code == 2 and out == "" and err == "usage error: monomial exponent exceeds 15 bits\n"
+    # a theta index far past the exponent limit overflows, and recurses no deeper for it
+    code, out, err = run(capsys, ["theta", "--n", "5", "--j", "1200"])
+    assert code == 2 and out == "" and err == "usage error: monomial exponent exceeds 15 bits\n"
     code, _, err = run(capsys, ["verify", "--n", "5", "--k", "-1"])
     assert code == 2 and "usage error" in err
     code, _, _ = run(capsys, ["nonsense"])

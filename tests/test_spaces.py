@@ -1,9 +1,10 @@
+import itertools
 import random
 from operator import ge
 
 import pytest
 
-from subtlesw import _reduction, spaces, steenrod
+from subtlesw import _reduction, formsf2, spaces, steenrod
 from subtlesw.grobner import (
     Budget,
     BudgetExceeded,
@@ -97,6 +98,63 @@ def test_verify_theta_certifies_the_tau_prefix_with_h_thetas(monkeypatch):
         rep = verify_theta(n, k)
         assert lengths == [want] and rep["h"] == want - 1
         assert rep["tau_prefix_regular"]
+
+
+def test_verify_theta_matches_the_full_thetas():
+    # the oracle: every verdict from the full thetas, the ideal by
+    # groebner_basis, against the chain of representatives
+    for n in range(2, 13):
+        ctx = bso_context(n)
+        ring = ctx.ring
+        h = formsf2.h_of(n)
+        for k in sorted({0, 1, k_expected(n), k_expected(n) + 1}):
+            thetas = [theta(ctx, j) for j in range(max(k, h) + 1)]
+            assert verify_theta(n, k) == {
+                "n": n,
+                "k": k,
+                "h": h,
+                "regular": is_regular_sequence(ring, thetas[:k])[0],
+                "theta_k_in_ideal": ideal_member(thetas[k], groebner_basis(ring, thetas[:k])),
+                "tau_prefix_regular": is_regular_sequence(ring, [ring.gen("t")] + thetas[:h])[0],
+            }, (n, k)
+
+
+def test_the_theta_chain_past_its_first_member():
+    # x_3 lies in J_3 at n = 5; it is not appended, so the basis stays,
+    # and every later x is the square of a zero remainder
+    chain = list(itertools.islice(spaces._thetas(bso_context(5), Budget()), 6))
+    assert [bool(x) for x, _ in chain] == [True] * 4 + [False] * 2
+    assert ideal_member(*chain[3]) and all(basis is chain[3][1] for _, basis in chain[3:])
+
+
+def test_verify_theta_far_past_k():
+    # theta_3 already lies in J_3 at n = 5, so every later representative
+    # is zero and no theta_j with j > 0 is built in full
+    assert verify_theta(5, 2000) == {
+        "n": 5,
+        "k": 2000,
+        "h": 2,
+        "regular": False,
+        "theta_k_in_ideal": True,
+        "tau_prefix_regular": True,
+    }
+
+
+def test_a_theta_neither_regular_nor_in_the_ideal_raises(monkeypatch):
+    # the third append fails though theta_2 does not reduce to zero
+    append = RegularSequenceChecker.append
+    for call in (lambda: k_computed(9), lambda: verify_theta(9), lambda: present("BSpin", 9)):
+        calls = []
+
+        def fail_third(self, f):
+            calls.append(f)
+            return len(calls) != 3 and append(self, f)
+
+        with monkeypatch.context() as m:
+            m.setattr(RegularSequenceChecker, "append", fail_third)
+            with pytest.raises(ArithmeticError) as info:
+                call()
+        assert str(info.value) == "theta_2 ends the regular sequence but is not in the ideal (n=9)"
 
 
 def test_budget_messages_name_n_unless_the_caller_owns_the_budget():
@@ -238,13 +296,15 @@ def test_bspin_series_match_the_closed_form():
 
 def test_present_relations_are_the_basis_of_the_thetas():
     # present builds the relations by certified appends; they are the
-    # reduced basis that groebner_basis gives for the same thetas
-    for n in range(3, 13):
-        p = present("BSpin", n)
-        ctx = bso_context(n)
-        rel = groebner_basis(ctx.ring, [theta(ctx, j) for j in range(p.k)])
-        lifted = [p.ring.poly(t + (0,) for t in g.terms) for g in rel]
-        assert list(p.relations) == lifted, n
+    # reduced basis that groebner_basis gives for the full thetas, in both
+    # flavors
+    for family, context in (("BSpin", bso_context), ("BSpin_top", bso_top_context)):
+        for n in range(3, 13):
+            p = present(family, n)
+            ctx = context(n)
+            rel = groebner_basis(ctx.ring, [theta(ctx, j) for j in range(p.k)])
+            lifted = [p.ring.poly(t + (0,) for t in g.terms) for g in rel]
+            assert list(p.relations) == lifted, (family, n)
 
 
 def test_torsor_relation_literals():
@@ -394,7 +454,7 @@ def test_g2_gysin_check_spends_one_budget(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(spaces, "_theta_basis", spy(spaces._theta_basis))
+    monkeypatch.setattr(spaces, "_thetas", spy(spaces._thetas))
     monkeypatch.setattr(spaces, "groebner_basis", spy(spaces.groebner_basis))
     assert g2_gysin_check(50) == {"v8_regular": True, "series_identity": True}
     assert len(seen) == 2 and seen[0] is seen[1]
@@ -418,12 +478,12 @@ def test_tables():
 
 
 def test_k_computed_reduces_theta_k_once(monkeypatch):
-    # theta_7 at n = 13 has 8,271 terms.  k_computed tests Sq^64(r_6) in
-    # its place, r_6 the remainder of theta_6 by the basis of
+    # theta_7 at n = 13 has 8,271 terms.  k_computed tests x_7 = Sq^64(r_6)
+    # in its place, r_6 the remainder of theta_6 by the basis of
     # theta_0..theta_5, which has 316 terms; u2, u3, u5 or u9, the
-    # variables that lead the basis of theta_0..theta_6, divide all but
-    # 159.  k_computed builds only those 159, which reach
-    # GroebnerBasis._remainder once; it makes one kernel call on them and
+    # variables that lead the basis of theta_0..theta_6, divide 157 of
+    # them.  x_7 reaches GroebnerBasis._remainder once, which drops those
+    # 157 at one unit each and makes one kernel call on the 159 left; it
     # finds the remainder zero.
     ctx = bso_context(13)
     ring = ctx.ring
@@ -432,35 +492,38 @@ def test_k_computed_reduces_theta_k_once(monkeypatch):
     square = sq(ctx, 64, r6)
     assert len(square.keys) == 316
     drop = sum(ring.support(ring.gen(g).keys[0]) for g in ("u2", "u3", "u5", "u9"))
-    kept = tuple(k for k in square.keys if not ring.support(k) & drop)
-    assert len(kept) == 159
+    assert sum(1 for k in square.keys if not ring.support(k) & drop) == 159
     remainder, kernel = GroebnerBasis._remainder, _reduction.normal_form_terms
-    inside = []  # kernel inputs of each open _remainder call
+    inside = []  # (input terms, steps) of the kernel calls of each open _remainder call
     results = []
 
     def record_remainder(self, x, budget):
         inside.append([])
+        before = budget.used
         nf = remainder(self, x, budget)
-        sizes = inside.pop()
-        if x.keys == kept:
-            results.append((sizes, nf))
+        calls = inside.pop()
+        if x.keys == square.keys:
+            results.append((calls, nf, budget.used - before))
         return nf
 
     def record_kernel(terms, *args):
+        out = kernel(terms, *args)
         if inside:
-            inside[-1].append(len(terms))
-        return kernel(terms, *args)
+            inside[-1].append((len(terms), out[1]))
+        return out
 
     monkeypatch.setattr(GroebnerBasis, "_remainder", record_remainder)
     monkeypatch.setattr(_reduction, "normal_form_terms", record_kernel)
     assert k_computed(13, Budget()) == 7
-    assert results == [([159], ())]
+    [(calls, nf, units)] = results
+    assert [size for size, _ in calls] == [159] and nf == ()
+    assert units == 157 + calls[0][1]
 
 
 def test_k_computed_never_builds_theta_k():
-    # every theta_j with j >= 1 is built from the remainder of the one
-    # before, less the multiples of the basis variables, so the theta
-    # cache ends with theta_0 of bso_context(13) only
+    # every theta_j with j >= 1 is built as the square of the remainder of
+    # the one before, so the theta memo ends with theta_0 of
+    # bso_context(13) only
     steenrod.theta.cache_clear()
     assert k_computed(13) == 7
     assert steenrod.theta.cache_info().currsize == 1
