@@ -7,8 +7,8 @@ series and Krull dimension of the quotient (the monomial-ideal recursions
 on the basis's leading keys), best of REPEAT runs.  For the basis and the
 batch it also prints the kernel calls, the reduction steps and the
 kernel's rate in steps per second of its own time, best of the same runs
-(counted and timed by wrapping ``_reduction.normal_form_terms``, which the
-Groebner layer looks up on every call), so a kernel change shows as a rate
+(counted and timed by ``spying`` on ``_reduction.normal_form_terms``, which
+the Groebner layer looks up on every call), so a kernel change shows as a rate
 and not only in seconds.  The basis line adds the driver's own seconds,
 the run's time minus the kernel's, best of the same runs, and what became
 of the pairs: dropped for coprime leading terms, dropped by the chain
@@ -17,6 +17,7 @@ criterion, or reduced (from the run's ``Budget``).  Run with
     PYTHONPATH=src python3 benchmarks/bench_kernel.py
 """
 
+import contextlib
 import random
 import time
 
@@ -52,28 +53,34 @@ def best_of(repeat, fn):
     return min(times)
 
 
+@contextlib.contextmanager
+def spying(module, name, record):
+    """Within the block, ``module.name`` is wrapped so that every call
+    also runs ``record(result, seconds)`` with its result and its own
+    seconds; the original is restored when the block ends, also when it
+    raises."""
+    original = getattr(module, name)
+
+    def spy(*args):
+        t0 = time.perf_counter()
+        result = original(*args)
+        record(result, time.perf_counter() - t0)
+        return result
+
+    setattr(module, name, spy)
+    try:
+        yield
+    finally:
+        setattr(module, name, original)
+
+
 def kernel_work(fn):
     """``fn()``, and the calls, steps and seconds of the reduction kernel
     while it runs."""
-    kernel = _reduction.normal_form_terms
-    calls = steps = 0
-    seconds = 0.0
-
-    def counting(*args):
-        nonlocal calls, steps, seconds
-        t0 = time.perf_counter()
-        result = kernel(*args)
-        seconds += time.perf_counter() - t0
-        calls += 1
-        steps += result[1]
-        return result
-
-    _reduction.normal_form_terms = counting
-    try:
+    runs = []  # (steps, seconds) of each kernel call
+    with spying(_reduction, "normal_form_terms", lambda result, s: runs.append((result[1], s))):
         result = fn()
-    finally:
-        _reduction.normal_form_terms = kernel
-    return result, calls, steps, seconds
+    return result, len(runs), sum(n for n, _ in runs), sum(s for _, s in runs)
 
 
 def main():

@@ -8,18 +8,16 @@ reduction steps) it spent, its kernel calls (counted by
 ``bench_kernel.kernel_work``), the pairs it skipped because they lie below
 the lowest degree where the Hilbert numerator of the leading terms still
 misses the expected one, the seconds spent in ``grobner._lt_numerator``
-(the appends' colon numerators and final checks, timed by wrapping it as
-``kernel_work`` wraps the kernel), and the seconds and terms of the
-representatives x_1..x_k (timed by wrapping ``spaces.sq``, which builds
-them; perfbench's tracer wraps only ``steenrod.theta``, which builds none
-of them).  The line also gives theta_k's full terms, built only afterwards
-for the count, and times theta_0..theta_7 from cold caches and
-``Poly.bidegree()`` on theta_7 (best of BIDEGREE_REPEAT), the homogeneity
-check that every append of the regular-sequence checker pays.
+(the appends' colon numerators and final checks), and the seconds and
+terms of the representatives x_1..x_k (``spaces.sq`` builds them;
+perfbench's tracer wraps only ``steenrod.theta``, which builds none of
+them); both are timed by ``bench_kernel.spying``.  The line also gives
+theta_k's full terms, built only afterwards for the count by one cold
+``theta`` call, and that call's seconds.
 
-A further row does the same for theta_0..theta_8 at n = 17, the theta layer
-at the wall; k(17) itself is out of reach, so the kept terms of theta_8 are
-those that no variable leading the basis of theta_0..theta_6 divides.
+A further row does the same for theta_8 at n = 17, the theta layer at the
+wall; k(17) itself is out of reach, so the kept terms of theta_8 are those
+that no variable leading the basis of theta_0..theta_6 divides.
 
 The last row is the wall itself.  At n = 17 it runs the chain of
 ``spaces._thetas`` up to x_7, testing x_0..x_7 for membership (none is a
@@ -36,7 +34,7 @@ per second of its own time and the peak RSS of the process
 import resource
 import time
 
-from bench_kernel import kernel_work
+from bench_kernel import kernel_work, spying
 from subtlesw import grobner, spaces, steenrod
 from subtlesw.grobner import Budget, BudgetExceeded
 from subtlesw.spaces import k_computed
@@ -45,52 +43,21 @@ from subtlesw.steenrod import bso_context, theta
 NS = range(13, 17)
 J = 7  # k(n) for every n in NS
 WALL_N, WALL_J = 17, 8
-BIDEGREE_REPEAT = 5
 WALL_UNITS = 150_000  # budget of the theta_7 append at n = WALL_N
 
 
 def clear_caches():
-    for fn in (steenrod.theta, steenrod._sq_mono, steenrod._sq_gen):
+    for fn in (steenrod._sq_mono, steenrod._sq_gen):
         fn.cache_clear()
 
 
 def time_thetas(n, last):
-    """Seconds for theta_0..theta_last from cold caches, the last one's
-    terms, and the seconds of its ``bidegree()``."""
+    """theta_last, built by one ``theta`` call from cold caches, and the
+    seconds of that call."""
     clear_caches()
-    ctx = bso_context(n)
     t0 = time.perf_counter()
-    for j in range(last + 1):
-        theta(ctx, j)
-    seconds = time.perf_counter() - t0
-    top = theta(ctx, last)
-    check = float("inf")
-    for _ in range(BIDEGREE_REPEAT):
-        t1 = time.perf_counter()
-        top.bidegree()
-        check = min(check, time.perf_counter() - t1)
-    return seconds, len(top.keys), check
-
-
-def hilbert_work(fn):
-    """``fn()``, and the seconds spent in ``grobner._lt_numerator`` while it
-    runs."""
-    numerator = grobner._lt_numerator
-    seconds = 0.0
-
-    def timed(*args):
-        nonlocal seconds
-        t0 = time.perf_counter()
-        result = numerator(*args)
-        seconds += time.perf_counter() - t0
-        return result
-
-    grobner._lt_numerator = timed
-    try:
-        result = fn()
-    finally:
-        grobner._lt_numerator = numerator
-    return result, seconds
+    top = theta(bso_context(n), last)
+    return time.perf_counter() - t0, top
 
 
 def cold_k(n):
@@ -98,27 +65,17 @@ def cold_k(n):
     in the Hilbert numerator, and the seconds and terms of the
     representatives x_1..x_k that it builds."""
     clear_caches()
-    square = spaces.sq
-    built = 0.0
-    terms = []
-
-    def timed(*args):
-        nonlocal built
-        t0 = time.perf_counter()
-        x = square(*args)
-        built += time.perf_counter() - t0
-        terms.append(len(x.keys))
-        return x
-
+    hilbert, squares = [], []  # seconds; (terms, seconds)
     budget = Budget()
-    spaces.sq = timed
-    try:
-        t0 = time.perf_counter()
-        (k, calls, _, _), hilbert = hilbert_work(lambda: kernel_work(lambda: k_computed(n, budget)))
-        seconds = time.perf_counter() - t0
-    finally:
-        spaces.sq = square
-    return seconds, k, budget, calls, hilbert, built, terms
+    t0 = time.perf_counter()
+    with (
+        spying(grobner, "_lt_numerator", lambda _, s: hilbert.append(s)),
+        spying(spaces, "sq", lambda x, s: squares.append((len(x.keys), s))),
+    ):
+        k, calls, _, _ = kernel_work(lambda: k_computed(n, budget))
+    seconds = time.perf_counter() - t0
+    built = sum(s for _, s in squares)
+    return seconds, k, budget, calls, sum(hilbert), built, [terms for terms, _ in squares]
 
 
 def wall_prefix():
@@ -148,21 +105,18 @@ def wall_append(chain, budget):
 def main():
     for n in NS:
         seconds, k, budget, calls, hilbert, built, reps = cold_k(n)
-        thetas, terms, check = time_thetas(n, J)
+        thetas, top = time_thetas(n, J)
         print(
             f"n={n:<3} k={k} cold {seconds:7.3f}s ({budget.used} units, {calls} kernel calls,"
             f" {budget.skipped} skipped, hilbert {hilbert:6.3f}s)"
             f"   x_1..{k} {built * 1e3:6.2f}ms, {'/'.join(map(str, reps))} terms"
-            f"   theta_{k} {terms} terms   theta_0..{J} {thetas:7.3f}s   bidegree {check * 1e3:6.2f}ms"
+            f"   theta_{J} {len(top.keys)} terms in {thetas:7.3f}s"
         )
-    thetas, terms, check = time_thetas(WALL_N, WALL_J)
+    thetas, top = time_thetas(WALL_N, WALL_J)
     chain, basis, budget = wall_prefix()
     ring, drop = basis.ring, basis._key_basis()[2]
-    kept = sum(1 for key in theta(bso_context(WALL_N), WALL_J).keys if not ring.support(key) & drop)
-    print(
-        f"n={WALL_N:<3} theta_{WALL_J} {terms} terms, {kept} kept"
-        f"   theta_0..{WALL_J} {thetas:7.3f}s   bidegree {check * 1e3:6.2f}ms"
-    )
+    kept = sum(1 for key in top.keys if not ring.support(key) & drop)
+    print(f"n={WALL_N:<3} theta_{WALL_J} {len(top.keys)} terms, {kept} kept, in {thetas:7.3f}s")
     seconds, calls, steps, kernel_seconds = kernel_work(lambda: wall_append(chain, budget))
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(

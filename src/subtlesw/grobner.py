@@ -35,7 +35,7 @@ import heapq
 
 from . import _reduction
 from ._reduction import DivisorTable
-from .poly import FIELD_MAX, INHOMOGENEOUS, Poly, RingError, ZERO_DEGREE
+from .poly import FIELD_MAX, INHOMOGENEOUS, Poly, RingError, ZERO_DEGREE, xor_runs
 
 DEFAULT_BUDGET = 10**7
 
@@ -120,8 +120,8 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     one call and serve both its pairs and the Hilbert colon below; each is
     the sum of the two keys minus their gcd's key, which a dict of this run
     keeps by the gcd's exponent fields (see ``Ring.key_lcms``).  An
-    S-polynomial merges the two shifted tails, both descending, with one
-    sort, and drops the keys found in both.  The chain
+    S-polynomial is the F2 sum of the two shifted tails, both descending
+    runs, by ``poly.xor_runs``.  The chain
     criterion looks for a leading term that divides a pair's lcm only
     among the candidates of the divisor table for the lcm's support, the
     leads whose support lies inside it, as every divisor's does.
@@ -231,17 +231,9 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
             budget.chained += 1
             continue
         budget.charge(1)
-        # the two shifted tails are descending runs, merged by one sort;
-        # a key in both cancels
         qf = lcm - lti
         qg = lcm - ltj
-        spoly = [t + qf for t in G[i][1:]]
-        tail = [t + qg for t in G[j][1:]]
-        both = set(spoly).intersection(tail)
-        spoly += tail
-        spoly.sort(reverse=True)
-        if both:
-            spoly = [t for t in spoly if t not in both]
+        spoly = xor_runs([t + qf for t in G[i][1:]], [t + qg for t in G[j][1:]])
         if not spoly:
             continue
         nf = _kernel_nf(spoly, G, table, budget)
@@ -553,8 +545,6 @@ class HilbertSeries:
         for p, q in mine:
             b = _p2_axpy(b, -1, p, q, b)
         return a == b
-
-    __hash__ = None
 
     def times_factor(self, p, q):
         """Multiply the series by (1 - T^p S^q)."""

@@ -62,9 +62,6 @@ class Bidegree(NamedTuple):
     def __add__(self, other):
         return Bidegree(self.p + other.p, self.q + other.q)
 
-    def scaled(self, k):
-        return Bidegree(self.p * k, self.q * k)
-
     @property
     def d(self):
         """Combined degree p + q."""
@@ -149,8 +146,9 @@ class Ring:
 
     ``guard_mask``, ``limit_mask`` and ``low_mask`` hold bits of the
     exponent fields only.  ``pivots`` lists, in generator order, what the
-    Hilbert numerator recursion reads of each generator: its guard bit, the
-    shift of its field, its step, and its p and q.
+    Hilbert numerator recursion and :meth:`key_lcms` read of each
+    generator: its guard bit, the shift of its field, its step, and its p
+    and q.
     """
 
     __slots__ = (
@@ -167,7 +165,6 @@ class Ring:
         "_shifts",
         "_odd_position",
         "_fields",
-        "_weights",
         "pivots",
         "_p_max",
         "_p_mask",
@@ -215,7 +212,6 @@ class Ring:
         self.steps = tuple(
             (w << top) - (1 << s) - bd.p for w, s, bd in zip(d, shifts, self.bidegrees)
         )
-        self._weights = tuple(zip(shifts, d, (bd.p for bd in self.bidegrees)))
         self.pivots = tuple(
             (1 << s + FIELD_BITS, s, step, bd.p, bd.q)
             for s, step, bd in zip(shifts, self.steps, self.bidegrees)
@@ -309,12 +305,12 @@ class Ring:
             body = (a & take_a) | (b & (fields ^ take_a))
             gcd = gcds.get(body)
             if gcd is None:
-                d = p = 0
-                for s, dw, pw in self._weights:
+                p = q = 0
+                for _, s, _, pw, qw in self.pivots:
                     e = FIELD_MAX - (body >> s & FIELD_MAX)
-                    d += dw * e
                     p += pw * e
-                gcd = gcds[body] = (d << shift) | body | (p_max - p)
+                    q += qw * e
+                gcd = gcds[body] = ((p + q) << shift) | body | (p_max - p)
             out.append(a + b - gcd)
         return out
 
@@ -367,6 +363,20 @@ class Ring:
         return Poly(self, tuple(sorted(keys, reverse=True)))
 
 
+def xor_runs(a, b):
+    """The F2 sum of two descending runs of keys, both lists or both
+    tuples, as a descending list: their merge without the keys found in
+    both.  Sorting the concatenation of two descending runs merges them in
+    linear time."""
+    if len(a) < len(b):
+        a, b = b, a
+    keys = sorted(a + b, reverse=True)
+    both = set(b).intersection(a)
+    if both:
+        keys = [k for k in keys if k not in both]
+    return keys
+
+
 class Poly:
     """Immutable F2 polynomial: a tuple of packed keys sorted descending.
 
@@ -410,18 +420,9 @@ class Poly:
             raise RingError("polynomials belong to different rings")
 
     def __add__(self, other):
-        """The F2 sum: a merge of the two sorted key tuples that drops the
-        keys found in both.  Sorting the concatenation of two descending runs
-        merges them in linear time."""
+        """The F2 sum, by :func:`xor_runs` on the two key tuples."""
         self._check_ring(other)
-        a, b = self.keys, other.keys
-        if len(a) < len(b):
-            a, b = b, a
-        keys = sorted(a + b, reverse=True)
-        both = set(b).intersection(a)
-        if both:
-            keys = [k for k in keys if k not in both]
-        return Poly(self.ring, tuple(keys))
+        return Poly(self.ring, tuple(xor_runs(self.keys, other.keys)))
 
     __sub__ = __add__  # characteristic 2
 

@@ -172,8 +172,9 @@ class Presentation(NamedTuple):
         }
 
 
-def _lift(target, x, pad):
-    return target.poly(tuple(t) + (0,) * pad for t in x.terms)
+def _lift(target, x):
+    """``x`` in ``target``, its ring with one more generator at the end."""
+    return target.poly(t + (0,) for t in x.terms)
 
 
 _FREE_RINGS = {"BO": bo_ring, "BSO": bso_ring, "BO_top": bo_top_ring, "BSO_top": bso_top_ring}
@@ -226,7 +227,7 @@ def present(family, n=None, budget=None):
     ctx = bso_context(n) if motivic else bso_top_context(n)
     ambient = Ring(list(zip(ctx.ring.names, ctx.ring.bidegrees)) + [(vname, vdeg)])
     _, rel = next(itertools.islice(_thetas(ctx, _resolve_budget(budget)), k, None))
-    lifted = GroebnerBasis(ambient, [_lift(ambient, p, 1) for p in rel])
+    lifted = GroebnerBasis(ambient, [_lift(ambient, p) for p in rel])
     return Presentation(fam, n, ambient, lifted, k)
 
 
@@ -269,7 +270,7 @@ def torsor_relations(n, max_j=None):
     and whether theta_{j+1} reduces to it modulo the square ideal.
 
     Membership in a monomial ideal is per-term divisibility, so no basis
-    computation is involved.
+    computation is involved.  Each row squares the theta of the row before.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -278,6 +279,7 @@ def torsor_relations(n, max_j=None):
     guard = ring.guard_mask
     squares = [ring.sort_key(m) | guard for m in chern_square_ideal(n)]
     rows = []
+    x = theta(ctx, 0)
     j = 0
     while (1 << j) + 1 <= n and (max_j is None or j <= max_j):
         w = 1 << j
@@ -286,7 +288,8 @@ def torsor_relations(n, max_j=None):
             part = ctx.class_poly(w - h) * ctx.class_poly(w + 1 + h)
             acc.symmetric_difference_update(part.keys)
         rel = ring.poly_of_keys(acc)
-        diff = theta(ctx, j + 1) + rel
+        x = sq(ctx, w, x)  # theta_{j+1}
+        diff = x + rel
         ok = all(any((h - k) & guard == guard for h in squares) for k in diff.keys)
         rows.append(TorsorRow(j, rel, ok))
         j += 1

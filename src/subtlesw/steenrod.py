@@ -75,8 +75,6 @@ class SteenrodContext:
             raise RingError("u-classes require t in the ring; w-classes forbid it")
         self.start = 1 if 1 in pos_map else 2
         n = max(pos_map)
-        if n < self.start:
-            raise RingError(f"need at least the index-{self.start} class")
         for i in range(self.start, n + 1):
             if i not in pos_map:
                 raise RingError(f"class {self.letter}{i} missing from the ring")
@@ -177,8 +175,6 @@ def _cartan_sum(ctx, parts):
 @functools.lru_cache(maxsize=None)
 def _sq_gen(ctx, k, m):
     """Sq^k on the single index-m class, by the Wu formula; k <= m."""
-    if k == 0:
-        return ctx.class_poly(m)
     if k == m:
         c = ctx.class_poly(m)
         return c * c
@@ -322,25 +318,24 @@ def cartan(ctx, k, x, y):
     return _cartan_sum(ctx, parts)
 
 
-@functools.lru_cache(maxsize=None)
 def theta(ctx, j):
     """theta_0 = the index-2 class; theta_{j+1} = Sq^{2^j} theta_j.
 
-    In the topological flavor this is the classical rho sequence.  The
-    memo is filled upward, so each call finds theta_{j-1} there and no call
-    recurses more than two levels: a large j ends in ``ExponentOverflow``,
-    or in zero, which every theta after a zero one is.
+    In the topological flavor this is the classical rho sequence.  Each
+    call squares up from theta_0 in a loop, nothing is memoized, and the
+    loop stops at a zero theta, which every theta after it is: a large j
+    ends in zero or in ``ExponentOverflow``.
     """
     if j < 0:
         raise ValueError("theta index must be nonnegative")
     if ctx.start != 2:
         raise RingError("theta is defined in the SO flavors")
-    if j == 0:
-        return ctx.class_poly(2)
-    for i in range(1, j):
-        if not theta(ctx, i):
-            return ctx.ring.zero
-    return sq(ctx, 1 << (j - 1), theta(ctx, j - 1))
+    x = ctx.class_poly(2)
+    for i in range(j):
+        if not x:
+            break
+        x = sq(ctx, 1 << i, x)
+    return x
 
 
 class ThomModuleElement:

@@ -1,24 +1,45 @@
 """Smoke tests of the hand-run scripts in benchmarks/.
 
-They reach into private names of subtlesw (the theta memo, the chain of
-representatives, the Groebner layer's internals), so a renamed internal
+They reach into private names of subtlesw (the Steenrod memos, the chain
+of representatives, the Groebner layer's internals), so a renamed internal
 fails here rather than at the next measurement.
 """
 
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
-import bench_kernel  # noqa: E402, F401
+import bench_kernel  # noqa: E402
 import bench_theta  # noqa: E402
+
+from subtlesw import spaces  # noqa: E402
+from subtlesw.steenrod import bso_context, theta  # noqa: E402
 
 
 def test_bench_theta_cold_k():
     seconds, k, budget, calls, hilbert, built, terms = bench_theta.cold_k(10)
     assert k == 5 and budget.used == 10
     # x_1..x_5, each the square of the remainder before it, timed through
-    # bench_kernel's kernel wrapper
+    # bench_kernel's spy on spaces.sq
     assert len(terms) == k and built > 0
     assert calls > 0 and seconds >= hilbert >= 0
 
+
+def test_bench_theta_time_thetas():
+    seconds, top = bench_theta.time_thetas(7, 3)
+    assert str(top) == "u2^3*u3+u2^2*u5+u4*u5+u3*u6+u2*u7+t*u3^3" and seconds >= 0
+
+
+def test_spying_restores_the_original_when_its_block_raises():
+    original = spaces.sq
+    seen = []
+    with pytest.raises(KeyError):
+        with bench_kernel.spying(spaces, "sq", lambda result, s: seen.append(result)):
+            assert spaces.sq is not original
+            spaces.sq(bso_context(5), 1, theta(bso_context(5), 0))
+            raise KeyError("stop")
+    assert spaces.sq is original
+    assert [str(x) for x in seen] == ["u3"]

@@ -150,7 +150,7 @@ def test_usage_errors(capsys):
     # one past MAX_EXPONENT
     code, out, err = run(capsys, ["sq", "--flavor", "bso", "--n", "5", "--k", "1", "u2^32768"])
     assert code == 2 and out == "" and err == "usage error: monomial exponent exceeds 15 bits\n"
-    # a theta index far past the exponent limit overflows, and recurses no deeper for it
+    # a theta index far past the exponent limit overflows, and nothing recurses for it
     code, out, err = run(capsys, ["theta", "--n", "5", "--j", "1200"])
     assert code == 2 and out == "" and err == "usage error: monomial exponent exceeds 15 bits\n"
     code, _, err = run(capsys, ["verify", "--n", "5", "--k", "-1"])
@@ -265,6 +265,20 @@ def test_version_flag(capsys):
     assert out.strip() == cli.__version__
 
 
+def _module_cli(argv, **env):
+    """A subprocess running ``python -m subtlesw.cli argv`` on the package
+    these tests import, with ``env`` added to the environment."""
+    src = str(Path(subtlesw.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "subtlesw.cli", *argv]
+    return subprocess.Popen(
+        command,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
+
+
 def test_installed_entry_point():
     # pyproject.toml installs cli.main as the console script; without it on
     # PATH, the same main runs as a module of the package these tests import
@@ -274,18 +288,46 @@ def test_installed_entry_point():
     argv = ["theta", "--flavor", "bso", "--n", "7", "--j", "2"]
     script = shutil.which("subtlesw")
     if script is not None:
-        out = subprocess.run([script, *argv], capture_output=True, text=True)
+        proc = subprocess.Popen([script, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     else:
-        src = str(Path(subtlesw.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        command = [sys.executable, "-m", "subtlesw.cli", *argv]
-        out = subprocess.run(command, capture_output=True, text=True, env=env)
-    assert out.returncode == 0
-    assert out.stdout == "u2*u3+u5\n"
+        proc = _module_cli(argv)
+    out, _ = proc.communicate()
+    assert proc.returncode == 0
+    assert out == b"u2*u3+u5\n"
 
 
 @pytest.mark.parametrize("argv", [["theta", "--flavor", "bso", "--n", "5", "--j", "-1"]], ids=["theta-j"])
 def test_input_checks(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == "" and "usage error" in err
+
+
+def test_a_closed_pipe_exits_quietly():
+    # theta_7 at n = 13 prints about 200 KB, more than a pipe holds, so
+    # the write fails once the reader has closed its end
+    with _module_cli(["theta", "--n", "13", "--j", "7"]) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 0 and err == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["present", "--flavor", "bspin", "--n", "11", "--format", "json"],
+        ["poincare", "--flavor", "bspin", "--n", "9", "--format", "csv"],
+    ],
+    ids=["present-json", "poincare-csv"],
+)
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    outputs = []
+    for seed in ("0", "1"):
+        out, err = _module_cli(argv, PYTHONHASHSEED=seed).communicate()
+        assert err == b""
+        if "json" in argv:
+            out = json.loads(out)
+            for key in ("wall_time_ms", "rows_ms"):
+                out["meta"].pop(key, None)
+        outputs.append(out)
+    assert outputs[0] == outputs[1]

@@ -455,6 +455,15 @@ def test_hilbert_series_equality_cancels_common_factors():
     assert a == b  # (1-T^3S) cancels
     assert not (a == HilbertSeries({(0, 0): 1}, [(3, 1)]))
     del ring
+    # a non-series is left to the other operand, and a series is unhashable
+    assert a.__eq__((0, 0)) is NotImplemented and a != (0, 0)
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_hilbert_expansion_rejects_a_negative_coefficient():
+    with pytest.raises(ArithmeticError, match="negative coefficient"):
+        HilbertSeries({(0, 0): 1, (2, 1): -2}, [(2, 1)]).expand(4)
 
 
 def test_hilbert_series_rejects_inhomogeneous():

@@ -43,7 +43,6 @@ def test_bidegree_basics():
     assert bd.p == 5 and bd.q == 2 and bd.d == 7
     assert str(bd) == "(2)[5]"
     assert Bidegree(2, 1) + Bidegree(3, 1) == Bidegree(5, 2)
-    assert Bidegree(2, 1).scaled(3) == Bidegree(6, 3)
 
 
 def test_ring_construction():
@@ -73,6 +72,8 @@ def test_ring_rejects_bad_generators():
     with pytest.raises(RingError):
         Ring([("v3", Bidegree(3, 1))])  # v index must be a power of two
     with pytest.raises(RingError):
+        Ring([("v4", Bidegree(4, 1))])  # v4 lives in (2)[4] or (0)[4]
+    with pytest.raises(RingError):
         Ring([("q5", Bidegree(5, 0))])  # name outside the term grammar
 
 
@@ -83,8 +84,9 @@ def test_standard_ring_factories():
     assert bso_top_ring(4).names == ("w2", "w3", "w4")
     assert bso_ring(5) is bso_ring(5)  # cached
     assert bso_top_ring(4).bidegrees == (Bidegree(2, 0), Bidegree(3, 0), Bidegree(4, 0))
-    with pytest.raises(RingError):
-        bso_ring(1)
+    for factory, n in ((bso_ring, 1), (bo_ring, 0), (bo_top_ring, 0), (bso_top_ring, 1)):
+        with pytest.raises(RingError):
+            factory(n)
 
 
 def test_parse_print_roundtrip_examples():

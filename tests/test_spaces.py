@@ -4,7 +4,7 @@ from operator import ge
 
 import pytest
 
-from subtlesw import _reduction, formsf2, spaces, steenrod
+from subtlesw import _reduction, formsf2, spaces
 from subtlesw.grobner import (
     Budget,
     BudgetExceeded,
@@ -520,13 +520,18 @@ def test_k_computed_reduces_theta_k_once(monkeypatch):
     assert units == 157 + calls[0][1]
 
 
-def test_k_computed_never_builds_theta_k():
+def test_k_computed_never_builds_theta_k(monkeypatch):
     # every theta_j with j >= 1 is built as the square of the remainder of
-    # the one before, so the theta memo ends with theta_0 of
-    # bso_context(13) only
-    steenrod.theta.cache_clear()
+    # the one before, so k_computed asks theta for theta_0 only
+    calls = []
+
+    def spy(ctx, j):
+        calls.append(j)
+        return theta(ctx, j)
+
+    monkeypatch.setattr(spaces, "theta", spy)
     assert k_computed(13) == 7
-    assert steenrod.theta.cache_info().currsize == 1
+    assert calls == [0]
 
 
 def test_k_computed_bases_match_the_full_theta_appends(monkeypatch):

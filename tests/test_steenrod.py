@@ -7,6 +7,7 @@ import pytest
 from subtlesw import steenrod
 from subtlesw.poly import (
     MAX_EXPONENT,
+    ZERO_DEGREE,
     Bidegree,
     ExponentOverflow,
     Ring,
@@ -62,6 +63,8 @@ def test_context_rejects_incomplete_rings():
     # a ring without t and without w-classes is no flavor at all
     with pytest.raises(RingError):
         SteenrodContext(Ring([("x1", (1, 0))]))
+    with pytest.raises(RingError, match="mixes u- and w-classes"):
+        SteenrodContext(Ring([("t", (0, 1)), ("u2", (2, 1)), ("w3", (3, 0))]))
 
 
 def test_sq_rejects_foreign_generators():
@@ -146,7 +149,7 @@ def test_theta_needs_so_flavor():
 
 
 def test_theta_far_past_the_exponent_limit_overflows():
-    # the memo is filled upward, so an index far past the last that fits
+    # theta squares up in a loop, so an index far past the last that fits
     # raises ExponentOverflow, not RecursionError
     with pytest.raises(ExponentOverflow):
         theta(bso_context(5), 1200)
@@ -277,6 +280,10 @@ def test_thom_module_arithmetic():
     b = ThomModuleElement(ctx, ring.gen("u3"))
     assert (a + b) + a == b
     assert str(a + b) == "(u3+u2)*alpha"
+    zero = a + a
+    assert not zero and str(zero) == "0" and zero.bidegree() is ZERO_DEGREE
+    assert zero == ThomModuleElement(ctx, ring.zero)
+    assert hash(zero) == hash(ThomModuleElement(ctx, ring.zero)) == hash((ctx, ring.zero))
     rng = random.Random(38)
     for _ in range(50):
         x = ThomModuleElement(ctx, random_bihomogeneous(ring, rng, 2, 2))
@@ -318,7 +325,7 @@ def test_theta_16_byte_identical():
 def test_theta_steps_leave_the_monomial_memo_empty():
     # theta_j has degree 2^j + 1, so every theta step is Sq^{p-1}, which sq
     # takes in closed form without the _sq_mono recursion
-    for fn in (steenrod.theta, steenrod._sq_mono, steenrod._sq_gen):
+    for fn in (steenrod._sq_mono, steenrod._sq_gen):
         fn.cache_clear()
     ctx = bso_context(13)
     assert [len(theta(ctx, j).keys) for j in range(8)] == [1, 1, 2, 7, 35, 207, 1295, 8271]
