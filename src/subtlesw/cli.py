@@ -78,8 +78,6 @@ def _ctx_for(flavor, n):
 
 
 def _cmd_sq(args):
-    if args.k < 0:
-        raise ValueError("--k must be nonnegative")
     ctx = _ctx_for(args.flavor, args.n)
     x = parse_poly(ctx.ring, args.expr)
     res = sq(ctx, args.k, x)
@@ -88,8 +86,6 @@ def _cmd_sq(args):
 
 
 def _cmd_theta(args):
-    if args.j < 0:
-        raise ValueError("--j must be nonnegative")
     res = theta(_ctx_for(args.flavor, args.n), args.j)
     return Scalar({"flavor": args.flavor, "n": args.n, "j": args.j, "result": str(res)}, [str(res)])
 
@@ -145,7 +141,7 @@ def _cmd_poincare(args):
 
 
 def _cmd_torsor(args):
-    res = spaces.torsor_relations(args.n, args.max_j)
+    res = spaces.torsor_relations(args.n)
     rows = [{"j": r.j, "relation": str(r.relation), "verified": r.verified} for r in res]
     return Table(rows, ["j", "relation", "verified"], "verified")
 
@@ -217,7 +213,6 @@ def _build_parser():
 
     sp = command("torsor", _cmd_torsor, "quadratic torsor relations and their certificates")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--max-j", dest="max_j", type=int, default=None)
 
     sp = command("radical", _cmd_radical, "the h(n) bilinear form and its right radical")
     sp.add_argument("--n", type=int, required=True)

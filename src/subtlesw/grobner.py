@@ -296,14 +296,21 @@ class GroebnerBasis:
     ``polys`` lists the largest leading term first.  The basis in key space
     lists the smallest first: the kernel reduces by the first element in
     list order whose leading term divides, so the smallest reducer is tried
-    first, which takes fewer steps to the same unique remainder.
+    first, which takes fewer steps to the same unique remainder.  Every
+    element must be a nonzero polynomial of ``ring``.
     """
 
     __slots__ = ("ring", "polys", "_state", "_last")
 
     def __init__(self, ring, polys):
+        polys = tuple(polys)
+        for p in polys:
+            if p.ring is not ring and p.ring != ring:
+                raise RingError("basis element lies in a different ring")
+            if not p:
+                raise ValueError("a basis element is zero")
         self.ring = ring
-        self.polys = tuple(polys)
+        self.polys = polys
         self._state = None  # see _key_basis
         self._last = None  # (polynomial, budget, remainder keys) of the last reduction
 

@@ -146,9 +146,9 @@ class Ring:
 
     ``guard_mask``, ``limit_mask`` and ``low_mask`` hold bits of the
     exponent fields only.  ``pivots`` lists, in generator order, what the
-    Hilbert numerator recursion and :meth:`key_lcms` read of each
-    generator: its guard bit, the shift of its field, its step, and its p
-    and q.
+    Hilbert numerator recursion, :meth:`key_lcms` and the decoders read of
+    each generator: its guard bit, the shift of its field, its step, and
+    its p and q.
     """
 
     __slots__ = (
@@ -162,7 +162,6 @@ class Ring:
         "low_mask",
         "degree_shift",
         "steps",
-        "_shifts",
         "_odd_position",
         "_fields",
         "pivots",
@@ -199,7 +198,6 @@ class Ring:
         shifts = [0] * len(names)
         for r, i in enumerate(tiebreak):
             shifts[i] = base + r * _FIELD_WIDTH
-        self._shifts = tuple(shifts)
         self.degree_shift = top = base + len(names) * _FIELD_WIDTH
         self._fields = sum(FIELD_MAX << s for s in shifts)
         self.unit_key = self._fields + p_max
@@ -253,11 +251,11 @@ class Ring:
 
     def from_sort_key(self, key):
         """The exponent tuple of a packed key."""
-        return tuple([FIELD_MAX - (key >> s & FIELD_MAX) for s in self._shifts])
+        return tuple([FIELD_MAX - (key >> v[1] & FIELD_MAX) for v in self.pivots])
 
     def exponent(self, key, pos):
         """Exponent of generator ``pos`` in the monomial with packed key ``key``."""
-        return FIELD_MAX - (key >> self._shifts[pos] & FIELD_MAX)
+        return FIELD_MAX - (key >> self.pivots[pos][1] & FIELD_MAX)
 
     def odd_positions(self, key):
         """Positions of the generators with an odd exponent in ``key``, in
@@ -380,25 +378,22 @@ def xor_runs(a, b):
 class Poly:
     """Immutable F2 polynomial: a tuple of packed keys sorted descending.
 
-    ``keys`` is the stored form (see :class:`Ring`); native int order is the
-    monomial order, so the largest monomial comes first.  ``terms`` is the
-    same monomials as exponent tuples, in the same order, decoded on first
-    use.  Build through the Ring helpers, :func:`parse_poly`, or arithmetic;
-    ``Poly(ring, keys)`` takes keys that are already canonical.
+    ``keys`` is the only stored form (see :class:`Ring`); native int order
+    is the monomial order, so the largest monomial comes first.  ``terms``
+    is the same monomials as exponent tuples, in the same order, decoded
+    on each access.  Build through the Ring helpers, :func:`parse_poly`, or
+    arithmetic; ``Poly(ring, keys)`` takes keys that are already canonical.
     """
 
-    __slots__ = ("ring", "keys", "_terms")
+    __slots__ = ("ring", "keys")
 
     def __init__(self, ring, keys):
         self.ring = ring
         self.keys = keys
-        self._terms = None
 
     @property
     def terms(self):
-        if self._terms is None:
-            self._terms = tuple(map(self.ring.from_sort_key, self.keys))
-        return self._terms
+        return tuple(map(self.ring.from_sort_key, self.keys))
 
     def __bool__(self):
         return bool(self.keys)

@@ -265,12 +265,13 @@ def chern_square_ideal(n):
     return monos
 
 
-def torsor_relations(n, max_j=None):
+def torsor_relations(n):
     """For each j with 2^j + 1 <= n, the relation sum_h u_{2^j-h} u_{2^j+1+h}
     and whether theta_{j+1} reduces to it modulo the square ideal.
 
     Membership in a monomial ideal is per-term divisibility, so no basis
-    computation is involved.  Each row squares the theta of the row before.
+    computation is involved.  There are at most log2(n) rows, and each
+    squares the theta of the row before.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -281,7 +282,7 @@ def torsor_relations(n, max_j=None):
     rows = []
     x = theta(ctx, 0)
     j = 0
-    while (1 << j) + 1 <= n and (max_j is None or j <= max_j):
+    while (1 << j) + 1 <= n:
         w = 1 << j
         acc = set()
         for h in range(w + 1):
@@ -303,7 +304,7 @@ def _classes(source, letter):
     """The context of ``source``, which must hold the ``letter``-classes of
     one range, t exactly when they are u-classes, and no other generator."""
     ctx = SteenrodContext(source)
-    if ctx.letter != letter or len(source) != ctx.n - ctx.start + 1 + ctx.motivic:
+    if ctx.motivic != (letter == "u") or len(source) != ctx.n - ctx.start + 1 + ctx.motivic:
         raise RingError(f"{source!r} is not a ring of {letter}-classes; map undefined")
     return ctx
 

@@ -54,9 +54,7 @@ class SteenrodContext:
     O-flavor, otherwise SO-flavor where the index-1 class is the constant 0.
     """
 
-    __slots__ = (
-        "ring", "n", "letter", "motivic", "start", "_class_pos", "_forbidden", "_hash"
-    )
+    __slots__ = ("ring", "n", "motivic", "start", "_class_pos", "_forbidden", "_hash")
 
     def __init__(self, ring):
         self.ring = ring
@@ -70,14 +68,14 @@ class SteenrodContext:
             raise RingError("ring has no u- or w-classes")
         if len(classes) > 1:
             raise RingError("ring mixes u- and w-classes")
-        (self.letter, pos_map), = classes.items()
-        if (self.letter == "u") != self.motivic:
+        (letter, pos_map), = classes.items()
+        if (letter == "u") != self.motivic:
             raise RingError("u-classes require t in the ring; w-classes forbid it")
         self.start = 1 if 1 in pos_map else 2
         n = max(pos_map)
         for i in range(self.start, n + 1):
             if i not in pos_map:
-                raise RingError(f"class {self.letter}{i} missing from the ring")
+                raise RingError(f"class {letter}{i} missing from the ring")
         self.n = n
         self._class_pos = {i: pos_map[i] for i in range(self.start, n + 1)}
         allowed = set(self._class_pos.values())
@@ -86,7 +84,7 @@ class SteenrodContext:
         # guard bits of the generators the action is undefined on
         off = ring.sort_key([0 if pos in allowed else 1 for pos in range(len(ring))])
         self._forbidden = ring.support(off)
-        self._hash = hash((ring, n, self.letter))
+        self._hash = hash((ring, n))
 
     @property
     def flavor(self):

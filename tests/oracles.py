@@ -309,6 +309,28 @@ def classical_sq_gen(ring, k, m, n):
     return acc
 
 
+def theta_by_newton(ring, n, j):
+    """theta_j, j >= 1, in ``ring`` = F2[w2..wn], as the power sum
+    p_{2^j+1} of the roots of the total Stiefel-Whitney class.
+
+    With w_2 = e_2 of the roots, theta_1 = Sq^1 w_2 is the sum of
+    x_i^2 x_l over i != l, and Sq^{2^j}(x_i^{2^j} x_l) = x_i^{2^{j+1}} x_l,
+    so theta_j = p_{2^j} p_1 + p_{2^j+1} = p_{2^j+1}, as w_1 = p_1 = 0
+    (Quillen, Math. Ann. 194, 1971).  Newton's identity mod 2 gives
+    p_k = sum_{i=2}^{min(k-1, n)} w_i p_{k-i}, plus w_k when k is odd and
+    k <= n.  No Steenrod square is taken: each p_k is a set of packed keys,
+    and w_i times a monomial adds w_i's step to its key.
+    """
+    step = {i: ring.steps[ring.index(f"w{i}")] for i in range(2, n + 1)}
+    p = [None, set()]  # p_0 is never read
+    for k in range(2, (1 << j) + 2):
+        acc = {ring.unit_key + step[k]} if k & 1 and k <= n else set()
+        for i in range(2, min(k - 1, n) + 1):
+            acc ^= {key + step[i] for key in p[k - i]}
+        p.append(acc)
+    return ring.poly_of_keys(p[-1])
+
+
 def names_to_poly(ring, name_tuples):
     """Rebuild a Poly from the name-multiset encoding used by the oracle."""
     monos = []

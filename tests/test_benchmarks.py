@@ -1,16 +1,22 @@
-"""Smoke tests of the hand-run scripts in benchmarks/.
+"""Smoke tests of the hand-run scripts in benchmarks/, and of the spans
+that perfbench's traced runs require.
 
 They reach into private names of subtlesw (the Steenrod memos, the chain
 of representatives, the Groebner layer's internals), so a renamed internal
 fails here rather than at the next measurement.
 """
 
+import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import bench_kernel  # noqa: E402
 import bench_theta  # noqa: E402
@@ -43,3 +49,28 @@ def test_spying_restores_the_original_when_its_block_raises():
             raise KeyError("stop")
     assert spaces.sq is original
     assert [str(x) for x in seen] == ["u3"]
+
+
+def _expected_spans():
+    """``EXPECTED_SPANS`` as perfbench/run.py states it, read without
+    importing run.py."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "EXPECTED_SPANS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("EXPECTED_SPANS not found in perfbench/run.py")
+
+
+@pytest.mark.parametrize("workload", ["ktable", "gbasis", "cli"])
+def test_perfbench_spans_fire_at_small_scale(workload):
+    """One small traced pass, as the benchmark's self-test runs it: right
+    answers, and every span the traced runs require fires."""
+    argv = [sys.executable, "perfbench/workload.py", "--workload", workload,
+            "--seed", "1", "--scale", "small", "--trace", "1"]
+    env = dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED="0")
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["failures"] == []
+    missing = set(_expected_spans()[workload]) - set(result["summary"])
+    assert not missing

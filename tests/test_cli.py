@@ -145,8 +145,11 @@ def test_usage_errors(capsys):
     assert code == 2 and "usage error" in err
     code, _, err = run(capsys, ["sq", "--flavor", "bso", "--n", "5", "--k", "1", "u2+"])
     assert code == 2
-    code, _, err = run(capsys, ["sq", "--flavor", "bso", "--n", "5", "--k", "-1", "u2"])
-    assert code == 2
+    # sq and theta check their own index signs
+    code, out, err = run(capsys, ["sq", "--flavor", "bso", "--n", "5", "--k", "-1", "u2"])
+    assert code == 2 and out == "" and err == "usage error: Sq index must be nonnegative\n"
+    code, out, err = run(capsys, ["theta", "--n", "5", "--j", "-1"])
+    assert code == 2 and out == "" and err == "usage error: theta index must be nonnegative\n"
     # one past MAX_EXPONENT
     code, out, err = run(capsys, ["sq", "--flavor", "bso", "--n", "5", "--k", "1", "u2^32768"])
     assert code == 2 and out == "" and err == "usage error: monomial exponent exceeds 15 bits\n"
@@ -158,6 +161,8 @@ def test_usage_errors(capsys):
     code, _, _ = run(capsys, ["nonsense"])
     assert code == 2
     code, _, _ = run(capsys, ["jbound", "--n", "2"])
+    assert code == 2
+    code, _, _ = run(capsys, ["torsor", "--n", "11", "--max-j", "1"])
     assert code == 2
 
 

@@ -833,6 +833,8 @@ def test_groebner_basis_equality_and_iteration():
     "call, error",
     [
         (lambda: groebner_basis(bso_ring(4), [bso_ring(5).gen("u2")]), RingError),
+        (lambda: GroebnerBasis(bso_ring(4), [bso_ring(5).gen("u5")]), RingError),
+        (lambda: GroebnerBasis(bso_ring(4), [bso_ring(4).gen("u2"), bso_ring(4).zero]), ValueError),
         (lambda: normal_form(bso_ring(5).gen("u2"), groebner_basis(bso_ring(4), [])), RingError),
         (lambda: RegularSequenceChecker(bso_ring(4)).append(bso_ring(5).gen("u2")), RingError),
         (lambda: RegularSequenceChecker(bso_ring(4)).append(bso_ring(4).gen("u2") + bso_ring(4).gen("u3")),
@@ -840,7 +842,8 @@ def test_groebner_basis_equality_and_iteration():
         (lambda: RegularSequenceChecker(bso_ring(4)).append(bso_ring(4).one), ValueError),
         (lambda: is_regular_sequence(bso_ring(4), [bso_ring(5).gen("u2")]), RingError),
     ],
-    ids=["basis-ring", "nf-ring", "append-ring", "append-inhomogeneous", "append-degree-0", "sequence-ring"],
+    ids=["basis-ring", "reduced-basis-ring", "reduced-basis-zero", "nf-ring", "append-ring",
+         "append-inhomogeneous", "append-degree-0", "sequence-ring"],
 )
 def test_input_checks(call, error):
     with pytest.raises(ValueError) as info:

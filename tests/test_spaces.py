@@ -37,7 +37,7 @@ from subtlesw.spaces import (
     verify_theta,
 )
 
-from oracles import random_bihomogeneous
+from oracles import random_bihomogeneous, theta_by_newton
 
 K_TABLE = {2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 3, 8: 3, 9: 4, 10: 5, 11: 6, 12: 6}
 
@@ -341,11 +341,6 @@ def test_torsor_verdict_is_exponentwise_divisibility(monkeypatch):
     assert verdicts == {True, False}
 
 
-def test_torsor_max_j_cap():
-    rows = torsor_relations(11, max_j=1)
-    assert [r.j for r in rows] == [0, 1]
-
-
 def test_chern_square_ideal_shape():
     ring = bso_ring(5)
     monos = chern_square_ideal(5)
@@ -408,6 +403,31 @@ def test_t_of_theta_is_topological_theta():
         top = bso_top_context(n)
         for j in range(5):
             assert t_map(theta(ctx, j)) == theta(top, j)
+
+
+def test_theta_is_the_power_sum_of_newtons_identity():
+    # no Steenrod square builds the oracle; the motivic theta_j is the
+    # classical one made bihomogeneous of bidegree (2^{j-1})[2^j + 1]
+    nonzero = 0
+    for n in range(2, 14):
+        for j in range(1, 7):
+            want = theta_by_newton(bso_top_ring(n), n, j)
+            assert theta(bso_top_context(n), j) == want, (n, j)
+            x = theta(bso_context(n), j)
+            assert t_map(x) == want, (n, j)
+            if want:
+                assert x.bidegree() == Bidegree((1 << j) + 1, 1 << (j - 1)), (n, j)
+                nonzero += 1
+    assert nonzero > 50
+
+
+def test_the_theta_chain_agrees_with_the_power_sums():
+    # x_j is theta_j modulo J_j, so x_j + p_{2^j+1} lies in J_j
+    for n in range(2, 14):
+        ctx = bso_top_context(n)
+        chain = itertools.islice(spaces._thetas(ctx, Budget()), 1, 7)
+        for j, (x, basis) in enumerate(chain, 1):
+            assert not normal_form(x + theta_by_newton(ctx.ring, n, j), basis), (n, j)
 
 
 def test_h_of_t_twists_by_slope_deficit():
