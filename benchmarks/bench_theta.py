@@ -8,10 +8,11 @@ reduction steps) it spent, its kernel calls (counted by
 ``bench_kernel.kernel_work``), the pairs it skipped because they lie below
 the lowest degree where the Hilbert numerator of the leading terms still
 misses the expected one, the seconds spent in ``grobner._lt_numerator``
-(the appends' colon numerators and final checks), and the seconds and
-terms of the representatives x_1..x_k (``spaces.sq`` builds them;
-perfbench's tracer wraps only ``steenrod.theta``, which builds none of
-them); both are timed by ``bench_kernel.spying``.  The line also gives
+(each append's numerator of the known leads, its colon numerators and
+its final check), and the seconds and terms of the representatives
+x_1..x_k (``spaces.sq`` builds them; perfbench's tracer wraps only
+``steenrod.theta``, which builds none of them); both are timed by
+``bench_kernel.spying``.  The line also gives
 theta_k's full terms, built only afterwards for the count by one cold
 ``theta`` call, and that call's seconds.
 

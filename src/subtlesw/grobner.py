@@ -110,7 +110,7 @@ def _kernel_nf(terms, basis, table, budget):
     return nf
 
 
-def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
+def _buchberger(ring, key_polys, budget, known=(), append=False):
     """The reduced Groebner basis of ``known`` and ``key_polys``.
 
     Pairs are treated in increasing lcm order; for homogeneous input this is
@@ -130,15 +130,29 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     of homogeneous polynomials, as this function returns it, that the ideal
     already contains: it seeds G, and pairs are formed only with the new
     elements.  Every pair of ``known`` already reduces to zero by ``known``,
-    whose elements stay in G until the final interreduction, so the chain
-    criterion may count those pairs as treated.
+    whose elements stay in G until the final interreduction (but for the
+    variables that sit out an append, below), so the chain criterion may
+    count those pairs as treated.
 
-    ``expected`` and ``num`` come with one key polynomial f, already
-    reduced by ``known``, which joins G as it is: ``num`` is the Hilbert
-    numerator of R/LT(known), and ``expected`` that of R/(known + f) when f
-    is regular on R/(known); the result is None when f is not.  The run
-    keeps one numerator, the gap N(R/LT(G)) - ``expected``, which starts at
-    ``num`` - ``expected``.  A new leading term m of bidegree (p, q) takes
+    With ``append``, ``key_polys`` is one key polynomial f, already
+    reduced by ``known``, which joins G as it is, and the result is None
+    when f is not regular on R/(known).  The variables that lead ``known``
+    (see ``_leading_variables``) sit out the run: they are not in G, the
+    pair queue, the divisor table or the numerators, and they rejoin the
+    result.  Neither f nor any other element of ``known`` has a term that
+    they divide, so no S-polynomial or product of the kernel has one either:
+    they reduce nothing, and each of their pairs has coprime leading terms.
+    With V their ideal and L the other leading terms, L and every m below
+    lie in the other variables, so N(V + L) = N(V) N(L) and
+    (V + L) : m = V + (L : m); each numerator of the run, its expected one
+    and its gap share the factor N(V), which has constant term 1.  Taking
+    it out changes neither the lowest degree of the gap nor whether it is
+    empty, and multiplying by it is injective, so the floor, the verdict
+    and the final check below are those of the whole of G.
+    The expected numerator is N(R/L) (1 - T^pS^q), with (p, q) f's
+    bidegree, the numerator of R/(L + f) when f is regular.  The run keeps
+    one numerator, the gap N(R/LT(G)) - expected, which starts at
+    T^pS^q N(R/L).  A new leading term m of bidegree (p, q) takes
     T^pS^q N(L : m) off it, since N(L + (m)) = N(L) - T^pS^q N(L : m)
     (Traverso, JSC 1996).  LT(G) lies in LT(I), and the series of R/I is at
     least the expected one coefficientwise, so below the lowest combined
@@ -149,8 +163,8 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     degree than the gap's lowest: every pair of lower degree is treated,
     so G is a basis below that degree, and LT(G) is LT(I) where the series
     of R/I misses the expected one.  At the end the numerator of the
-    minimal leading terms of G, computed from scratch, must be
-    ``expected`` plus the gap, else ArithmeticError is raised; the verdict
+    minimal leading terms of G, computed from scratch, must be the
+    expected one plus the gap, else ArithmeticError is raised; the verdict
     is whether the gap is empty.
 
     The final interreduction keeps the minimal elements of G and reduces
@@ -166,7 +180,8 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     one, guard = ring.unit_key, ring.guard_mask
     lcms_of = ring.key_lcms
     gcds = {}  # a gcd's exponent fields -> its key, for lcms_of
-    G = list(known)
+    cut = _leading_variables(ring, known).bit_count() if append else 0
+    inert, G = list(known[:cut]), list(known[cut:])  # inert: the variables that sit out
     lts = [f[0] for f in G]  # G's leading keys
     table = DivisorTable(ring, lts)  # grows with G
     leads, fits, candidates_of = table.leads, table.fits, table.candidates
@@ -174,14 +189,12 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     queue = []  # the same pairs as a heap of (lcm, (i, j))
     floor = 0  # pairs whose lcm key sorts below floor reduce to zero; None: G is a basis
     degree = 1 << ring.degree_shift  # one combined degree, in key units
-    if expected is not None:
-        gap = _p2_axpy(num, -1, 0, 0, expected)
 
     def add(f):
         nonlocal gap, floor
         m = f[0]
         lcms = lcms_of(m, lts, gcds)
-        if expected is not None:
+        if append:
             colon = _minimalize(ring, [lcm - m + one for lcm in lcms])
             gap = _p2_axpy(gap, -1, *ring.key_bidegree(m), _lt_numerator(ring, colon))
             floor = min(p + q for p, q in gap) << ring.degree_shift if gap else None
@@ -193,8 +206,12 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
             pairs.add((i, j))
             heapq.heappush(queue, (lcm, (i, j)))
 
-    if expected is not None:
+    if append:
         (f,) = key_polys
+        base = _lt_numerator(ring, tuple(lts))
+        p, q = ring.key_bidegree(f[0])
+        expected = _p2_axpy(base, -1, p, q, base)
+        gap = _p2_axpy({}, 1, p, q, base)
         add(f)
     else:
         for f in sorted(key_polys):
@@ -208,7 +225,7 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
         if lcm < floor:
             budget.skipped += 1  # below the gap degree: reduces to zero
             continue
-        if expected is not None and lcm >= floor + degree:
+        if append and lcm >= floor + degree:
             break  # above the gap degree: G is a basis there, and f is not regular
         lti, ltj = lts[i], lts[j]
         if lti + ltj - one == lcm:
@@ -245,7 +262,7 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
     # a leading term.  Interreduction keeps the leading terms, so the result
     # stays ascending.
     minimal = _minimalize(ring, lts)
-    if expected is not None:
+    if append:
         if _lt_numerator(ring, minimal) != _p2_axpy(expected, 1, 0, 0, gap):
             raise ArithmeticError("the running Hilbert numerator disagrees with the basis")
         if gap:
@@ -272,7 +289,7 @@ def _buchberger(ring, key_polys, budget, known=(), expected=None, num=None):
         (f[0],) + _kernel_nf(f[1:], minimal, table, budget) if f[0] in reach else f
         for f in minimal
     ]
-    return GroebnerBasis(ring, [Poly(ring, f) for f in reversed(final)])
+    return GroebnerBasis(ring, [Poly(ring, f) for f in sorted(inert + final, reverse=True)])
 
 
 def _leading_variables(ring, basis):
@@ -641,12 +658,11 @@ class RegularSequenceChecker:
     ideal accumulated so far, built once per successful append.
     """
 
-    __slots__ = ("ring", "budget", "_num", "_basis", "length")
+    __slots__ = ("ring", "budget", "_basis", "length")
 
     def __init__(self, ring, budget=None):
         self.ring = ring
         self.budget = _resolve_budget(budget)
-        self._num = {(0, 0): 1}
         self._basis = GroebnerBasis(ring, ())
         self.length = 0
 
@@ -663,12 +679,10 @@ class RegularSequenceChecker:
         nf = self._basis._remainder(f, self.budget)
         if not nf:
             return False
-        want = _p2_axpy(self._num, -1, bd.p, bd.q, self._num)
         known = self._basis._key_basis()[0]
-        found = _buchberger(self.ring, [nf], self.budget, known, want, self._num)
+        found = _buchberger(self.ring, [nf], self.budget, known, append=True)
         if found is None:
             return False
-        self._num = want
         self._basis = found
         self.length += 1
         return True

@@ -207,8 +207,9 @@ def present(family, n=None, budget=None):
         )
         return Presentation(fam, None, ring, GroebnerBasis(ring, ()), None)
 
-    if n is None or n < 2:
-        raise ValueError(f"{fam} needs n >= 2")
+    low = 1 if fam in ("BO", "BO_top") else 2  # the rings of w_1.. start at n = 1
+    if n is None or n < low:
+        raise ValueError(f"{fam} needs n >= {low}")
 
     free = _FREE_RINGS.get(fam)
     if free is not None:

@@ -195,6 +195,24 @@ def test_poincare_json(capsys):
     assert doc["expansion"] == sorted(doc["expansion"], key=lambda r: (r[1], r[2]))
 
 
+def test_bo_families_start_at_n_1(capsys):
+    code, out, _ = run(capsys, ["present", "--flavor", "bo", "--n", "1", "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert [g["name"] for g in doc["generators"]] == ["t", "u1"] and doc["relations"] == []
+    code, out, _ = run(capsys, ["poincare", "--flavor", "bo", "--n", "1", "--max-degree", "2", "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["series"] == {"numerator": [[1, 0, 0]], "denominator": [[0, 1], [1, 0]]}
+    assert doc["expansion"] == [[1, 0, 0], [1, 0, 1], [1, 0, 2], [1, 1, 0], [1, 1, 1], [1, 2, 0]]
+    code, out, _ = run(capsys, ["poincare", "--flavor", "bo_top", "--n", "1", "--max-degree", "3", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["expansion"] == [[1, p, 0] for p in range(4)]
+    for flavor in ("bso", "bspin", "bso_top", "bspin_top"):
+        code, out, err = run(capsys, ["present", "--flavor", flavor, "--n", "1"])
+        assert code == 2 and out == "" and err.startswith("usage error: ") and err.endswith(" needs n >= 2\n")
+
+
 def test_torsor_command(capsys):
     code, out, _ = run(capsys, ["torsor", "--n", "7", "--format", "json"])
     assert code == 0
@@ -270,18 +288,34 @@ def test_version_flag(capsys):
     assert out.strip() == cli.__version__
 
 
-def _module_cli(argv, **env):
-    """A subprocess running ``python -m subtlesw.cli argv`` on the package
-    these tests import, with ``env`` added to the environment."""
+def _python(args, **env):
+    """A subprocess running ``python args`` on the package these tests
+    import, with ``env`` added to the environment."""
     src = str(Path(subtlesw.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    command = [sys.executable, "-m", "subtlesw.cli", *argv]
     return subprocess.Popen(
-        command,
+        [sys.executable, *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": path, **env},
     )
+
+
+def _module_cli(argv, **env):
+    """A subprocess running ``python -m subtlesw.cli argv``, as ``_python``."""
+    return _python(["-m", "subtlesw.cli", *argv], **env)
+
+
+def test_the_cli_loads_only_the_standard_library_and_numpy():
+    # every top-level module that importing the CLI loads: a new runtime
+    # dependency fails here until it is named below
+    code = "import sys; before = set(sys.modules); import subtlesw.cli; print(*set(sys.modules) - before)"
+    with _python(["-c", code]) as proc:
+        out, err = proc.communicate()
+    assert proc.returncode == 0, err
+    loaded = {name.split(".")[0] for name in out.decode().split()}
+    assert "subtlesw" in loaded
+    assert loaded - set(sys.stdlib_module_names) <= {"subtlesw", "numpy"}
 
 
 def test_installed_entry_point():

@@ -315,7 +315,9 @@ def test_the_running_numerator_check_fires(monkeypatch):
     def perturbed(ring, gens):
         calls[0] += 1
         res = numerator(ring, gens)
-        if calls[0] == 3:  # a colon numerator: only the last call is the final check
+        # a colon numerator: the first call is the numerator of the known
+        # leads, the last the final check, and the third colon comes fourth
+        if calls[0] == 4:
             res = grobner._p2_axpy(res, 1, 40, 40, {(0, 0): 1})
         return res
 
@@ -323,7 +325,7 @@ def test_the_running_numerator_check_fires(monkeypatch):
     monkeypatch.setattr(grobner, "_lt_numerator", perturbed)
     with pytest.raises(ArithmeticError, match="^the running Hilbert numerator disagrees with the basis$"):
         chk.append(theta_6)
-    assert calls[0] > 3 and chk.length == 6
+    assert calls[0] > 4 and chk.length == 6
     monkeypatch.undo()
     assert chk.append(theta_6)
 
@@ -343,17 +345,18 @@ def test_a_failed_append_stops_once_the_gap_lies_below_the_basis_degree():
     # g2 is a zero divisor on the ideal of g3, g1, g0.  Once a popped pair's
     # lcm lies above the lowest degree of the Hilbert gap, G is a basis up
     # to there, and the append returns: 1,599 units, where treating every
-    # pair took 23,540.  The state is as it was before the append.
+    # pair took 23,540.  The state is as it was before the append: the
+    # same basis object and the same length.
     ring = bso_ring(8)
     g = [parse_poly(ring, s) for s in BENCH_GENS]
     b = Budget()
     assert is_regular_sequence(ring, [g[3], g[1], g[0], g[2]], b) == (False, 4)
     assert b.used == 1599
     ring, chk, last = _bench_checker()
-    basis, num = chk.basis, dict(chk._num)
+    basis = chk.basis
     assert not chk.append(last)
     assert chk.budget.used == 1599
-    assert chk.basis is basis and chk._num == num and chk.length == 3
+    assert chk.basis is basis and chk.length == 3
     # the verdict of the full basis: the series of the ideal of all four
     # is not the drop by g2's factor
     bd = last.bidegree()
@@ -371,7 +374,7 @@ def test_a_failed_append_still_checks_the_running_numerator(monkeypatch):
     def perturbed(ring, gens):
         calls[0] += 1
         res = numerator(ring, gens)
-        if calls[0] == 1:  # the colon numerator of the appended element
+        if calls[0] == 2:  # the appended element's colon; call 1 is the known leads'
             res = grobner._p2_axpy(res, 1, 40, 40, {(0, 0): 1})
         return res
 
@@ -592,6 +595,65 @@ def test_incremental_bases_equal_from_scratch_theta():
         assert check_incremental_bases(ctx.ring, [theta(ctx, j) for j in range(k)]) == [k, 0, 0]
 
 
+def _appends_match_the_oracles(ring, seq, var):
+    """Append ``seq`` to a checker.  After each append its basis must be
+    ``groebner_basis`` of the accepted prefix, and the verdict must be
+    whether the oracle numerator of that prefix and f is the one before,
+    dropped by f's factor.  Returns, for each append made while the
+    variable ``var`` leads an element of the basis, the verdict and
+    whether ``var`` is in the run of variables that leads the key basis."""
+    chk = RegularSequenceChecker(ring)
+    accepted, before, out = [], {(0, 0): 1}, []
+    for f in seq:
+        keys = chk.basis._key_basis()[0]
+        run = grobner._leading_variables(ring, keys) & ring.support(var.keys[0])
+        bd = f.bidegree()
+        after = lt_numerator(ring, [g.keys[0] for g in groebner_basis(ring, accepted + [f])])
+        verdict = chk.append(f)
+        assert verdict == (after == grobner._p2_axpy(before, -1, bd.p, bd.q, before))
+        if verdict:
+            accepted.append(f)
+            before = after
+        assert chk.basis == groebner_basis(ring, accepted)
+        if var.keys in keys:
+            out.append((verdict, bool(run)))
+    return out
+
+
+def test_a_variable_that_joins_mid_sequence_sits_out_later_appends():
+    # t sorts below every other monomial but 1, so once it joins it leads
+    # the basis, and every later append leaves it out of G
+    rng = random.Random(32)
+    later = {True: 0, False: 0}  # verdicts of the appends after t joined
+    for n in (6, 7, 8):
+        ring = bso_ring(n)
+        t = ring.gen("t")
+        for _ in range(6):
+            head = [random_bihomogeneous(ring, rng, 3, 4) for _ in range(2)]
+            tail = [random_bihomogeneous(ring, rng, 3, 4) for _ in range(3)]
+            for verdict, inert in _appends_match_the_oracles(ring, head + [t] + tail, t):
+                assert inert
+                later[verdict] += 1
+    assert min(later.values()) >= 3, later
+
+
+def test_a_variable_above_a_lead_that_is_no_variable_stays_in_g():
+    # u_n sorts above the leads of low-degree elements, so the run of
+    # variables that leads the basis can end before it, and it stays in G
+    rng = random.Random(33)
+    later = {True: 0, False: 0}  # verdicts of the appends with u_n in G
+    for n in (6, 7, 8):
+        ring = bso_ring(n)
+        u = ring.gen(f"u{n}")
+        for _ in range(6):
+            head = [random_bihomogeneous(ring, rng, 2, 4)]
+            tail = [random_bihomogeneous(ring, rng, 3, 4) for _ in range(3)]
+            for verdict, inert in _appends_match_the_oracles(ring, head + [u] + tail, u):
+                if not inert:
+                    later[verdict] += 1
+    assert min(later.values()) >= 3, later
+
+
 def test_theta_appends_reduce_no_pair_to_zero(monkeypatch):
     # the pairs that would reduce to zero lie below the lowest degree where
     # the Hilbert numerator of the leading terms misses the expected one
@@ -691,7 +753,7 @@ def test_seeded_appends_reduce_the_seed_once(monkeypatch):
         assert chk.append(f)
         per_append.append(calls[0] - before)
     assert per_append == [1, 1, 1, 1, 1, 1, 40]
-    assert (budget.used, budget.skipped) == (5273, 502)
+    assert (budget.used, budget.skipped) == (5273, 367)
 
 
 def _final_pass_steps(monkeypatch, ring, gens):

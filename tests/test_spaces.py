@@ -17,7 +17,18 @@ from subtlesw.grobner import (
     is_regular_sequence,
     normal_form,
 )
-from subtlesw.poly import MAX_EXPONENT, Bidegree, ExponentOverflow, Ring, RingError, bso_ring, bso_top_ring, parse_poly
+from subtlesw.poly import (
+    MAX_EXPONENT,
+    Bidegree,
+    ExponentOverflow,
+    Ring,
+    RingError,
+    bo_ring,
+    bo_top_ring,
+    bso_ring,
+    bso_top_ring,
+    parse_poly,
+)
 from subtlesw.steenrod import bso_context, bso_top_context, sq, theta
 from subtlesw.spaces import (
     FAMILIES,
@@ -178,9 +189,17 @@ def test_present_families_and_errors():
     with pytest.raises(ValueError):
         present("BG2", 5)  # BG2 takes no n
     with pytest.raises(ValueError):
-        present("BSpin", 1)
-    with pytest.raises(ValueError):
         present("BSU", 4)
+    # the w_1 families start at n = 1, every other one at n = 2
+    assert present("BO", 1).ring is bo_ring(1)
+    assert present("BO_top", 1).ring is bo_top_ring(1)
+    for family in ("BO", "BO_top"):
+        assert list(present(family, 1).relations) == []
+        with pytest.raises(ValueError, match=f"^{family} needs n >= 1$"):
+            present(family, 0)
+    for family in ("BSO", "BSpin", "BSO_top", "BSpin_top"):
+        with pytest.raises(ValueError, match=f"^{family} needs n >= 2$"):
+            present(family, 1)
 
 
 def test_present_bspin_base_case():
@@ -428,6 +447,27 @@ def test_the_theta_chain_agrees_with_the_power_sums():
         chain = itertools.islice(spaces._thetas(ctx, Budget()), 1, 7)
         for j, (x, basis) in enumerate(chain, 1):
             assert not normal_form(x + theta_by_newton(ctx.ring, n, j), basis), (n, j)
+
+
+def test_the_torsor_thetas_are_the_power_sums(monkeypatch):
+    # torsor_relations squares its running theta from row to row, and each
+    # square theta_{j+1} = Sq^{2^j} theta_j is p_{2^{j+1}+1} under t_map
+    squares = []
+    square = spaces.sq
+
+    def recording(ctx, k, x):
+        y = square(ctx, k, x)
+        squares.append((k, y))
+        return y
+
+    monkeypatch.setattr(spaces, "sq", recording)
+    for n in range(3, 14):
+        squares.clear()
+        rows = torsor_relations(n)
+        assert [k for k, _ in squares] == [1 << row.j for row in rows], n
+        for j, (_, y) in enumerate(squares):
+            assert y.bidegree() == Bidegree((1 << (j + 1)) + 1, 1 << j), (n, j)
+            assert t_map(y) == theta_by_newton(bso_top_ring(n), n, j + 1), (n, j)
 
 
 def test_h_of_t_twists_by_slope_deficit():
