@@ -27,19 +27,32 @@ that prefix, which end in ``BudgetExceeded``; x_7 has the remainder of
 theta_7, so that append does theta_7's work.  It prints the seconds until
 then, units per second, the kernel calls of the append, the kernel's steps
 per second of its own time and the peak RSS of the process
-(``ru_maxrss``).  Run with
+(``ru_maxrss``).
+
+The host's speed drifts more than one run of these rows changes, so each
+timed figure (a cold k, a theta build, the wall append) is bracketed by the
+reference chunk of ``perfbench/hostspeed.py``, timed ``REF_REPEAT`` times
+on either side, and every seconds figure is followed by the same seconds
+rescaled to the reference host (``hostspeed.around``) in brackets.  The
+brackets sit outside the timed work, unlike ``hostspeed.Sampler``, whose
+``SIGALRM`` chunks would land inside the spies' timings.  Run with
 
     PYTHONPATH=src python3 benchmarks/bench_theta.py
 """
 
 import resource
+import sys
 import time
+from pathlib import Path
 
-from bench_kernel import kernel_work, spying
-from subtlesw import grobner, spaces, steenrod
-from subtlesw.grobner import Budget, BudgetExceeded
-from subtlesw.spaces import k_computed
-from subtlesw.steenrod import bso_context, theta
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import hostspeed  # noqa: E402
+from bench_kernel import kernel_work, spying  # noqa: E402
+from subtlesw import grobner, spaces, steenrod  # noqa: E402
+from subtlesw.grobner import Budget, BudgetExceeded  # noqa: E402
+from subtlesw.spaces import k_computed  # noqa: E402
+from subtlesw.steenrod import bso_context, theta  # noqa: E402
 
 NS = range(13, 17)
 J = 7  # k(n) for every n in NS
@@ -50,6 +63,20 @@ WALL_UNITS = 150_000  # budget of the theta_7 append at n = WALL_N
 def clear_caches():
     for fn in (steenrod._sq_mono, steenrod._sq_gen):
         fn.cache_clear()
+
+
+def bracketed(fn):
+    """fn()'s result, and the median seconds of the reference chunk just
+    before and just after it, for ``scaled``."""
+    before = hostspeed.time_reference(hostspeed.REF_REPEAT)
+    out = fn()
+    return out, (before, hostspeed.time_reference(hostspeed.REF_REPEAT))
+
+
+def scaled(raw, ref, spec="7.3f", unit="s"):
+    """A raw time, then in brackets the same rescaled by the chunk times
+    ``ref`` of its bracket (``around`` is linear, so any unit will do)."""
+    return f"{raw:{spec}}{unit} [{hostspeed.around(raw, *ref):{spec}}{unit}]"
 
 
 def time_thetas(n, last):
@@ -105,23 +132,24 @@ def wall_append(chain, budget):
 
 def main():
     for n in NS:
-        seconds, k, budget, calls, hilbert, built, reps = cold_k(n)
-        thetas, top = time_thetas(n, J)
+        (seconds, k, budget, calls, hilbert, built, reps), ref = bracketed(lambda: cold_k(n))
+        (thetas, top), theta_ref = bracketed(lambda: time_thetas(n, J))
         print(
-            f"n={n:<3} k={k} cold {seconds:7.3f}s ({budget.used} units, {calls} kernel calls,"
-            f" {budget.skipped} skipped, hilbert {hilbert:6.3f}s)"
-            f"   x_1..{k} {built * 1e3:6.2f}ms, {'/'.join(map(str, reps))} terms"
-            f"   theta_{J} {len(top.keys)} terms in {thetas:7.3f}s"
+            f"n={n:<3} k={k} cold {scaled(seconds, ref)} ({budget.used} units, {calls} kernel calls,"
+            f" {budget.skipped} skipped, hilbert {scaled(hilbert, ref, '6.3f')})"
+            f"   x_1..{k} {scaled(built * 1e3, ref, '6.2f', 'ms')}, {'/'.join(map(str, reps))} terms"
+            f"   theta_{J} {len(top.keys)} terms in {scaled(thetas, theta_ref)}"
         )
-    thetas, top = time_thetas(WALL_N, WALL_J)
+    (thetas, top), ref = bracketed(lambda: time_thetas(WALL_N, WALL_J))
     chain, basis, budget = wall_prefix()
     ring, drop = basis.ring, basis._key_basis()[2]
     kept = sum(1 for key in top.keys if not ring.support(key) & drop)
-    print(f"n={WALL_N:<3} theta_{WALL_J} {len(top.keys)} terms, {kept} kept, in {thetas:7.3f}s")
-    seconds, calls, steps, kernel_seconds = kernel_work(lambda: wall_append(chain, budget))
+    print(f"n={WALL_N:<3} theta_{WALL_J} {len(top.keys)} terms, {kept} kept, in {scaled(thetas, ref)}")
+    work, ref = bracketed(lambda: kernel_work(lambda: wall_append(chain, budget)))
+    seconds, calls, steps, kernel_seconds = work
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(
-        f"n={WALL_N:<3} theta_{WALL_J - 1} append {seconds:8.3f}s to {WALL_UNITS} units"
+        f"n={WALL_N:<3} theta_{WALL_J - 1} append {scaled(seconds, ref, '8.3f')} to {WALL_UNITS} units"
         f" ({WALL_UNITS / seconds:.0f} units/s, {calls} kernel calls,"
         f" {steps / kernel_seconds:.0f} kernel steps/s, {rss:.0f} MiB peak RSS)"
     )

@@ -92,6 +92,8 @@ def _cmd_theta(args):
 
 def _range_table(args, row_fn):
     """Expected against computed for n in --from..--to; a mismatch fails."""
+    if args.from_n > args.to_n:
+        raise ValueError("--from must not exceed --to")
     rows_ms = {}
     rows = _timed_rows(range(args.from_n, args.to_n + 1), row_fn, rows_ms)
     return Table(rows, ["n", "expected", "computed", "ok"], "ok", rows_ms)

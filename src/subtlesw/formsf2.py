@@ -11,48 +11,49 @@ modulo a fixed irreducible polynomial per e, chosen as the lexicographically
 smallest irreducible of that degree so the representation is reproducible
 without an external table.  A vector over F_{2^e} is one int, e bits per
 coordinate with the leftmost highest, so adding vectors is one XOR in every
-field; one eliminator on such rows serves subspaces, radicals and h(n).
+field.  A bilinear form is kept only as its matrix rows packed the same way
+over F2, so one eliminator on such rows serves subspaces, radicals and h(n).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-
-import numpy as np
+import operator
 
 from .poly import Bidegree, Ring, RingMap
 
 
 class BilinearFormF2:
-    """A form B(x, y) = x^T M y with M a 0/1 matrix."""
+    """A form B(x, y) = x^T M y with M a 0/1 matrix, kept as packed int rows."""
 
-    __slots__ = ("matrix", "_rows")
+    __slots__ = ("dim", "_rows")
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=np.uint8) % 2
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        matrix = [[operator.index(v) & 1 for v in row] for row in matrix]
+        d = len(matrix)
+        if not d or any(len(row) != d for row in matrix):
             raise ValueError("form matrix must be square")
-        m.setflags(write=False)
-        self.matrix = m
-        # rows as bitmasks, leftmost entry highest, less packbits' right padding
-        pad = -m.shape[1] % 8
-        self._rows = tuple(int.from_bytes(r.tobytes(), "big") >> pad for r in np.packbits(m, axis=1))
+        self.dim = d
+        self._rows = tuple(functools.reduce(lambda acc, v: acc << 1 | v, row, 0) for row in matrix)
 
     @property
-    def dim(self):
-        return self.matrix.shape[0]
+    def matrix(self):
+        """The 0/1 entries, as a tuple of row tuples."""
+        d = self.dim
+        return tuple(tuple(r >> (d - 1 - j) & 1 for j in range(d)) for r in self._rows)
 
     def evaluate(self, x, y):
-        x = np.asarray(x, dtype=np.uint8)
-        y = np.asarray(y, dtype=np.uint8)
-        return int(x @ self.matrix.astype(np.int64) @ y) % 2
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError("vector of wrong length")
+        y = functools.reduce(lambda acc, v: acc << 1 | operator.index(v) & 1, y, 0)
+        return sum((r & y).bit_count() for r, xi in zip(self._rows, x) if operator.index(xi) & 1) & 1
 
     def to_json(self):
-        return [[int(v) for v in row] for row in self.matrix]
+        return [list(row) for row in self.matrix]
 
     def __eq__(self, other):
-        return isinstance(other, BilinearFormF2) and np.array_equal(self.matrix, other.matrix)
+        return isinstance(other, BilinearFormF2) and (self.dim, self._rows) == (other.dim, other._rows)
 
     def __repr__(self):
         return f"BilinearFormF2({self.to_json()})"
@@ -284,17 +285,14 @@ def quillen_form(n):
     """
     if n < 4:
         raise ValueError("the form is defined for n >= 4")
-    m = n // 2
+    b = BilinearFormF2.__new__(BilinearFormF2)  # rows built whole, not entry by entry
     if n % 2 == 0:
-        d = m - 1
-        mat = np.ones((d, d), dtype=np.uint8) - np.eye(d, dtype=np.uint8)
+        b.dim = d = n // 2 - 1
+        b._rows = tuple(((1 << d) - 1) ^ 1 << j for j in reversed(range(d)))
     else:
-        d = m
-        mat = np.zeros((d, d), dtype=np.uint8)
-        for j in range(d - 1):
-            mat[j][j] = 1
-            mat[d - 1][j] = 1
-    return BilinearFormF2(mat)
+        b.dim = d = n // 2
+        b._rows = (*(1 << j for j in reversed(range(1, d))), (1 << d) - 2)
+    return b
 
 
 @functools.lru_cache(maxsize=None)
@@ -311,16 +309,15 @@ def twisted_sequence(b, count):
         raise ValueError("count must be at least 1")
     d = b.dim
     ring = form_ring(d)
+    entries = [(i, j) for i, row in enumerate(b.matrix) for j, v in enumerate(row) if v]
     out = []
     for l in range(count):
         terms = []
-        for i in range(d):
-            for j in range(d):
-                if b.matrix[i][j]:
-                    e = [0] * (2 * d)
-                    e[i] = 1
-                    e[d + j] = 1 << l
-                    terms.append(tuple(e))
+        for i, j in entries:
+            e = [0] * (2 * d)
+            e[i] = 1
+            e[d + j] = 1 << l
+            terms.append(tuple(e))
         out.append(ring.poly(terms))
     return out
 

@@ -110,7 +110,7 @@ def _kernel_nf(terms, basis, table, budget):
     return nf
 
 
-def _buchberger(ring, key_polys, budget, known=(), append=False):
+def _buchberger(ring, key_polys, budget, known=None):
     """The reduced Groebner basis of ``known`` and ``key_polys``.
 
     Pairs are treated in increasing lcm order; for homogeneous input this is
@@ -126,17 +126,18 @@ def _buchberger(ring, key_polys, budget, known=(), append=False):
     among the candidates of the divisor table for the lcm's support, the
     leads whose support lies inside it, as every divisor's does.
 
-    ``key_polys`` are nonzero key polynomials.  ``known`` is a reduced basis
-    of homogeneous polynomials, as this function returns it, that the ideal
-    already contains: it seeds G, and pairs are formed only with the new
-    elements.  Every pair of ``known`` already reduces to zero by ``known``,
-    whose elements stay in G until the final interreduction (but for the
-    variables that sit out an append, below), so the chain criterion may
-    count those pairs as treated.
+    ``key_polys`` are nonzero key polynomials.  ``known`` is None for a plain
+    run, or a reduced basis of homogeneous polynomials, as this function
+    returns it, that the ideal already contains: it seeds G, and pairs are
+    formed only with the new elements.  Every pair of ``known`` already
+    reduces to zero by ``known``, whose elements stay in G until the final
+    interreduction (but for the variables that sit out an append, below),
+    so the chain criterion may count those pairs as treated.
 
-    With ``append``, ``key_polys`` is one key polynomial f, already
-    reduced by ``known``, which joins G as it is, and the result is None
-    when f is not regular on R/(known).  The variables that lead ``known``
+    A ``known`` basis, even the empty one, makes the run a seeded append:
+    ``key_polys`` is one key polynomial f, already reduced by ``known``,
+    which joins G as it is, and the result is None when f is not regular
+    on R/(known).  The variables that lead ``known``
     (see ``_leading_variables``) sit out the run: they are not in G, the
     pair queue, the divisor table or the numerators, and they rejoin the
     result.  Neither f nor any other element of ``known`` has a term that
@@ -180,6 +181,8 @@ def _buchberger(ring, key_polys, budget, known=(), append=False):
     one, guard = ring.unit_key, ring.guard_mask
     lcms_of = ring.key_lcms
     gcds = {}  # a gcd's exponent fields -> its key, for lcms_of
+    append = known is not None
+    known = known or ()
     cut = _leading_variables(ring, known).bit_count() if append else 0
     inert, G = list(known[:cut]), list(known[cut:])  # inert: the variables that sit out
     lts = [f[0] for f in G]  # G's leading keys
@@ -576,6 +579,8 @@ class HilbertSeries:
 
     def expand(self, max_d):
         """Coefficients {(p, q): dim} up to combined degree max_d."""
+        if max_d < 0:
+            raise ValueError("expansion degree must be nonnegative")
         cur = {k: v for k, v in self.numerator.items() if k[0] + k[1] <= max_d}
         for (p, q) in self.denominator:
             nxt = {}
@@ -680,7 +685,7 @@ class RegularSequenceChecker:
         if not nf:
             return False
         known = self._basis._key_basis()[0]
-        found = _buchberger(self.ring, [nf], self.budget, known, append=True)
+        found = _buchberger(self.ring, [nf], self.budget, known)
         if found is None:
             return False
         self._basis = found

@@ -164,6 +164,12 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, ["torsor", "--n", "11", "--max-j", "1"])
     assert code == 2
+    # an empty range or expansion is an error, not a table that passes over nothing
+    code, out, err = run(capsys, ["poincare", "--flavor", "bso", "--n", "3", "--max-degree", "-1"])
+    assert code == 2 and out == "" and err == "usage error: expansion degree must be nonnegative\n"
+    for table in ("ktable", "htable"):
+        code, out, err = run(capsys, [table, "--from", "5", "--to", "3"])
+        assert code == 2 and out == "" and err == "usage error: --from must not exceed --to\n"
 
 
 def test_jbound_text(capsys):

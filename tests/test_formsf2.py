@@ -45,8 +45,50 @@ def test_form_basics():
     assert b.evaluate([0, 1], [0, 1]) == 0
     with pytest.raises(ValueError):
         BilinearFormF2([[1, 0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         b.matrix[0][0] = 0  # frozen
+
+
+def test_form_entries_are_integers_taken_mod_2():
+    want = BilinearFormF2([[0, 1, 1], [1, 0, 1], [1, 1, 1]])
+    assert BilinearFormF2(((0, 1, 1), (1, 0, 1), (1, 1, 1))) == want
+    assert BilinearFormF2([[False, True, True], [True, False, True], [True, True, True]]) == want
+    assert BilinearFormF2([range(0, 3), range(1, 4), [1, 1, 1]]) == BilinearFormF2([[0, 1, 0], [1, 0, 1], [1, 1, 1]])
+    assert BilinearFormF2([[256, -1], [-2, 3]]).matrix == ((0, 1), (0, 1))
+    assert want.matrix == ((0, 1, 1), (1, 0, 1), (1, 1, 1))
+    with pytest.raises(TypeError):
+        BilinearFormF2([[1.5, 0], [0, 1]])
+    for bad in ([], [[]], [[1, 0], [1]], [[1, 0, 1], [0, 1, 0]]):  # empty, ragged, not square
+        with pytest.raises(ValueError, match="square"):
+            BilinearFormF2(bad)
+
+
+def test_evaluate_is_the_dense_sum():
+    rng = random.Random(33)
+    for d in (1, 2, 63, 64, 65, 99):
+        matrix = [[rng.randint(0, 1) for _ in range(d)] for _ in range(d)]
+        b = BilinearFormF2(matrix)
+        for _ in range(20):
+            x = [rng.randint(0, 1) for _ in range(d)]
+            y = [rng.randint(0, 1) for _ in range(d)]
+            want = sum(x[i] * matrix[i][j] * y[j] for i in range(d) for j in range(d)) % 2
+            assert b.evaluate(x, y) == want
+        for x, y in (([0] * (d + 1), [0] * d), ([0] * d, [0] * (d - 1))):
+            with pytest.raises(ValueError, match="wrong length"):
+                b.evaluate(x, y)
+
+
+def test_quillen_form_is_its_closed_form():
+    # even n = 2m: 1 off the diagonal of an (m-1)-square; odd n = 2m+1: on an
+    # m-square, x_i y_i and x_m y_i for i < m
+    for n in range(4, 201):
+        m = n // 2
+        if n % 2 == 0:
+            want = tuple(tuple(int(i != j) for j in range(m - 1)) for i in range(m - 1))
+        else:
+            want = tuple(tuple(int(j < m - 1 and i in (j, m - 1)) for j in range(m)) for i in range(m))
+        b = quillen_form(n)
+        assert b.matrix == want and b == BilinearFormF2(want)
 
 
 def test_quillen_form_matrices():

@@ -469,6 +469,13 @@ def test_hilbert_expansion_rejects_a_negative_coefficient():
         HilbertSeries({(0, 0): 1, (2, 1): -2}, [(2, 1)]).expand(4)
 
 
+def test_hilbert_expansion_rejects_a_negative_degree():
+    hs = HilbertSeries({(0, 0): 1}, [(2, 1)])
+    assert hs.expand(0) == {(0, 0): 1}
+    with pytest.raises(ValueError, match="nonnegative"):
+        hs.expand(-1)
+
+
 def test_hilbert_series_rejects_inhomogeneous():
     ring = bso_ring(3)
     gb = groebner_basis(ring, [parse_poly(ring, "u2+u3")])
