@@ -106,6 +106,13 @@ def cold_k(n):
     return seconds, k, budget, calls, sum(hilbert), built, [terms for terms, _ in squares]
 
 
+def kept_terms(basis, x):
+    """The number of terms of ``x`` that no variable leading ``basis``
+    divides: the terms a normal form by ``basis`` hands to the kernel."""
+    ring = basis.ring
+    return sum(1 for key in x.keys if not ring.support(key) & basis._drop)
+
+
 def wall_prefix():
     """The chain of ``spaces._thetas`` at n = WALL_N stopped at x_{WALL_J-1},
     which is tested for membership like every x before it, with the basis
@@ -142,8 +149,7 @@ def main():
         )
     (thetas, top), ref = bracketed(lambda: time_thetas(WALL_N, WALL_J))
     chain, basis, budget = wall_prefix()
-    ring, drop = basis.ring, basis._key_basis()[2]
-    kept = sum(1 for key in top.keys if not ring.support(key) & drop)
+    kept = kept_terms(basis, top)
     print(f"n={WALL_N:<3} theta_{WALL_J} {len(top.keys)} terms, {kept} kept, in {scaled(thetas, ref)}")
     work, ref = bracketed(lambda: kernel_work(lambda: wall_append(chain, budget)))
     seconds, calls, steps, kernel_seconds = work

@@ -32,6 +32,7 @@ functions and the Buchberger algorithm", JSC 1996).
 from __future__ import annotations
 
 import heapq
+import operator
 
 from . import _reduction
 from ._reduction import DivisorTable
@@ -69,6 +70,7 @@ class Budget:
     __slots__ = ("limit", "used", "context", "skipped", "coprime", "chained")
 
     def __init__(self, limit=DEFAULT_BUDGET, context=""):
+        limit = operator.index(limit)
         if limit < 0:
             raise ValueError("budget must be nonnegative")
         self.limit = limit
@@ -94,7 +96,7 @@ def _resolve_budget(budget, context=""):
     (the default for None) that names ``context`` when it runs out."""
     if isinstance(budget, Budget):
         return budget
-    return Budget(DEFAULT_BUDGET if budget is None else int(budget), context)
+    return Budget(DEFAULT_BUDGET if budget is None else budget, context)
 
 
 # -- key space -----------------------------------------------------------------
@@ -127,9 +129,9 @@ def _buchberger(ring, key_polys, budget, known=None):
     leads whose support lies inside it, as every divisor's does.
 
     ``key_polys`` are nonzero key polynomials.  ``known`` is None for a plain
-    run, or a reduced basis of homogeneous polynomials, as this function
-    returns it, that the ideal already contains: it seeds G, and pairs are
-    formed only with the new elements.  Every pair of ``known`` already
+    run, or a GroebnerBasis of homogeneous polynomials, as this function
+    returns it, that the ideal already contains: its ``_keys`` seed G, and
+    pairs are formed only with the new elements.  Every pair of ``known`` already
     reduces to zero by ``known``, whose elements stay in G until the final
     interreduction (but for the variables that sit out an append, below),
     so the chain criterion may count those pairs as treated.
@@ -137,8 +139,9 @@ def _buchberger(ring, key_polys, budget, known=None):
     A ``known`` basis, even the empty one, makes the run a seeded append:
     ``key_polys`` is one key polynomial f, already reduced by ``known``,
     which joins G as it is, and the result is None when f is not regular
-    on R/(known).  The variables that lead ``known``
-    (see ``_leading_variables``) sit out the run: they are not in G, the
+    on R/(known).  The variables that lead ``known``, its first
+    ``_drop.bit_count()`` keys (see ``_leading_variables``), sit out the
+    run: they are not in G, the
     pair queue, the divisor table or the numerators, and they rejoin the
     result.  Neither f nor any other element of ``known`` has a term that
     they divide, so no S-polynomial or product of the kernel has one either:
@@ -182,9 +185,9 @@ def _buchberger(ring, key_polys, budget, known=None):
     lcms_of = ring.key_lcms
     gcds = {}  # a gcd's exponent fields -> its key, for lcms_of
     append = known is not None
-    known = known or ()
-    cut = _leading_variables(ring, known).bit_count() if append else 0
-    inert, G = list(known[:cut]), list(known[cut:])  # inert: the variables that sit out
+    keys = known._keys if append else []
+    cut = known._drop.bit_count() if append else 0
+    inert, G = keys[:cut], keys[cut:]  # inert: the variables that sit out
     lts = [f[0] for f in G]  # G's leading keys
     table = DivisorTable(ring, lts)  # grows with G
     leads, fits, candidates_of = table.leads, table.fits, table.candidates
@@ -313,14 +316,15 @@ def _leading_variables(ring, basis):
 class GroebnerBasis:
     """Reduced basis; the tuple of polynomials is sorted by leading term.
 
-    ``polys`` lists the largest leading term first.  The basis in key space
-    lists the smallest first: the kernel reduces by the first element in
-    list order whose leading term divides, so the smallest reducer is tried
-    first, which takes fewer steps to the same unique remainder.  Every
-    element must be a nonzero polynomial of ``ring``.
+    ``polys`` lists the largest leading term first.  ``_keys``, the basis in
+    key space, lists the smallest first: the kernel reduces by the first
+    element in list order whose leading term divides, so the smallest
+    reducer is tried first, which takes fewer steps to the same unique
+    remainder.  Its ``_table`` and ``_drop`` (see ``_leading_variables``)
+    are built with it.  Every element must be a nonzero polynomial of ``ring``.
     """
 
-    __slots__ = ("ring", "polys", "_state", "_last")
+    __slots__ = ("ring", "polys", "_keys", "_table", "_drop", "_last")
 
     def __init__(self, ring, polys):
         polys = tuple(polys)
@@ -331,17 +335,10 @@ class GroebnerBasis:
                 raise ValueError("a basis element is zero")
         self.ring = ring
         self.polys = polys
-        self._state = None  # see _key_basis
+        self._keys = sorted(p.keys for p in polys)
+        self._table = DivisorTable(ring, [f[0] for f in self._keys])
+        self._drop = _leading_variables(ring, self._keys)
         self._last = None  # (polynomial, budget, remainder keys) of the last reduction
-
-    def _key_basis(self):
-        """The basis in key space, ascending, its divisor table, and the
-        guard bits of the variables that lead it, built together once."""
-        if self._state is None:
-            keys = sorted(p.keys for p in self.polys)
-            table = DivisorTable(self.ring, [f[0] for f in keys])
-            self._state = (keys, table, _leading_variables(self.ring, keys))
-        return self._state
 
     def _remainder(self, x, budget):
         """Remainder keys of ``x``.  The last remainder is kept, with the
@@ -363,13 +360,12 @@ class GroebnerBasis:
         last = self._last
         if last is not None and last[0] is x and last[1] is budget:
             return last[2]
-        keys, table, drop = self._key_basis()
-        terms = x.keys
+        terms, drop = x.keys, self._drop
         if drop:
             one = self.ring.unit_key
             terms = [t for t in terms if not ((t ^ one) + one) & drop]
             budget.charge(len(x.keys) - len(terms))
-        nf = _kernel_nf(terms, keys, table, budget) if terms else ()
+        nf = _kernel_nf(terms, self._keys, self._table, budget) if terms else ()
         self._last = (x, budget, nf)
         return nf
 
@@ -684,8 +680,7 @@ class RegularSequenceChecker:
         nf = self._basis._remainder(f, self.budget)
         if not nf:
             return False
-        known = self._basis._key_basis()[0]
-        found = _buchberger(self.ring, [nf], self.budget, known)
+        found = _buchberger(self.ring, [nf], self.budget, self._basis)
         if found is None:
             return False
         self._basis = found

@@ -39,7 +39,7 @@ from .poly import (
     bso_ring,
     bso_top_ring,
 )
-from .steenrod import SteenrodContext, bso_context, bso_top_context, sq, theta
+from .steenrod import SteenrodContext, bso_context, sq, theta
 
 FAMILIES = ("BO", "BSO", "BSpin", "BG2", "BO_top", "BSO_top", "BSpin_top")
 
@@ -172,11 +172,6 @@ class Presentation(NamedTuple):
         }
 
 
-def _lift(target, x):
-    """``x`` in ``target``, its ring with one more generator at the end."""
-    return target.poly(t + (0,) for t in x.terms)
-
-
 _FREE_RINGS = {"BO": bo_ring, "BSO": bso_ring, "BO_top": bo_top_ring, "BSO_top": bso_top_ring}
 
 
@@ -186,7 +181,8 @@ def present(family, n=None, budget=None):
     BO/BSO (and their topological shadows) are free; BSpin quotients by the
     theta relations and adjoins v_{2^k}; BG2 is free on t, u4, u6, u7.
     The theta relations are the reduced basis of J_k that the certified
-    appends of ``_thetas`` build, under one budget.
+    appends of ``_thetas`` build, under one budget, in the classes' ring
+    with v appended: no theta has v, so the chain runs as without it.
     """
     fam = str(family)
     key = fam.lower()
@@ -225,11 +221,11 @@ def present(family, n=None, budget=None):
         ring = Ring(gens)
         return Presentation(fam, n, ring, GroebnerBasis(ring, ()), k)
 
-    ctx = bso_context(n) if motivic else bso_top_context(n)
-    ambient = Ring(list(zip(ctx.ring.names, ctx.ring.bidegrees)) + [(vname, vdeg)])
-    _, rel = next(itertools.islice(_thetas(ctx, _resolve_budget(budget)), k, None))
-    lifted = GroebnerBasis(ambient, [_lift(ambient, p) for p in rel])
-    return Presentation(fam, n, ambient, lifted, k)
+    classes = bso_ring(n) if motivic else bso_top_ring(n)
+    ambient = Ring(list(zip(classes.names, classes.bidegrees)) + [(vname, vdeg)])
+    chain = _thetas(SteenrodContext(ambient), _resolve_budget(budget))
+    _, rel = next(itertools.islice(chain, k, None))
+    return Presentation(fam, n, ambient, rel, k)
 
 
 class PoincareReport(NamedTuple):
@@ -362,9 +358,11 @@ def h_map(x):
 
 
 def g2_gysin_check(budget=None):
-    """Certify that v8 drops the BSpin_7 series by (1 - T^8 S^4) and that the
-    BG2 series equals the dropped series.  The BSpin_7 presentation and the
-    basis with v8 charge one budget."""
+    """Certify that the BG2 series is the BSpin_7 series times
+    (1 - T^8 S^4) (``series_identity``).  ``v8_regular``, that v8 drops the
+    BSpin_7 series by that factor, holds by construction: the BSpin_7
+    relations are u5, u3 and u2, and none names v8.  The BSpin_7
+    presentation and the basis with v8 charge one budget."""
     budget = _resolve_budget(budget)
     pres = present("BSpin", 7, budget)
     dropped = hilbert_series(pres.relations).times_factor(8, 4)

@@ -186,20 +186,15 @@ def _sq_gen(ctx, k, m):
 
 @functools.lru_cache(maxsize=None)
 def _sq_mono(ctx, k, key):
-    """Sq^k on the monomial with packed key ``key``.
+    """Sq^k on the tau-free monomial with packed key ``key`` (:func:`sq`
+    splits off tau), so every monomial this recursion reaches is tau-free.
 
-    The key is never decoded: the tau exponent is one field read, the
-    cohomological degree p is read off the p field, the parity of every
-    exponent is the low bit of its field, and squares and square roots are
-    doublings and halvings of the key (see :class:`~subtlesw.poly.Ring`).
+    The key is never decoded: the cohomological degree p is read off the p
+    field, the parity of every exponent is the low bit of its field, and
+    squares and square roots are doublings and halvings of the key (see
+    :class:`~subtlesw.poly.Ring`).
     """
     ring = ctx.ring
-    if ctx.motivic:
-        a = ring.exponent(key, ring.tau_index)
-        if a:
-            # split off tau^a (degree 0): Sq acts on the rest, tau^a shifts every key
-            step = a * ring.steps[ring.tau_index]
-            return _sq_mono(ctx, k, key - step).shifted(step)
     if k == 0:
         return Poly(ring, (key,))
     p = ring.key_bidegree(key).p
@@ -230,21 +225,21 @@ def _sq_mono(ctx, k, key):
     return _cartan_sum(ctx, parts)
 
 
-def _below_top(ctx, key, p, q, plain, twisted):
-    """Add Sq^{p-1} of the monomial ``key`` of bidegree (q)[p] to the key
-    sets ``plain`` and ``twisted`` (see :func:`_join`), in closed form.
+def _below_top(ctx, key, a, p, q, plain, twisted):
+    """Add Sq^{p-1} of tau^a times the tau-free monomial ``key`` = y of
+    bidegree (q)[p] to the key sets ``plain`` and ``twisted`` (see
+    :func:`_join`), in closed form.
 
-    Write the monomial as tau^a * y.  By the Cartan rule and instability,
-    Sq^{p-1} leaves exactly one factor u_m of y below its top square.  The
-    e_m copies of u_m in y give equal parts, so only the classes of odd
-    exponent count:
+    By the Cartan rule and instability, Sq^{p-1} leaves exactly one factor
+    u_m of y below its top square.  The e_m copies of u_m in y give equal
+    parts, so only the classes of odd exponent count:
 
         Sq^{p-1}(tau^a y) = sum over m with e_m odd of
             tau^[m-1 and p-m both odd] * Sq^{m-1}(u_m) * Sq^{p-m}(tau^a y/u_m).
 
     The top square of a tau-free monomial z of degree d and weight q_z is
     tau^((d - 2 q_z) // 2) * z^2, where d - 2 q_z counts the odd-index
-    factors of z; here that count is o - [m odd], with o = p - 2(q - a) the
+    factors of z; here that count is o - [m odd], with o = p - 2q the
     count for y.  So each part is the keys of Sq^{m-1}(u_m) shifted by one
     constant, (y/u_m)^2 times a power of tau, and no two parts share a key.
     The tau exponent of each part is checked against ``MAX_EXPONENT``
@@ -253,12 +248,8 @@ def _below_top(ctx, key, p, q, plain, twisted):
     """
     ring = ctx.ring
     one = ring.unit_key
-    tau_step = a = 0
-    if ctx.motivic:
-        tau_step = ring.steps[ring.tau_index]
-        a = ring.exponent(key, ring.tau_index)
-        key -= a * tau_step
-    o = p - 2 * (q - a)
+    tau_step = ring.steps[ring.tau_index] if ctx.motivic else 0
+    o = p - 2 * q
     seen = ring.limit_mask
     for pos in ring.odd_positions(key):
         m = ring.bidegrees[pos].p
@@ -286,20 +277,25 @@ def sq(ctx, k, x):
 
     Bihomogeneous input of bidegree (q)[p] maps to (q + k//2)[p + k] or to
     zero; v-, x- and y-generators have no defined action and are rejected.
-    A term of degree k + 1 >= 2 takes the closed form of :func:`_below_top`;
-    every other term takes the memoized recursion of :func:`_sq_mono`.
+    Each term splits into tau^a, of degree 0, and a tau-free rest that Sq^k
+    acts on.  A rest of degree k + 1 >= 2 takes the closed form of
+    :func:`_below_top`; every other the memoized recursion of :func:`_sq_mono`.
     """
     if k < 0:
         raise ValueError("Sq index must be nonnegative")
     ctx._check_argument(x)
     ring = ctx.ring
+    tau_step = ring.steps[ring.tau_index] if ctx.motivic else 0
     plain, twisted = set(), set()
     for key in x.keys:
+        a = ring.exponent(key, ring.tau_index) if tau_step else 0
+        key -= a * tau_step
         p, q = ring.key_bidegree(key)
         if k and p == k + 1:
-            _below_top(ctx, key, p, q, plain, twisted)
+            _below_top(ctx, key, a, p, q, plain, twisted)
         else:
-            plain.symmetric_difference_update(_sq_mono(ctx, k, key).keys)
+            res = _sq_mono(ctx, k, key)
+            plain.symmetric_difference_update(res.shifted(a * tau_step).keys if a else res.keys)
     return _join(ctx, plain, twisted)
 
 

@@ -7,6 +7,7 @@ fails here rather than at the next measurement.
 """
 
 import ast
+import itertools
 import json
 import os
 import subprocess
@@ -22,6 +23,7 @@ import bench_kernel  # noqa: E402
 import bench_theta  # noqa: E402
 
 from subtlesw import spaces  # noqa: E402
+from subtlesw.grobner import Budget  # noqa: E402
 from subtlesw.steenrod import bso_context, theta  # noqa: E402
 
 
@@ -37,6 +39,15 @@ def test_bench_theta_cold_k():
 def test_bench_theta_time_thetas():
     seconds, top = bench_theta.time_thetas(7, 3)
     assert str(top) == "u2^3*u3+u2^2*u5+u4*u5+u3*u6+u2*u7+t*u3^3" and seconds >= 0
+
+
+def test_bench_theta_kept_terms():
+    # theta_7 at n = 13 against the chain's basis of J_7: u2, u3, u5 and u9
+    # lead it, and divide all but 364 of theta_7's 8,271 terms
+    ctx = bso_context(13)
+    _, basis = next(itertools.islice(spaces._thetas(ctx, Budget()), 7, None))
+    top = theta(ctx, 7)
+    assert (len(top.keys), bench_theta.kept_terms(basis, top)) == (8271, 364)
 
 
 def test_spying_restores_the_original_when_its_block_raises():

@@ -389,8 +389,7 @@ def _dropped_terms_are_charged_as_the_kernel_would(gb, x, limits):
     keys, under each budget limit; True when some limit ran out.  The
     kernel takes the same steps under any limit and stops at the first
     step past it, so it runs out exactly when its steps exceed the limit."""
-    keys, table, _ = gb._key_basis()
-    want, steps = _reduction.normal_form_terms(x.keys, keys, table, 10**9)
+    want, steps = _reduction.normal_form_terms(x.keys, gb._keys, gb._table, 10**9)
     ran_out = False
     for limit in limits:
         for reduce in (normal_form, ideal_member):
@@ -567,7 +566,7 @@ def check_incremental_bases(ring, seq):
             accepted.append(f)
             gb = groebner_basis(ring, accepted)
             assert chk.basis == gb
-            assert chk.basis._key_basis()[0] == gb._key_basis()[0]
+            assert chk.basis._keys == gb._keys
             counts[0] += 1
         else:
             counts[1 if member else 2] += 1
@@ -612,8 +611,8 @@ def _appends_match_the_oracles(ring, seq, var):
     chk = RegularSequenceChecker(ring)
     accepted, before, out = [], {(0, 0): 1}, []
     for f in seq:
-        keys = chk.basis._key_basis()[0]
-        run = grobner._leading_variables(ring, keys) & ring.support(var.keys[0])
+        keys = chk.basis._keys
+        run = chk.basis._drop & ring.support(var.keys[0])
         bd = f.bidegree()
         after = lt_numerator(ring, [g.keys[0] for g in groebner_basis(ring, accepted + [f])])
         verdict = chk.append(f)
@@ -765,8 +764,8 @@ def test_seeded_appends_reduce_the_seed_once(monkeypatch):
 
 def _final_pass_steps(monkeypatch, ring, gens):
     """The reduced basis of ``gens``, its budget units, and the steps of
-    each kernel call of the final interreduction: the calls after the last
-    divisor table that ``_buchberger`` builds."""
+    each kernel call of the final interreduction: the calls between the
+    last two divisor tables, the final pass's own and the result's."""
     kernel, table = _reduction.normal_form_terms, grobner.DivisorTable
     events = []
 
@@ -783,7 +782,8 @@ def _final_pass_steps(monkeypatch, ring, gens):
     monkeypatch.setattr(grobner, "DivisorTable", recording_table)
     budget = Budget()
     gb = groebner_basis(ring, [parse_poly(ring, s) for s in gens], budget)
-    final = events[len(events) - events[::-1].index(None):]
+    tables = [i for i, e in enumerate(events) if e is None]
+    final = events[tables[-2] + 1 : tables[-1]]
     return gb_strings(gb), budget.used, final
 
 
@@ -866,6 +866,18 @@ def test_budget_exceeded_reporting():
     err = info.value
     assert err.limit == 1 and err.used == 2 and err.context == "n=6"
     assert str(err) == "budget exceeded after 2 of 1 reduction steps (n=6)"
+    with pytest.raises(ValueError):
+        Budget(-1)
+
+
+def test_a_budget_limit_is_an_integer():
+    # a limit is a count of units: a float, a string, NaN (which no count
+    # exceeds) or inf raises rather than being truncated or never running out
+    for limit in (1.5, 8.9, "100", float("nan"), float("inf")):
+        with pytest.raises(TypeError):
+            Budget(limit)
+        with pytest.raises(TypeError):
+            k_computed(11, limit)
     with pytest.raises(ValueError):
         Budget(-1)
 

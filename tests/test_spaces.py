@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from operator import ge
 
@@ -324,6 +326,24 @@ def test_present_relations_are_the_basis_of_the_thetas():
             rel = groebner_basis(ctx.ring, [theta(ctx, j) for j in range(p.k)])
             lifted = [p.ring.poly(t + (0,) for t in g.terms) for g in rel]
             assert list(p.relations) == lifted, (family, n)
+
+
+def test_present_past_n_11_in_both_spin_flavors():
+    # the presentations at n = 12..14, which no other test and no perfbench
+    # workload builds: one SHA-256 over their JSON, then each one's budget
+    # units and relation count
+    digest, seen = hashlib.sha256(), []
+    for family in ("BSpin", "BSpin_top"):
+        for n in (12, 13, 14):
+            budget = Budget()
+            p = present(family, n, budget)
+            digest.update(json.dumps(p.to_json(), sort_keys=True).encode())
+            seen.append((family, n, budget.used, len(p.relations)))
+    assert seen == [
+        ("BSpin", 12, 21, 8), ("BSpin", 13, 3850, 44), ("BSpin", 14, 968, 26),
+        ("BSpin_top", 12, 21, 8), ("BSpin_top", 13, 1882, 33), ("BSpin_top", 14, 6210, 33),
+    ]
+    assert digest.hexdigest() == "b87592367b29101968cd91cf8855dd124ce98a34b7fb339a4b08f8bde8a283c6"
 
 
 def test_torsor_relation_literals():
