@@ -3,9 +3,11 @@
 Sq^k is defined on a single class by the Wu formula, extended to products by
 the Cartan rule and to sums F2-linearly.  In the motivic flavor the ground
 coefficients are H = F2[tau] and the Cartan rule picks up a factor of tau
-exactly when both indices are odd; squares obey Sq^{2c}(z^2) = tau^(c mod 2)
-(Sq^c z)^2.  The topological flavor (w-generators, no tau) degenerates to the
-classical Wu/Cartan calculus.
+exactly when both indices are odd (:func:`cartan`, :func:`thom_sq`).  The
+topological flavor (w-generators, no tau) is the classical Wu/Cartan
+calculus.  :func:`sq` computes only that classical calculus and puts tau back
+from the bidegree: realization (tau -> 1, u_i -> w_i) sends the motivic Sq^k
+to the classical one and is one-to-one on each bidegree.
 
 The theta sequence theta_0 = u2, theta_{j+1} = Sq^{2^j} theta_j drives the
 spin presentations in :mod:`subtlesw.spaces`.
@@ -145,29 +147,16 @@ def bo_top_context(n):
     return SteenrodContext(bo_top_ring(n))
 
 
-def _tau_shift(ctx, x):
-    # multiply by tau; only ever called in the motivic flavor
-    return x.shifted(ctx.ring.steps[ctx.ring.tau_index])
-
-
-def _join(ctx, plain, twisted):
-    """plain + tau * twisted, for two sets of keys each an F2 sum already
-    collected: the Cartan parts whose indices are not both odd, and those
-    whose indices are (which carry a factor of tau in the motivic flavor)."""
-    ring = ctx.ring
-    total = ring.poly_of_keys(plain)
-    if twisted:
-        total = total + _tau_shift(ctx, ring.poly_of_keys(twisted))
-    return total
-
-
 def _cartan_sum(ctx, parts):
-    """F2 sum of Cartan parts ``(a, b, Sq^a-side * Sq^b-side)``."""
-    plain, twisted = set(), set()
+    """F2 sum of Cartan parts ``(a, b, Sq^a-side * Sq^b-side)``, each part
+    times tau in the motivic flavor when a and b are both odd."""
+    ring = ctx.ring
+    acc = set()
     for a, b, part in parts:
-        odd = ctx.motivic and (a & 1) and (b & 1)
-        (twisted if odd else plain).symmetric_difference_update(part.keys)
-    return _join(ctx, plain, twisted)
+        if ctx.motivic and a & b & 1:
+            part = part.shifted(ring.steps[ring.tau_index])
+        acc.symmetric_difference_update(part.keys)
+    return ring.poly_of_keys(acc)
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,18 +165,17 @@ def _sq_gen(ctx, k, m):
     if k == m:
         c = ctx.class_poly(m)
         return c * c
-    acc = set()
+    total = ctx.ring.zero
     for j in range(k + 1):
         if binom_mod2(m + j - k - 1, j):
-            part = ctx.class_poly(k - j) * ctx.class_poly(m + j)
-            acc.symmetric_difference_update(part.keys)
-    return ctx.ring.poly_of_keys(acc)
+            total = total + ctx.class_poly(k - j) * ctx.class_poly(m + j)
+    return total
 
 
 @functools.lru_cache(maxsize=None)
 def _sq_mono(ctx, k, key):
-    """Sq^k on the tau-free monomial with packed key ``key`` (:func:`sq`
-    splits off tau), so every monomial this recursion reaches is tau-free.
+    """The classical Sq^k (the Wu and Cartan formulas with no tau) on the
+    tau-free monomial with packed key ``key``; :func:`sq` puts tau back.
 
     The key is never decoded: the cohomological degree p is read off the p
     field, the parity of every exponent is the low bit of its field, and
@@ -204,70 +192,55 @@ def _sq_mono(ctx, k, key):
     if not odd:
         if k & 1:
             return ring.zero
-        c = k >> 1
         one = ring.unit_key
-        res = _sq_mono(ctx, c, one + ((key - one) >> 1)).squared()
-        if ctx.motivic and (c & 1) and res:
-            res = _tau_shift(ctx, res)
-        return res
+        return _sq_mono(ctx, k >> 1, one + ((key - one) >> 1)).squared()
     pos = odd[0]
     m = ring.bidegrees[pos].p  # class index of the split-off generator
     rest = key - ring.steps[pos]
-    parts = []
+    acc = set()
     # Sq^{k-a} of the rest, of degree p - m, vanishes unless a >= k - (p - m)
     for a in range(max(0, k - (p - m)), min(k, m) + 1):
         left = _sq_gen(ctx, a, m)
-        if not left:
-            continue
-        right = _sq_mono(ctx, k - a, rest)
-        if right:
-            parts.append((a, k - a, left * right))
-    return _cartan_sum(ctx, parts)
+        if left:
+            acc.symmetric_difference_update((left * _sq_mono(ctx, k - a, rest)).keys)
+    return ring.poly_of_keys(acc)
 
 
-def _below_top(ctx, key, a, p, q, plain, twisted):
-    """Add Sq^{p-1} of tau^a times the tau-free monomial ``key`` = y of
-    bidegree (q)[p] to the key sets ``plain`` and ``twisted`` (see
-    :func:`_join`), in closed form.
+def _below_top(ctx, key, d, acc):
+    """Add Sq^{p-1} of the tau-free monomial ``key`` = y of degree p >= 2,
+    lifted to the combined degree d as in :func:`sq`, to the key set
+    ``acc``, in closed form.
 
     By the Cartan rule and instability, Sq^{p-1} leaves exactly one factor
     u_m of y below its top square.  The e_m copies of u_m in y give equal
-    parts, so only the classes of odd exponent count:
+    parts, so only the classes of odd exponent count, and classically
 
-        Sq^{p-1}(tau^a y) = sum over m with e_m odd of
-            tau^[m-1 and p-m both odd] * Sq^{m-1}(u_m) * Sq^{p-m}(tau^a y/u_m).
+        Sq^{p-1}(y) = sum over m with e_m odd of Sq^{m-1}(u_m) * (y/u_m)^2.
 
-    The top square of a tau-free monomial z of degree d and weight q_z is
-    tau^((d - 2 q_z) // 2) * z^2, where d - 2 q_z counts the odd-index
-    factors of z; here that count is o - [m odd], with o = p - 2q the
-    count for y.  So each part is the keys of Sq^{m-1}(u_m) shifted by one
-    constant, (y/u_m)^2 times a power of tau, and no two parts share a key.
-    The tau exponent of each part is checked against ``MAX_EXPONENT``
-    before its shift, and every key against ``limit_mask`` before anything
-    cancels, as in a product.
+    So each part is the keys of Sq^{m-1}(u_m) shifted by one constant, and
+    no two parts share a key.  Sq^{m-1}(u_m) is bihomogeneous, so the lift
+    is one power of tau per part.  Its exponent is checked against
+    ``MAX_EXPONENT`` before the shift, which would carry out of the tau
+    field unseen by ``limit_mask``; every key is then checked against
+    ``limit_mask`` before anything cancels, as in a product.
     """
     ring = ctx.ring
     one = ring.unit_key
-    tau_step = ring.steps[ring.tau_index] if ctx.motivic else 0
-    o = p - 2 * q
     seen = ring.limit_mask
     for pos in ring.odd_positions(key):
         m = ring.bidegrees[pos].p
         left = _sq_gen(ctx, m - 1, m).keys
         if not left:
             continue
-        # the Cartan indices m - 1 and p - m are both odd
-        both_odd = ctx.motivic and not m & 1 and p & 1
-        # the tau exponent of every key of the part, with the one tau that
-        # _join adds; it is checked before the shift, which would carry out
-        # of the tau field, where limit_mask cannot see it
-        c = a + (o - (m & 1)) // 2
-        if ctx.motivic and c + both_odd > MAX_EXPONENT:
-            raise ExponentOverflow
-        shift = 2 * (key - ring.steps[pos] - one) + c * tau_step
+        shift = 2 * (key - ring.steps[pos] - one)
+        if ctx.motivic:
+            c = d - ((left[0] + shift) >> ring.degree_shift)
+            if c > MAX_EXPONENT:
+                raise ExponentOverflow
+            shift += c * ring.steps[ring.tau_index]
         part = [g + shift for g in left]
         seen = functools.reduce(and_, part, seen)
-        (twisted if both_odd else plain).symmetric_difference_update(part)
+        acc.symmetric_difference_update(part)
     if seen != ring.limit_mask:
         raise ExponentOverflow
 
@@ -277,30 +250,44 @@ def sq(ctx, k, x):
 
     Bihomogeneous input of bidegree (q)[p] maps to (q + k//2)[p + k] or to
     zero; v-, x- and y-generators have no defined action and are rejected.
-    Each term splits into tau^a, of degree 0, and a tau-free rest that Sq^k
-    acts on.  A rest of degree k + 1 >= 2 takes the closed form of
-    :func:`_below_top`; every other the memoized recursion of :func:`_sq_mono`.
+    Each term drops its tau^a, and Sq^k acts on the tau-free rest y
+    classically: in closed form (:func:`_below_top`) when y has degree
+    k + 1 >= 2, else by the memoized :func:`_sq_mono`.  Realization (tau -> 1,
+    u_i -> w_i) sends the motivic Sq^k to the classical one and is one-to-one
+    on each bidegree (Q)[P], where a tau-free z comes only as tau^(Q - q_z) z.
+    So the motivic square of a term is its classical square with each key z
+    raised to the combined degree d = deg(term) + k + k//2 by tau^(d - deg z).
     """
     if k < 0:
         raise ValueError("Sq index must be nonnegative")
     ctx._check_argument(x)
     ring = ctx.ring
+    top = ring.degree_shift
     tau_step = ring.steps[ring.tau_index] if ctx.motivic else 0
-    plain, twisted = set(), set()
+    acc = set()
     for key in x.keys:
-        a = ring.exponent(key, ring.tau_index) if tau_step else 0
-        key -= a * tau_step
-        p, q = ring.key_bidegree(key)
-        if k and p == k + 1:
-            _below_top(ctx, key, a, p, q, plain, twisted)
-        else:
-            res = _sq_mono(ctx, k, key)
-            plain.symmetric_difference_update(res.shifted(a * tau_step).keys if a else res.keys)
-    return _join(ctx, plain, twisted)
+        d = (key >> top) + k + k // 2
+        if tau_step:
+            key -= ring.exponent(key, ring.tau_index) * tau_step
+        if k and ring.key_bidegree(key).p == k + 1:
+            _below_top(ctx, key, d, acc)
+            continue
+        res = _sq_mono(ctx, k, key).keys
+        if tau_step and res:
+            # the lowest key has the lowest degree, so the most tau
+            if d - (res[-1] >> top) > MAX_EXPONENT:
+                raise ExponentOverflow
+            res = [z + (d - (z >> top)) * tau_step for z in res]
+        acc.symmetric_difference_update(res)
+    return ring.poly_of_keys(acc)
 
 
 def cartan(ctx, k, x, y):
     """The Cartan expansion sum_{a+b=k} tau^(a,b both odd) Sq^a x * Sq^b y."""
+    if k < 0:
+        raise ValueError("Sq index must be nonnegative")
+    ctx._check_argument(x)
+    ctx._check_argument(y)
     parts = []
     for a in range(k + 1):
         left = sq(ctx, a, x)
@@ -348,6 +335,8 @@ class ThomModuleElement:
         self.coefficient = coefficient
 
     def __add__(self, other):
+        if not isinstance(other, ThomModuleElement):
+            raise TypeError(f"cannot combine ThomModuleElement with {type(other).__name__}")
         if self.ctx != other.ctx:
             raise RingError("Thom elements over different contexts")
         return ThomModuleElement(self.ctx, self.coefficient + other.coefficient)

@@ -19,6 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
+import answers  # noqa: E402
 import bench_kernel  # noqa: E402
 import bench_theta  # noqa: E402
 
@@ -60,6 +61,25 @@ def test_spying_restores_the_original_when_its_block_raises():
             raise KeyError("stop")
     assert spaces.sq is original
     assert [str(x) for x in seen] == ["u3"]
+
+
+def test_answers_digests_small_ranges():
+    lines = {
+        "steenrod": list(answers.steenrod_answers(ns=[4], samples=3)),
+        "theta": list(answers.theta_answers(ns=[7], last=2)),
+        "k": list(answers.k_answers(ns=[10])),
+        "present": list(answers.present_answers(ns=[3])),
+        "verify": list(answers.verify_answers(verify_ns=[5], torsor_ns=[5])),
+    }
+    # each input line of the Steenrod area is followed by sq, cartan and thom_sq
+    assert len(lines["steenrod"]) == 4 * 4 * 3
+    assert lines["theta"][2] == "<SteenrodContext bso n=7> theta_2 = u2*u3+u5"
+    assert lines["k"] and lines["k"][0].startswith("n=10 k=5 units=10 ")
+    # every family at n = 3, and BG2 once
+    assert len(lines["present"]) == 7
+    assert lines["verify"][-1] == '{"series_identity": true, "v8_regular": true}'
+    count, hexdigest = answers.digest(lines["theta"])
+    assert count == 6 and len(hexdigest) == 64
 
 
 def _expected_spans():

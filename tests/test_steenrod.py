@@ -15,6 +15,7 @@ from subtlesw.poly import (
     bso_ring,
     parse_poly,
 )
+from subtlesw.spaces import t_map
 from subtlesw.steenrod import (
     SteenrodContext,
     ThomModuleElement,
@@ -273,6 +274,13 @@ def test_thom_module_examples():
     assert str(thom_sq(ctx, 1, w_alpha)) == "(u3)*alpha"
 
 
+def test_thom_add_takes_only_thom_elements():
+    e = ThomModuleElement(bso_context(4), bso_ring(4).gen("u2"))
+    for other in (1, e.coefficient):
+        with pytest.raises(TypeError, match="cannot combine ThomModuleElement with"):
+            e + other
+
+
 def test_thom_module_arithmetic():
     ctx = bso_context(4)
     ring = ctx.ring
@@ -384,6 +392,29 @@ def test_squares_match_termwise_fold(ctx):
         assert thom_sq(ctx, k, ThomModuleElement(ctx, x)).coefficient == thom_sq_by_fold(ctx, k, x)
 
 
+@pytest.mark.parametrize(
+    "make, make_top",
+    [(bso_context, bso_top_context), (bo_context, bo_top_context)],
+    ids=["so", "o"],
+)
+def test_squares_realize_to_classical_squares(make, make_top):
+    # realization (t -> 1, u_i -> w_i) sends the motivic Sq^k, here the
+    # oracle's with every tau twist explicit, to the classical Sq^k, and is
+    # one-to-one on a bidegree, so no two terms meet: sq lifts the classical
+    # square to the motivic one on exactly these two facts
+    rng = random.Random(39)
+    for n in range(3, 12):
+        ctx, top = make(n), make_top(n)
+        t = ctx.ring.gen("t")
+        for _ in range(30):
+            x = random_bihomogeneous(ctx.ring, rng, 3, 3) * t ** rng.randint(0, 3)
+            k = rng.randint(0, 8)
+            want = sq_by_fold(ctx, k, x)
+            image = t_map(want)
+            assert image == sq(top, k, t_map(x)), (n, k, str(x))
+            assert len(image.keys) == len(want.keys)
+
+
 def test_theta_term_counts_14_to_16():
     counts = {
         14: [1, 1, 2, 7, 36, 223, 1484, 10155],
@@ -435,8 +466,13 @@ def _thom_one(n):
         (lambda: _thom_one(5) + _thom_one(6), RingError),
         (lambda: thom_sq(bso_context(5), -1, _thom_one(5)), ValueError),
         (lambda: thom_sq(bso_context(6), 1, _thom_one(5)), RingError),
+        (lambda: cartan(bso_context(5), -1, bso_ring(5).gen("u2"), bso_ring(5).gen("u3")), ValueError),
+        (lambda: cartan(bso_context(5), 2, bso_ring(5).zero, bso_ring(6).gen("u2")), RingError),
     ],
-    ids=["sq-ring", "sq-index", "theta-index", "thom-ring", "thom-add", "thom-sq-index", "thom-sq-context"],
+    ids=[
+        "sq-ring", "sq-index", "theta-index", "thom-ring", "thom-add", "thom-sq-index", "thom-sq-context",
+        "cartan-index", "cartan-ring",
+    ],
 )
 def test_input_checks(call, error):
     with pytest.raises(ValueError) as info:
