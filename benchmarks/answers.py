@@ -22,13 +22,29 @@ overflow shows too.  The areas:
   with the budget units of each.
 - ``verify``: ``verify_theta(n)`` for n in VERIFY_NS,
   ``torsor_relations(n)`` for n in TORSOR_NS and ``g2_gysin_check()``.
+- ``verify_k``: ``verify_theta(n, k)`` for n in VERIFY_NS and k in
+  {0, 1, k(n) + 1}.
 
-The whole run takes about ten seconds on one core.
+A line of the ``k`` and ``present`` areas joins an answer to the work that
+found it.  Each of them also prints its answers (``k.answers``: n and k;
+``present.answers``: the presentation's JSON, whose relations are every
+basis of J_k) and its work (``k.work``, ``present.work``) apart, so a
+change to the work alone shows as such.
+
+``benchmarks/answers.json`` pins every digest: the areas of answers under
+``answers``, the areas with work in their lines under ``work``, and
+``tests/test_benchmarks.py`` recomputes and compares them.  After a
+deliberate change, rewrite it with
+
+    PYTHONPATH=src:benchmarks python3 -c "import answers; answers.write_pins()"
+
+The whole run takes about six seconds on one core.
 """
 
 import hashlib
 import json
 import random
+from pathlib import Path
 
 from bench_kernel import kernel_work
 from subtlesw.grobner import Budget
@@ -37,6 +53,7 @@ from subtlesw.spaces import (
     FAMILIES,
     g2_gysin_check,
     k_computed,
+    k_expected,
     present,
     torsor_relations,
     verify_theta,
@@ -111,22 +128,39 @@ def theta_answers(ns=THETA_NS, last=7):
                 yield f"{ctx!r} theta_{j} = {theta(ctx, j)}"
 
 
-def k_answers(ns=K_NS):
+def k_rows(ns=K_NS):
+    """(answer, work) for each n: k, then the budget units, the skipped
+    pairs and the kernel work of ``k_computed``."""
     for n in ns:
         budget = Budget()
         k, calls, steps, _ = kernel_work(lambda: k_computed(n, budget))
         yield (
-            f"n={n} k={k} units={budget.used} skipped={budget.skipped}"
-            f" kernel_calls={calls} kernel_steps={steps}"
+            f"n={n} k={k}",
+            f"units={budget.used} skipped={budget.skipped} kernel_calls={calls} kernel_steps={steps}",
         )
 
 
-def present_answers(ns=PRESENT_NS):
+def present_rows(ns=PRESENT_NS):
+    """(answer, work) for each family and n: the presentation's JSON, then
+    the budget units of ``present``."""
     for family in FAMILIES:
         for n in [None] if family == "BG2" else ns:
             budget = Budget()
             pres = present(family, n, budget)
-            yield f"units={budget.used} " + json.dumps(pres.to_json(), sort_keys=True)
+            yield json.dumps(pres.to_json(), sort_keys=True), f"units={budget.used}"
+
+
+def _joined(name, rows):
+    line = SPLIT[name][1]
+    return (line.format(answer=answer, work=work) for answer, work in rows)
+
+
+def k_answers(ns=K_NS):
+    return _joined("k", k_rows(ns))
+
+
+def present_answers(ns=PRESENT_NS):
+    return _joined("present", present_rows(ns))
 
 
 def verify_answers(verify_ns=VERIFY_NS, torsor_ns=TORSOR_NS):
@@ -138,13 +172,29 @@ def verify_answers(verify_ns=VERIFY_NS, torsor_ns=TORSOR_NS):
     yield json.dumps(g2_gysin_check(), sort_keys=True)
 
 
+def verify_k_answers(ns=VERIFY_NS):
+    for n in ns:
+        for k in sorted({0, 1, k_expected(n) + 1}):
+            yield json.dumps(verify_theta(n, k), sort_keys=True)
+
+
 AREAS = {
     "steenrod": steenrod_answers,
     "theta": theta_answers,
     "k": k_answers,
     "present": present_answers,
     "verify": verify_answers,
+    "verify_k": verify_k_answers,
 }
+
+# the areas whose lines join an answer to its work: their rows, and the line
+# that each row makes
+SPLIT = {
+    "k": (k_rows, "{answer} {work}"),
+    "present": (present_rows, "{work} {answer}"),
+}
+
+PINS = Path(__file__).with_name("answers.json")
 
 
 def digest(lines):
@@ -157,10 +207,37 @@ def digest(lines):
     return count, h.hexdigest()
 
 
-def main():
+def digests():
+    """Yield (label, count, SHA-256) for each area in order.  An area of
+    SPLIT runs its rows once and gives its joined lines, then its answers
+    and its work apart."""
     for name, answers in AREAS.items():
-        count, hexdigest = digest(answers())
-        print(f"{name:<10}{count:>7}  {hexdigest}", flush=True)
+        if name not in SPLIT:
+            yield (name, *digest(answers()))
+            continue
+        rows = list(SPLIT[name][0]())
+        yield (name, *digest(_joined(name, rows)))
+        yield (f"{name}.answers", *digest(answer for answer, _ in rows))
+        yield (f"{name}.work", *digest(work for _, work in rows))
+
+
+def pins():
+    """Every digest as ``answers.json`` keeps it, with the areas that hold
+    work apart from the areas of answers alone."""
+    out = {"answers": {}, "work": {}}
+    for label, count, hexdigest in digests():
+        group = "work" if label in SPLIT or label.endswith(".work") else "answers"
+        out[group][label] = [count, hexdigest]
+    return out
+
+
+def write_pins():
+    PINS.write_text(json.dumps(pins(), indent=2) + "\n")
+
+
+def main():
+    for label, count, hexdigest in digests():
+        print(f"{label:<16}{count:>7}  {hexdigest}", flush=True)
 
 
 if __name__ == "__main__":

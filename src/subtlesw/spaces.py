@@ -23,7 +23,6 @@ from .grobner import (
     groebner_basis,
     hilbert_series,
     ideal_member,
-    is_regular_sequence,
     normal_form,
 )
 from .poly import (
@@ -101,16 +100,31 @@ def _thetas(ctx, budget):
         j += 1
 
 
+def _chain_to_k(n, budget):
+    """Run the chain of ``_thetas`` at n to its first member x_k, k = k(n),
+    testing each x_j once, and return the bases of J_0..J_k it yielded."""
+    budget = _resolve_budget(budget, f"n={n}")
+    bases = []
+    for x, basis in _thetas(bso_context(n), budget):
+        bases.append(basis)
+        if ideal_member(x, basis, budget):
+            return bases
+
+
+def _tau_regular(basis):
+    """Whether t is a nonzerodivisor modulo the ideal of ``basis``, a
+    reduced basis of bihomogeneous polynomials in a ring with t: exactly
+    when t divides none of its leading terms (see ``verify_theta``)."""
+    return not any(basis.ring.exponent(f.keys[0], basis.ring.tau_index) for f in basis)
+
+
 def k_computed(n, budget=None):
     """Recompute k(n): the unique k with theta_0..theta_{k-1} regular and
     theta_k in the ideal they generate, read off the chain of ``_thetas``,
     which tests each theta once: the first j whose x_j is a member."""
     if n < 2:
         raise ValueError("k(n) is defined for n >= 2")
-    budget = _resolve_budget(budget, f"n={n}")
-    for j, (x, basis) in enumerate(_thetas(bso_context(n), budget)):
-        if ideal_member(x, basis, budget):
-            return j
+    return len(_chain_to_k(n, budget)) - 1
 
 
 def verify_theta(n, k=None, budget=None):
@@ -119,33 +133,46 @@ def verify_theta(n, k=None, budget=None):
     Checks that theta_0..theta_{k-1} is regular, that theta_k lies in the
     ideal it generates, and that tau followed by the first h(n) thetas is
     regular.  Returns a dict with the three booleans and the parameters.
-    Every theta is its x_j from ``_thetas``, which gives the same verdicts.
-    theta_k lies in J_k once some x_j with j <= k does, so the chain stops
-    at the first member once it holds the tau prefix.
+    All three are read off one run of the chain of ``_thetas`` to its
+    first member x_{k(n)}, the run of ``k_computed``, so the verdicts cost
+    k(n)'s budget units whatever k is.  The first two are k(n) >= k and
+    k(n) <= k.  The tau prefix is regular exactly when k(n) >= h and t
+    divides no leading term of the reduced basis of J_h:
+
+    1. x_j is theta_j modulo J_j, so t, theta_0..theta_{h-1} is regular
+       exactly when t, x_0..x_{h-1} is.  A homogeneous sequence of
+       positive degree in a graded polynomial ring stays regular when
+       permuted (the graded form of Matsumura, *Commutative Ring Theory*,
+       Thm 16.3), so that holds exactly when x_0..x_{h-1} is regular and
+       t is regular on R/J_h.
+    2. The chain appends each x_j that is not a member of J_j and stops at
+       the first member x_{k(n)}, a zero divisor, so it certifies
+       x_0..x_{h-1} as regular exactly when k(n) >= h.
+    3. t owns the top field below the degree (see ``Ring``), so among the
+       terms of one combined degree the leading one has the least power
+       of t, and for homogeneous f, t dividing lead(f) means t divides f.
+       Hence (in(J) : t) = in(J : t): if t*m = lead(g) with g in J, then
+       g = t*g' with g' in J : t and lead(g') = m.  So t is regular on
+       R/J, that is J : t = J, exactly when in(J) : t = in(J), exactly
+       when t divides no minimal generator of in(J), the leading terms of
+       the reduced basis (Bayer & Stillman, Invent. Math. 87, 1987;
+       Eisenbud, *Commutative Algebra*, Prop. 15.12).
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if k is None:
-        k = k_expected(n)
+    k = k_expected(n) if k is None else k
     if k < 0:
         raise ValueError("k must be nonnegative")
-    budget = _resolve_budget(budget, f"n={n}")
-    ctx = bso_context(n)
     h = formsf2.h_of(n)
-    members, prefix = [], [ctx.ring.gen("t")]
-    for x, basis in _thetas(ctx, budget):
-        members.append(ideal_member(x, basis, budget))
-        prefix.append(x)
-        if len(members) >= h and (members[-1] or len(members) > k):
-            break
-
+    bases = _chain_to_k(n, budget)
+    k_n = len(bases) - 1
     return {
         "n": n,
         "k": k,
         "h": h,
-        "regular": not any(members[:k]),
-        "theta_k_in_ideal": any(members[: k + 1]),
-        "tau_prefix_regular": is_regular_sequence(ctx.ring, prefix[: h + 1], budget)[0],
+        "regular": k_n >= k,
+        "theta_k_in_ideal": k_n <= k,
+        "tau_prefix_regular": k_n >= h and _tau_regular(bases[h]),
     }
 
 

@@ -82,6 +82,15 @@ def test_answers_digests_small_ranges():
     assert count == 6 and len(hexdigest) == 64
 
 
+def test_answers_match_the_pinned_digests():
+    # every area on its full range against benchmarks/answers.json; the
+    # answers are compared before the work that found them
+    pinned = json.loads(answers.PINS.read_text())
+    got = answers.pins()
+    assert got["answers"] == pinned["answers"]
+    assert got["work"] == pinned["work"]
+
+
 def _expected_spans():
     """``EXPECTED_SPANS`` as perfbench/run.py states it, read without
     importing run.py."""

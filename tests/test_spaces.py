@@ -98,19 +98,40 @@ def test_verify_theta_reports():
 
 
 def test_verify_theta_certifies_the_tau_prefix_with_h_thetas(monkeypatch):
-    # tau and theta_0..theta_{h-1}, whatever k is: h(9) = 4 and h(13) = 6
-    lengths = []
+    # one run of the chain to its first member, whatever k is: the budget
+    # units of k_computed, no checker besides the chain's, and the tau
+    # prefix read off the basis of J_h, with h(9) = 4 and h(13) = 6
+    init = RegularSequenceChecker.__init__
+    built = []
 
-    def recording(ring, seq, budget=None):
-        lengths.append(len(seq))
-        return is_regular_sequence(ring, seq, budget)
+    def recording(self, ring, budget=None):
+        built.append(ring)
+        init(self, ring, budget)
 
-    monkeypatch.setattr(spaces, "is_regular_sequence", recording)
-    for n, k, want in ((9, 1, 5), (13, 2, 7), (9, None, 5)):
-        lengths.clear()
-        rep = verify_theta(n, k)
-        assert lengths == [want] and rep["h"] == want - 1
-        assert rep["tau_prefix_regular"]
+    monkeypatch.setattr(RegularSequenceChecker, "__init__", recording)
+    for n, k, h in ((9, 1, 4), (13, 2, 6), (9, None, 4)):
+        spent, used = Budget(), Budget()
+        k_computed(n, spent)
+        built.clear()
+        rep = verify_theta(n, k, used)
+        assert used.used == spent.used and built == [bso_ring(n)]
+        assert rep["h"] == h and rep["tau_prefix_regular"]
+
+
+def test_tau_is_regular_exactly_when_it_divides_no_leading_term():
+    # the lead test behind verify_theta's tau prefix against the exact
+    # Hilbert-series drop, on seeded random ideals; both verdicts occur
+    rng = random.Random(36)
+    seen = set()
+    for _ in range(100):
+        ring = rng.choice((bso_ring, bo_ring))(rng.randint(3, 6))
+        gens = [random_bihomogeneous(ring, rng, 3, 3) for _ in range(rng.randint(1, 3))]
+        gb = groebner_basis(ring, gens)
+        with_t = groebner_basis(ring, gens + [ring.gen("t")])
+        drops = hilbert_series(with_t) == hilbert_series(gb).times_factor(0, 1)
+        assert spaces._tau_regular(gb) == drops, [str(g) for g in gens]
+        seen.add(drops)
+    assert seen == {True, False}
 
 
 def test_verify_theta_matches_the_full_thetas():
