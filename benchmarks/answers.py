@@ -16,29 +16,34 @@ overflow shows too.  The areas:
   ``MAX_EXPONENT``; k is random, or the degree of the leading term or one
   less (the square and the closed form of ``_below_top``).
 - ``theta``: theta_0..theta_7 in both SO flavours, for n in THETA_NS.
-- ``k``: ``k_computed(n)`` for n in K_NS, with the budget units, the
-  ``skipped`` pairs and the kernel calls of each.
-- ``present``: ``present`` of every family for n in PRESENT_NS (BG2 once),
-  with the budget units of each.
+- ``k.answers``: ``k_computed(n)`` for n in K_NS; ``k.work``: the budget
+  units, the pairs ``skipped``, ``coprime`` and ``chained`` and the
+  kernel calls and steps of each; ``chain``: every basis J_0..J_{k(n)}
+  that the same run of ``spaces._chain_to_k(n)`` yields.
+- ``present.answers``: ``present`` of every family for n in PRESENT_NS
+  (BG2 once), as JSON, whose relations are every basis of J_k;
+  ``present.work``: the budget units of each.
 - ``verify``: ``verify_theta(n)`` for n in VERIFY_NS,
   ``torsor_relations(n)`` for n in TORSOR_NS and ``g2_gysin_check()``.
 - ``verify_k``: ``verify_theta(n, k)`` for n in VERIFY_NS and k in
   {0, 1, k(n) + 1}.
+- ``groebner.answers``: ``groebner_basis`` of the ideal ``GENS`` of
+  ``bench_kernel.py`` in ``bso_ring(8)`` and of seeded random ideals in
+  the classical rings of BSO_n and BO_n for n in GROEBNER_NS;
+  ``groebner.work``: the budget units and the pairs ``coprime`` and
+  ``chained`` of each.
 
-A line of the ``k`` and ``present`` areas joins an answer to the work that
-found it.  Each of them also prints its answers (``k.answers``: n and k;
-``present.answers``: the presentation's JSON, whose relations are every
-basis of J_k) and its work (``k.work``, ``present.work``) apart, so a
-change to the work alone shows as such.
+The ``k``, ``present`` and ``groebner`` areas hash the work apart from the
+answers, so a change to the work alone shows as such.
 
-``benchmarks/answers.json`` pins every digest: the areas of answers under
-``answers``, the areas with work in their lines under ``work``, and
-``tests/test_benchmarks.py`` recomputes and compares them.  After a
-deliberate change, rewrite it with
+``benchmarks/answers.json`` pins every digest: the ``.work`` areas under
+``work``, the others under ``answers``, and ``tests/test_benchmarks.py``
+recomputes and compares them.  After a deliberate change, rewrite it with
 
     PYTHONPATH=src:benchmarks python3 -c "import answers; answers.write_pins()"
 
-The whole run takes about six seconds on one core.
+The whole run takes five to six seconds on one core (5.0-6.2 s in three
+runs on an x86_64 host, Python 3.11).
 """
 
 import hashlib
@@ -46,18 +51,11 @@ import json
 import random
 from pathlib import Path
 
-from bench_kernel import kernel_work
-from subtlesw.grobner import Budget
-from subtlesw.poly import MAX_EXPONENT, ExponentOverflow
-from subtlesw.spaces import (
-    FAMILIES,
-    g2_gysin_check,
-    k_computed,
-    k_expected,
-    present,
-    torsor_relations,
-    verify_theta,
-)
+from bench_kernel import GENS, kernel_work
+from subtlesw import spaces
+from subtlesw.grobner import Budget, groebner_basis
+from subtlesw.poly import MAX_EXPONENT, ExponentOverflow, bso_ring, parse_poly
+from subtlesw.spaces import FAMILIES, g2_gysin_check, k_expected, present, torsor_relations, verify_theta
 from subtlesw.steenrod import (
     ThomModuleElement,
     bo_context,
@@ -77,6 +75,8 @@ K_NS = range(2, 17)
 PRESENT_NS = range(2, 17)
 VERIFY_NS = range(2, 14)
 TORSOR_NS = range(3, 14)
+GROEBNER_NS = range(4, 7)
+IDEALS = 6  # random ideals per ring
 FLAVOURS = (bso_context, bo_context, bso_top_context, bo_top_context)
 
 
@@ -129,14 +129,18 @@ def theta_answers(ns=THETA_NS, last=7):
 
 
 def k_rows(ns=K_NS):
-    """(answer, work) for each n: k, then the budget units, the skipped
-    pairs and the kernel work of ``k_computed``."""
+    """(answer, work, chain) for each n: k, then the budget units, the
+    pairs skipped and dropped by each criterion and the kernel work of
+    ``k_computed``'s run of the chain, then the bases of J_0..J_k it
+    yielded."""
     for n in ns:
         budget = Budget()
-        k, calls, steps, _ = kernel_work(lambda: k_computed(n, budget))
+        bases, calls, steps, _ = kernel_work(lambda: spaces._chain_to_k(n, budget))
         yield (
-            f"n={n} k={k}",
-            f"units={budget.used} skipped={budget.skipped} kernel_calls={calls} kernel_steps={steps}",
+            f"n={n} k={len(bases) - 1}",
+            f"units={budget.used} skipped={budget.skipped} coprime={budget.coprime}"
+            f" chained={budget.chained} kernel_calls={calls} kernel_steps={steps}",
+            f"n={n} " + " ".join(f"J_{j}={basis!r}" for j, basis in enumerate(bases)),
         )
 
 
@@ -150,17 +154,25 @@ def present_rows(ns=PRESENT_NS):
             yield json.dumps(pres.to_json(), sort_keys=True), f"units={budget.used}"
 
 
-def _joined(name, rows):
-    line = SPLIT[name][1]
-    return (line.format(answer=answer, work=work) for answer, work in rows)
-
-
-def k_answers(ns=K_NS):
-    return _joined("k", k_rows(ns))
-
-
-def present_answers(ns=PRESENT_NS):
-    return _joined("present", present_rows(ns))
+def groebner_rows(ns=GROEBNER_NS, ideals=IDEALS):
+    """(answer, work) for the bench ideal and for ``ideals`` seeded random
+    ideals, of two to four generators, in the rings of the classical
+    flavours for each n (the motivic inputs' powers of tau near the limit
+    would swamp the run): the reduced basis, then the budget units and the
+    pairs dropped by each criterion."""
+    ring = bso_ring(8)
+    inputs = [(ring, [parse_poly(ring, s) for s in GENS])]
+    for make in (bso_top_context, bo_top_context):
+        for n in ns:
+            ctx = make(n)
+            rng = random.Random(n * 7919 + len(ctx.ring))
+            for _ in range(ideals):
+                gens = [_random_poly(ctx, rng, 3, 4) for _ in range(rng.randint(2, 4))]
+                inputs.append((ctx.ring, gens))
+    for ring, gens in inputs:
+        budget = Budget()
+        gb = groebner_basis(ring, gens, budget)
+        yield f"{ring!r} {gb!r}", f"units={budget.used} coprime={budget.coprime} chained={budget.chained}"
 
 
 def verify_answers(verify_ns=VERIFY_NS, torsor_ns=TORSOR_NS):
@@ -178,20 +190,16 @@ def verify_k_answers(ns=VERIFY_NS):
             yield json.dumps(verify_theta(n, k), sort_keys=True)
 
 
+# each area, and its label; an area of rows hashes each column of its
+# rows under the label in that place
 AREAS = {
     "steenrod": steenrod_answers,
     "theta": theta_answers,
-    "k": k_answers,
-    "present": present_answers,
+    ("k.answers", "k.work", "chain"): k_rows,
+    ("present.answers", "present.work"): present_rows,
     "verify": verify_answers,
     "verify_k": verify_k_answers,
-}
-
-# the areas whose lines join an answer to its work: their rows, and the line
-# that each row makes
-SPLIT = {
-    "k": (k_rows, "{answer} {work}"),
-    "present": (present_rows, "{work} {answer}"),
+    ("groebner.answers", "groebner.work"): groebner_rows,
 }
 
 PINS = Path(__file__).with_name("answers.json")
@@ -208,25 +216,24 @@ def digest(lines):
 
 
 def digests():
-    """Yield (label, count, SHA-256) for each area in order.  An area of
-    SPLIT runs its rows once and gives its joined lines, then its answers
-    and its work apart."""
-    for name, answers in AREAS.items():
-        if name not in SPLIT:
-            yield (name, *digest(answers()))
+    """Yield (label, count, SHA-256) for each area, or each column of an
+    area of rows, in order.  An area of rows runs once for all its
+    columns."""
+    for labels, area in AREAS.items():
+        if isinstance(labels, str):
+            yield (labels, *digest(area()))
             continue
-        rows = list(SPLIT[name][0]())
-        yield (name, *digest(_joined(name, rows)))
-        yield (f"{name}.answers", *digest(answer for answer, _ in rows))
-        yield (f"{name}.work", *digest(work for _, work in rows))
+        rows = list(area())
+        for i, label in enumerate(labels):
+            yield (label, *digest(row[i] for row in rows))
 
 
 def pins():
-    """Every digest as ``answers.json`` keeps it, with the areas that hold
-    work apart from the areas of answers alone."""
+    """Every digest as ``answers.json`` keeps it, with the areas of work
+    apart from the areas of answers."""
     out = {"answers": {}, "work": {}}
     for label, count, hexdigest in digests():
-        group = "work" if label in SPLIT or label.endswith(".work") else "answers"
+        group = "work" if label.endswith(".work") else "answers"
         out[group][label] = [count, hexdigest]
     return out
 

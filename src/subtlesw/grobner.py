@@ -214,7 +214,7 @@ def _buchberger(ring, key_polys, budget, known=None):
 
     if append:
         (f,) = key_polys
-        base = _lt_numerator(ring, tuple(lts))
+        base = _lt_numerator(ring, lts)
         p, q = ring.key_bidegree(f[0])
         expected = _p2_axpy(base, -1, p, q, base)
         gap = _p2_axpy({}, 1, p, q, base)
@@ -488,7 +488,7 @@ def _pivot(ring, linked, shared):
             moved.append(h)
             if g >> shift & FIELD_MAX == low:
                 freed.append(h | guard)
-    plus = tuple(sorted(rest + [one + down]))
+    plus = sorted(rest + [one + down])
     kept = []
     for g in rest:
         for h in freed:
@@ -496,7 +496,7 @@ def _pivot(ring, linked, shared):
                 break
         else:
             kept.append(g)
-    return e * p, e * q, plus, tuple(sorted(moved + kept))
+    return e * p, e * q, plus, sorted(moved + kept)
 
 
 def _lt_numerator(ring, gens):
@@ -513,12 +513,8 @@ def _lt_numerator(ring, gens):
     is that product alone.
     """
     one, guard, bidegree = ring.unit_key, ring.guard_mask, ring.key_bidegree
-    memo = {}
 
     def rec(gens):
-        hit = memo.get(gens)
-        if hit is not None:
-            return hit
         if gens and gens[0] == one:
             return {}  # the whole ring
         sups = [((g ^ one) + one) & guard for g in gens]
@@ -534,10 +530,9 @@ def _lt_numerator(ring, gens):
         for g, s in zip(gens, sups):
             if not s & shared:
                 res = _p2_axpy(res, -1, *bidegree(g), res)
-        memo[gens] = res
         return res
 
-    return rec(tuple(gens))
+    return rec(gens)
 
 
 class HilbertSeries:

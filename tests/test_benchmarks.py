@@ -67,16 +67,23 @@ def test_answers_digests_small_ranges():
     lines = {
         "steenrod": list(answers.steenrod_answers(ns=[4], samples=3)),
         "theta": list(answers.theta_answers(ns=[7], last=2)),
-        "k": list(answers.k_answers(ns=[10])),
-        "present": list(answers.present_answers(ns=[3])),
+        "k": list(answers.k_rows(ns=[10])),
+        "present": list(answers.present_rows(ns=[3])),
         "verify": list(answers.verify_answers(verify_ns=[5], torsor_ns=[5])),
+        "groebner": list(answers.groebner_rows(ns=[4], ideals=2)),
     }
     # each input line of the Steenrod area is followed by sq, cartan and thom_sq
     assert len(lines["steenrod"]) == 4 * 4 * 3
     assert lines["theta"][2] == "<SteenrodContext bso n=7> theta_2 = u2*u3+u5"
-    assert lines["k"] and lines["k"][0].startswith("n=10 k=5 units=10 ")
+    # k(10) = 5, its work, and the bases of J_0..J_5
+    [(k, work, chain)] = lines["k"]
+    assert k == "n=10 k=5" and work.startswith("units=10 ")
+    assert chain.startswith("n=10 J_0=GroebnerBasis[") and chain.count("GroebnerBasis[") == 6
     # every family at n = 3, and BG2 once
     assert len(lines["present"]) == 7
+    # the bench ideal, then two ideals in each of bso_ring(4) and bo_ring(4)
+    assert len(lines["groebner"]) == 5
+    assert lines["groebner"][0][1] == "units=24710 coprime=92 chained=7677"
     assert lines["verify"][-1] == '{"series_identity": true, "v8_regular": true}'
     count, hexdigest = answers.digest(lines["theta"])
     assert count == 6 and len(hexdigest) == 64
