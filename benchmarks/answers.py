@@ -22,7 +22,8 @@ overflow shows too.  The areas:
   that the same run of ``spaces._chain_to_k(n)`` yields.
 - ``present.answers``: ``present`` of every family for n in PRESENT_NS
   (BG2 once), as JSON, whose relations are every basis of J_k;
-  ``present.work``: the budget units of each.
+  ``present.work``: the budget units of each; ``present.series``: the
+  Hilbert series of each, as JSON.
 - ``verify``: ``verify_theta(n)`` for n in VERIFY_NS,
   ``torsor_relations(n)`` for n in TORSOR_NS and ``g2_gysin_check()``.
 - ``verify_k``: ``verify_theta(n, k)`` for n in VERIFY_NS and k in
@@ -53,7 +54,7 @@ from pathlib import Path
 
 from bench_kernel import GENS, kernel_work
 from subtlesw import spaces
-from subtlesw.grobner import Budget, groebner_basis
+from subtlesw.grobner import Budget, groebner_basis, hilbert_series
 from subtlesw.poly import MAX_EXPONENT, ExponentOverflow, bso_ring, parse_poly
 from subtlesw.spaces import FAMILIES, g2_gysin_check, k_expected, present, torsor_relations, verify_theta
 from subtlesw.steenrod import (
@@ -145,13 +146,18 @@ def k_rows(ns=K_NS):
 
 
 def present_rows(ns=PRESENT_NS):
-    """(answer, work) for each family and n: the presentation's JSON, then
-    the budget units of ``present``."""
+    """(answer, work, series) for each family and n: the presentation's
+    JSON, the budget units of ``present``, then the JSON of the Hilbert
+    series of the presentation's relations."""
     for family in FAMILIES:
         for n in [None] if family == "BG2" else ns:
             budget = Budget()
             pres = present(family, n, budget)
-            yield json.dumps(pres.to_json(), sort_keys=True), f"units={budget.used}"
+            yield (
+                json.dumps(pres.to_json(), sort_keys=True),
+                f"units={budget.used}",
+                json.dumps(hilbert_series(pres.relations).to_json()),
+            )
 
 
 def groebner_rows(ns=GROEBNER_NS, ideals=IDEALS):
@@ -196,7 +202,7 @@ AREAS = {
     "steenrod": steenrod_answers,
     "theta": theta_answers,
     ("k.answers", "k.work", "chain"): k_rows,
-    ("present.answers", "present.work"): present_rows,
+    ("present.answers", "present.work", "present.series"): present_rows,
     "verify": verify_answers,
     "verify_k": verify_k_answers,
     ("groebner.answers", "groebner.work"): groebner_rows,

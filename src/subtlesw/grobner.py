@@ -663,15 +663,7 @@ class RegularSequenceChecker:
         self.length = 0
 
     def append(self, f):
-        if f.ring != self.ring:
-            raise RingError("sequence element lies in a different ring")
-        bd = f.bidegree()
-        if bd is INHOMOGENEOUS:
-            raise InhomogeneousError(f"{f} is not bihomogeneous")
-        if bd is ZERO_DEGREE:
-            return False
-        if bd.d <= 0:
-            raise ValueError("sequence elements must have positive combined degree")
+        _check_element(self.ring, f)
         nf = self._basis._remainder(f, self.budget)
         if not nf:
             return False
@@ -687,6 +679,18 @@ class RegularSequenceChecker:
         return self._basis
 
 
+def _check_element(ring, f, name="sequence element"):
+    """Raise unless ``f`` lies in ``ring`` and is zero or bihomogeneous of
+    positive combined degree; ``name`` names f in the error."""
+    if f.ring != ring:
+        raise RingError(f"{name} lies in a different ring")
+    bd = f.bidegree()
+    if bd is INHOMOGENEOUS:
+        raise InhomogeneousError(f"{name} is not bihomogeneous")
+    if bd is not ZERO_DEGREE and bd.d <= 0:
+        raise ValueError(f"{name} must have positive combined degree")
+
+
 def is_regular_sequence(ring, seq, budget=None):
     """Certify a homogeneous sequence by exact Hilbert-series drops.
 
@@ -696,13 +700,7 @@ def is_regular_sequence(ring, seq, budget=None):
     """
     seq = list(seq)
     for idx, f in enumerate(seq, 1):
-        if f.ring != ring:
-            raise RingError("sequence element lies in a different ring")
-        bd = f.bidegree()
-        if bd is INHOMOGENEOUS:
-            raise InhomogeneousError(f"element {idx} is not bihomogeneous")
-        if bd is not ZERO_DEGREE and bd.d <= 0:
-            raise ValueError(f"element {idx} must have positive combined degree")
+        _check_element(ring, f, f"element {idx}")
     checker = RegularSequenceChecker(ring, budget)
     for idx, f in enumerate(seq, 1):
         if not checker.append(f):

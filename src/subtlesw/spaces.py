@@ -56,19 +56,18 @@ def k_expected(n):
 def _thetas(ctx, budget):
     """Yield (x_j, the reduced basis of J_j) for j = 0, 1, ..., with J_j the
     ideal of theta_0..theta_{j-1} and x_j = theta_j modulo J_j: x_0 is
-    theta_0, and after each yield x_j joins the basis unless its remainder
-    r_j is zero, and x_{j+1} is Sq^{2^j} of r_j.  No theta_j with j >= 1 is
-    built in full.  ``budget`` is a resolved Budget; a membership test of
-    x_j under it between yields leaves r_j in ``GroebnerBasis._last``, and
-    the append reuses it.  A failed append raises ``ArithmeticError``:
-    x_j is then neither regular nor in J_j.
+    theta_0, and after each yield the chain ends if x_j lies in J_j, else
+    x_j joins the basis and x_{j+1} is Sq^{2^j} of r_j, the remainder of
+    x_j.  So the last yield is the first member, x_{k(n)}.  No theta_j with
+    j >= 1 is built in full.  ``budget`` is resolved to name n; the
+    membership test leaves r_j in ``GroebnerBasis._last``, and the append
+    reuses it.  A failed append raises ``ArithmeticError``: x_j is then
+    neither regular nor in J_j.
 
     r_j is theta_j plus an element of J_j, so by (B) below x_{j+1} is
     theta_{j+1} modulo J_{j+1}: it has theta_{j+1}'s remainder by the basis
     of J_{j+1} and generates the same ideal with it, so every membership
-    test and every append go as with theta_{j+1} itself.  Once some x_j
-    lies in J_j, every later J is J_j and every later x is zero.  By
-    induction on l:
+    test and every append go as with theta_{j+1} itself.  By induction on l:
 
     (A) Sq^s theta_l lies in J_{l+1} for s < 2^l;
     (B) Sq^t(J_l) lies in J_{l+1} for every t.
@@ -86,29 +85,25 @@ def _thetas(ctx, budget):
     (Quillen, Math. Ann. 194, 1971; for the motivic Adem and Cartan
     formulas, Voevodsky, Publ. IHES 98, 2003).
     """
+    budget = _resolve_budget(budget, f"n={ctx.n}")
     checker = RegularSequenceChecker(ctx.ring, budget)
     x = theta(ctx, 0)
-    j = 0
-    while True:
+    for j in itertools.count():
         yield x, checker.basis
+        if ideal_member(x, checker.basis, budget):
+            return
         r = normal_form(x, checker.basis, budget)
-        if r and not checker.append(x):
+        if not checker.append(x):
             raise ArithmeticError(
                 f"theta_{j} ends the regular sequence but is not in the ideal (n={ctx.n})"
             )
         x = sq(ctx, 1 << j, r)
-        j += 1
 
 
 def _chain_to_k(n, budget):
-    """Run the chain of ``_thetas`` at n to its first member x_k, k = k(n),
-    testing each x_j once, and return the bases of J_0..J_k it yielded."""
-    budget = _resolve_budget(budget, f"n={n}")
-    bases = []
-    for x, basis in _thetas(bso_context(n), budget):
-        bases.append(basis)
-        if ideal_member(x, basis, budget):
-            return bases
+    """The bases of J_0..J_k, k = k(n), that the chain of ``_thetas`` at n
+    yields up to its first member x_k."""
+    return [basis for _, basis in _thetas(bso_context(n), budget)]
 
 
 def _tau_regular(basis):
@@ -209,7 +204,9 @@ def present(family, n=None, budget=None):
     theta relations and adjoins v_{2^k}; BG2 is free on t, u4, u6, u7.
     The theta relations are the reduced basis of J_k that the certified
     appends of ``_thetas`` build, under one budget, in the classes' ring
-    with v appended: no theta has v, so the chain runs as without it.
+    with v appended: no theta has v, so the chain runs as without it.  A
+    chain that ends at its first member before J_k, that is a k past k(n),
+    raises ``ArithmeticError``.
     """
     fam = str(family)
     key = fam.lower()
@@ -250,9 +247,11 @@ def present(family, n=None, budget=None):
 
     classes = bso_ring(n) if motivic else bso_top_ring(n)
     ambient = Ring(list(zip(classes.names, classes.bidegrees)) + [(vname, vdeg)])
-    chain = _thetas(SteenrodContext(ambient), _resolve_budget(budget))
-    _, rel = next(itertools.islice(chain, k, None))
-    return Presentation(fam, n, ambient, rel, k)
+    chain = _thetas(SteenrodContext(ambient), budget)
+    bases = [basis for _, basis in itertools.islice(chain, k + 1)]
+    if len(bases) <= k:
+        raise ArithmeticError(f"the theta chain ends at J_{len(bases) - 1}, before J_{k} (n={n})")
+    return Presentation(fam, n, ambient, bases[k], k)
 
 
 class PoincareReport(NamedTuple):

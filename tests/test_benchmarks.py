@@ -79,8 +79,13 @@ def test_answers_digests_small_ranges():
     [(k, work, chain)] = lines["k"]
     assert k == "n=10 k=5" and work.startswith("units=10 ")
     assert chain.startswith("n=10 J_0=GroebnerBasis[") and chain.count("GroebnerBasis[") == 6
-    # every family at n = 3, and BG2 once
+    # every family at n = 3, and BG2 once; BSpin_3 is F2[t, u2, u3, v4]/(u3, u2)
     assert len(lines["present"]) == 7
+    series = json.loads(lines["present"][2][2])
+    assert series == {
+        "numerator": [[1, 0, 0], [-1, 2, 1], [-1, 3, 1], [1, 5, 2]],
+        "denominator": [[0, 1], [2, 1], [3, 1], [4, 2]],
+    }
     # the bench ideal, then two ideals in each of bso_ring(4) and bo_ring(4)
     assert len(lines["groebner"]) == 5
     assert lines["groebner"][0][1] == "units=24710 coprime=92 chained=7677"

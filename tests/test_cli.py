@@ -111,6 +111,12 @@ def test_budget_exceeded_exit_code(capsys):
     assert "n=11" in err
 
 
+def test_present_and_poincare_name_n_when_the_budget_runs_out(capsys):
+    for name in ("present", "poincare"):
+        code, _, err = run(capsys, [name, "--flavor", "bspin", "--n", "13", "--budget", "8"])
+        assert code == 3 and "budget exceeded" in err and "(n=13)" in err, name
+
+
 def test_env_budget(capsys, monkeypatch):
     # the budget is --budget or DEFAULT_BUDGET; the environment plays no part
     for value in ("10", "abc"):

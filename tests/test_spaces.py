@@ -6,7 +6,7 @@ from operator import ge
 
 import pytest
 
-from subtlesw import _reduction, formsf2, spaces
+from subtlesw import _reduction, cli, formsf2, spaces
 from subtlesw.grobner import (
     Budget,
     BudgetExceeded,
@@ -154,16 +154,30 @@ def test_verify_theta_matches_the_full_thetas():
 
 
 def test_the_theta_chain_past_its_first_member():
-    # x_3 lies in J_3 at n = 5; it is not appended, so the basis stays,
-    # and every later x is the square of a zero remainder
-    chain = list(itertools.islice(spaces._thetas(bso_context(5), Budget()), 6))
-    assert [bool(x) for x, _ in chain] == [True] * 4 + [False] * 2
-    assert ideal_member(*chain[3]) and all(basis is chain[3][1] for _, basis in chain[3:])
+    # x_3 lies in J_3 at n = 5: the chain yields x_0..x_3 with J_0..J_3,
+    # each x nonzero and no earlier one a member, and then ends
+    chain = spaces._thetas(bso_context(5), Budget())
+    got = list(itertools.islice(chain, 4))
+    assert [len(basis) for _, basis in got] == [0, 1, 2, 3] and all(x for x, _ in got)
+    assert [ideal_member(*pair) for pair in got] == [False] * 3 + [True]
+    assert next(chain, None) is None
+
+
+def test_present_refuses_a_k_past_k_n(monkeypatch, capsys):
+    # with k(5) = 3 read as 4 the chain ends at J_3 before J_4, so present
+    # raises where it would return J_3 with v16
+    k_expected = spaces.k_expected
+    monkeypatch.setattr(spaces, "k_expected", lambda n: 4 if n == 5 else k_expected(n))
+    for family in ("BSpin", "BSpin_top"):
+        with pytest.raises(ArithmeticError, match=r"ends at J_3, before J_4 \(n=5\)"):
+            present(family, 5)
+    assert cli.main(["present", "--flavor", "bspin", "--n", "5"]) == 1
+    assert "verification failure" in capsys.readouterr().err
 
 
 def test_verify_theta_far_past_k():
-    # theta_3 already lies in J_3 at n = 5, so every later representative
-    # is zero and no theta_j with j > 0 is built in full
+    # theta_3 already lies in J_3 at n = 5, so the chain ends there and no
+    # theta_j with j > 0 is built in full
     assert verify_theta(5, 2000) == {
         "n": 5,
         "k": 2000,
@@ -482,12 +496,17 @@ def test_theta_is_the_power_sum_of_newtons_identity():
 
 
 def test_the_theta_chain_agrees_with_the_power_sums():
-    # x_j is theta_j modulo J_j, so x_j + p_{2^j+1} lies in J_j
+    # x_j is theta_j modulo J_j, so x_j + p_{2^j+1} lies in J_j; a chain
+    # that ends at its first member x_k before x_6 leaves J_k, which holds
+    # every p_{2^j+1} with k < j <= 6
     for n in range(2, 14):
         ctx = bso_top_context(n)
-        chain = itertools.islice(spaces._thetas(ctx, Budget()), 1, 7)
-        for j, (x, basis) in enumerate(chain, 1):
+        chain = list(itertools.islice(spaces._thetas(ctx, Budget()), 7))
+        for j, (x, basis) in enumerate(chain[1:], 1):
             assert not normal_form(x + theta_by_newton(ctx.ring, n, j), basis), (n, j)
+        last = chain[-1][1]
+        for j in range(len(chain), 7):
+            assert ideal_member(theta_by_newton(ctx.ring, n, j), last), (n, j)
 
 
 def test_the_torsor_thetas_are_the_power_sums(monkeypatch):
