@@ -87,7 +87,24 @@ from .spaces import (
     verify_theta,
 )
 # Only perfbench/ reads these two; they go with its next change (ROADMAP.md, "Delete numpy").
-import numpy as _numpy
+# No computation uses numpy, so its body runs only at the first read of one of
+# its attributes; without numpy, nothing is registered.
+
+
+def _register_lazily(name):
+    import importlib.util
+    import sys
+
+    spec = None if name in sys.modules else importlib.util.find_spec(name)
+    if spec is None:
+        return
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+
+
+_register_lazily("numpy")
 from . import backend
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import time
-import traceback
 from typing import Iterable, NamedTuple
 
 from . import __version__, formsf2, spaces
@@ -287,6 +286,8 @@ def main(argv=None):
         print(f"verification failure: {e}", file=sys.stderr)
         return 1
     except Exception:
+        import traceback  # here only: it costs every start-up a few ms
+
         traceback.print_exc()
         return 70
 

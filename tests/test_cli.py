@@ -318,16 +318,56 @@ def _module_cli(argv, **env):
     return _python(["-m", "subtlesw.cli", *argv], **env)
 
 
-def test_the_cli_loads_only_the_standard_library_and_numpy():
-    # every top-level module that importing the CLI loads: a new runtime
-    # dependency fails here until it is named below
-    code = "import sys; before = set(sys.modules); import subtlesw.cli; print(*set(sys.modules) - before)"
+def test_the_cli_runs_neither_numpy_nor_traceback():
+    # every top-level module that importing the CLI and running a few
+    # subcommands loads: a new runtime dependency fails here until it is named
+    # below. numpy is only registered (its body would load numpy.* submodules),
+    # and traceback is left to the exit-70 handler.
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "before = set(sys.modules)",
+        "import subtlesw.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for argv in (['jbound', '--n', '9'], ['theta', '--n', '7', '--j', '2'],",
+        "                 ['htable', '--from', '2', '--to', '20'], ['ktable', '--to', '5']):",
+        "        assert subtlesw.cli.main(argv) == 0, argv",
+        "print(*set(sys.modules) - before)",
+    ])
     with _python(["-c", code]) as proc:
         out, err = proc.communicate()
     assert proc.returncode == 0, err
-    loaded = {name.split(".")[0] for name in out.decode().split()}
+    new = set(out.decode().split())
+    assert not {name for name in new if name.startswith("numpy.")}
+    assert "traceback" not in new
+    loaded = {name.split(".")[0] for name in new}
     assert "subtlesw" in loaded
     assert loaded - set(sys.stdlib_module_names) <= {"subtlesw", "numpy"}
+
+
+def test_import_works_without_numpy():
+    # -S leaves site-packages, and so numpy, off the path
+    src = str(Path(subtlesw.__file__).parents[1])
+    code = "import sys, subtlesw; print(subtlesw.k_computed(5), 'numpy' in sys.modules)"
+    with _python(["-S", "-c", code], PYTHONPATH=src) as proc:
+        out, err = proc.communicate()
+    assert proc.returncode == 0, err
+    assert out.decode().split() == ["3", "False"]
+
+
+def test_numpy_provenance_reads_after_import():
+    # perfbench records sys.modules["numpy"].__version__ and backend.name()
+    # after import subtlesw; reading the version runs numpy's body
+    code = "\n".join([
+        "import importlib.metadata, sys, subtlesw",
+        "assert sys.modules['numpy'].__version__ == importlib.metadata.version('numpy')",
+        "assert subtlesw.backend.name() == 'pure'",
+        "module = sys.modules['numpy']",
+        "import numpy",
+        "assert numpy is module and numpy.arange(4).sum() == 6",
+    ])
+    with _python(["-c", code]) as proc:
+        _, err = proc.communicate()
+    assert proc.returncode == 0, err.decode()
 
 
 def test_installed_entry_point():
