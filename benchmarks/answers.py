@@ -18,7 +18,7 @@ overflow shows too.  The areas:
 - ``theta``: theta_0..theta_7 in both SO flavours, for n in THETA_NS.
 - ``k.answers``: ``k_computed(n)`` for n in K_NS; ``k.work``: the budget
   units, the pairs ``skipped``, ``coprime`` and ``chained`` and the
-  kernel calls and steps of each; ``chain``: every basis J_0..J_{k(n)}
+  kernel calls and steps of each, read off its ``Budget``; ``chain``: every basis J_0..J_{k(n)}
   that the same run of ``spaces._chain_to_k(n)`` yields.
 - ``present.answers``: ``present`` of every family for n in PRESENT_NS
   (BG2 once), as JSON, whose relations are every basis of J_k;
@@ -52,7 +52,7 @@ import json
 import random
 from pathlib import Path
 
-from bench_kernel import GENS, kernel_work
+from bench_kernel import GENS
 from subtlesw import spaces
 from subtlesw.grobner import Budget, groebner_basis, hilbert_series
 from subtlesw.poly import MAX_EXPONENT, ExponentOverflow, bso_ring, parse_poly
@@ -136,11 +136,12 @@ def k_rows(ns=K_NS):
     yielded."""
     for n in ns:
         budget = Budget()
-        bases, calls, steps, _ = kernel_work(lambda: spaces._chain_to_k(n, budget))
+        bases = spaces._chain_to_k(n, budget)
         yield (
             f"n={n} k={len(bases) - 1}",
             f"units={budget.used} skipped={budget.skipped} coprime={budget.coprime}"
-            f" chained={budget.chained} kernel_calls={calls} kernel_steps={steps}",
+            f" chained={budget.chained} kernel_calls={budget.kernel_calls}"
+            f" kernel_steps={budget.kernel_steps}",
             f"n={n} " + " ".join(f"J_{j}={basis!r}" for j, basis in enumerate(bases)),
         )
 

@@ -1,4 +1,4 @@
-"""The fixed ideal of the gbasis benchmark, and a spy on the reduction kernel.
+"""The fixed ideal of the gbasis benchmark, and a spy that times calls.
 
 ``GENS`` and ``random_monomial`` make the inputs of perfbench's gbasis
 workload, which times the ideal's reduced Groebner basis, a batch of 300
@@ -7,14 +7,15 @@ traced run (``--trace 1``) reports the driver's, the kernel's and the
 Hilbert recursion's share.  ``tests/test_reduction.py`` pins the basis's
 work: its elements, budget units, kernel calls and the fate of its pairs.
 
-``spying`` and ``kernel_work`` count and time the kernel's calls, for
-``answers.py``, ``bench_theta.py`` and the tests.
+``spying`` wraps a function for a block and records each call's result
+and seconds; ``bench_theta.py`` times the Hilbert numerator, the theta
+representatives and the wall's kernel calls with it.  The work of a run,
+its pairs, zero reductions and kernel calls and steps, is counted by its
+``grobner.Budget``, not here.
 """
 
 import contextlib
 import time
-
-from subtlesw import _reduction
 
 # a fixed bihomogeneous ideal in bso_ring(8) with a 129-element reduced basis
 GENS = (
@@ -52,11 +53,3 @@ def spying(module, name, record):
     finally:
         setattr(module, name, original)
 
-
-def kernel_work(fn):
-    """``fn()``, and the calls, steps and seconds of the reduction kernel
-    while it runs."""
-    runs = []  # (steps, seconds) of each kernel call
-    with spying(_reduction, "normal_form_terms", lambda result, s: runs.append((result[1], s))):
-        result = fn()
-    return result, len(runs), sum(n for n, _ in runs), sum(s for _, s in runs)

@@ -3,11 +3,12 @@
 For n = 13..16, with every cache cleared first, times k_computed(n), which
 builds theta_0 and then, for each j >= 1, a representative x_j of theta_j:
 the square of the remainder of x_{j-1} (see ``spaces._thetas``; k(n) = 7
-for these n).  Prints one line per n with the budget units (pairs plus
-reduction steps) it spent, its kernel calls (counted by
-``bench_kernel.kernel_work``), the pairs it skipped because they lie below
-the lowest degree where the Hilbert numerator of the leading terms still
-misses the expected one, the seconds spent in ``grobner._lt_numerator``
+for these n).  Prints one line per n with what its ``Budget`` counted: the
+units (pairs plus reduction steps) it spent, its kernel calls, the pairs it
+made, those it skipped because they lie below the lowest degree where the
+Hilbert numerator of the leading terms still misses the expected one, and
+those whose S-polynomial reduced to zero.  The line goes on with the
+seconds spent in ``grobner._lt_numerator``
 (each append's numerator of the known leads, its colon numerators and
 its final check), and the seconds and terms of the representatives
 x_1..x_k (``spaces.sq`` builds them; perfbench's tracer wraps only
@@ -26,17 +27,21 @@ membership itself, and ends at none of them), tests x_7, then lets the
 chain append x_7 under WALL_UNITS budget units past that prefix, which
 end in ``BudgetExceeded``; x_7 has the remainder of theta_7, so that
 append does theta_7's work, and the chain reuses x_7's remainder from the
-test.  It prints the seconds until then, units per second, the kernel
-calls of the append, the kernel's steps per second of its own time and the
-peak RSS of the process (``ru_maxrss``).
+test.  It prints the seconds until then, units per second, what the append
+added to the Budget's counts (pairs made, pairs skipped, zero reductions,
+kernel calls and steps), the kernel's steps per second of its own time,
+timed by ``bench_kernel.spying`` on the kernel, and the peak RSS of the
+process (``ru_maxrss``).
 
 The host's speed drifts more than one run of these rows changes, so each
-timed figure (a cold k, a theta build, the wall append) is bracketed by the
-reference chunk of ``perfbench/hostspeed.py``, timed ``REF_REPEAT`` times
-on either side, and every seconds figure is followed by the same seconds
-rescaled to the reference host (``hostspeed.around``) in brackets.  The
-brackets sit outside the timed work, unlike ``hostspeed.Sampler``, whose
-``SIGALRM`` chunks would land inside the spies' timings.  Run with
+timed figure of a cold k or a theta build is bracketed by the reference
+chunk of ``perfbench/hostspeed.py``, timed ``REF_REPEAT`` times on either
+side, and every seconds figure is followed by the same seconds rescaled to
+the reference host (``hostspeed.around``) in brackets.  The brackets sit
+outside the timed work, unlike ``hostspeed.Sampler``, whose ``SIGALRM``
+chunks would land inside the spies' timings.  The wall append prints raw
+seconds only: over its 2-3 s the rescaled figure spread wider than the raw
+one.  Run with
 
     PYTHONPATH=src python3 benchmarks/bench_theta.py
 """
@@ -50,8 +55,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import hostspeed  # noqa: E402
-from bench_kernel import kernel_work, spying  # noqa: E402
-from subtlesw import grobner, spaces, steenrod  # noqa: E402
+from bench_kernel import spying  # noqa: E402
+from subtlesw import _reduction, grobner, spaces, steenrod  # noqa: E402
 from subtlesw.grobner import Budget, BudgetExceeded  # noqa: E402
 from subtlesw.spaces import k_computed  # noqa: E402
 from subtlesw.steenrod import bso_context, theta  # noqa: E402
@@ -60,6 +65,7 @@ NS = range(13, 17)
 J = 7  # k(n) for every n in NS
 WALL_N, WALL_J = 17, 8
 WALL_UNITS = 150_000  # budget of the theta_7 append at n = WALL_N
+COUNTS = ("pairs", "skipped", "zeros", "kernel_calls", "kernel_steps")  # Budget counters of the wall row
 
 
 def clear_caches():
@@ -91,9 +97,9 @@ def time_thetas(n, last):
 
 
 def cold_k(n):
-    """A cold k_computed(n): its seconds, k, budget, kernel calls, seconds
-    in the Hilbert numerator, and the seconds and terms of the
-    representatives x_1..x_k that it builds."""
+    """A cold k_computed(n): its seconds, k, budget, seconds in the
+    Hilbert numerator, and the seconds and terms of the representatives
+    x_1..x_k that it builds."""
     clear_caches()
     hilbert, squares = [], []  # seconds; (terms, seconds)
     budget = Budget()
@@ -102,10 +108,10 @@ def cold_k(n):
         spying(grobner, "_lt_numerator", lambda _, s: hilbert.append(s)),
         spying(spaces, "sq", lambda x, s: squares.append((len(x.keys), s))),
     ):
-        k, calls, _, _ = kernel_work(lambda: k_computed(n, budget))
+        k = k_computed(n, budget)
     seconds = time.perf_counter() - t0
     built = sum(s for _, s in squares)
-    return seconds, k, budget, calls, sum(hilbert), built, [terms for terms, _ in squares]
+    return seconds, k, budget, sum(hilbert), built, [terms for terms, _ in squares]
 
 
 def kept_terms(basis, x):
@@ -129,24 +135,30 @@ def wall_prefix():
 
 
 def wall_append(chain, budget):
-    """Seconds of the chain's append of x_{WALL_J-1} until it spends
-    WALL_UNITS past the prefix."""
+    """The chain's append of x_{WALL_J-1} until it spends WALL_UNITS past
+    the prefix: its seconds, the seconds of its kernel calls, and what it
+    added to each of the budget's COUNTS."""
     budget.limit = budget.used + WALL_UNITS
+    before = {name: getattr(budget, name) for name in COUNTS}
+    kernel = []  # seconds of each kernel call
     t0 = time.perf_counter()
     try:
-        next(chain)
+        with spying(_reduction, "normal_form_terms", lambda _, s: kernel.append(s)):
+            next(chain)
     except BudgetExceeded:
-        return time.perf_counter() - t0
+        seconds = time.perf_counter() - t0
+        return seconds, sum(kernel), {name: getattr(budget, name) - v for name, v in before.items()}
     raise ArithmeticError(f"the theta_{WALL_J - 1} append finished inside the budget")
 
 
 def main():
     for n in NS:
-        (seconds, k, budget, calls, hilbert, built, reps), ref = bracketed(lambda: cold_k(n))
+        (seconds, k, budget, hilbert, built, reps), ref = bracketed(lambda: cold_k(n))
         (thetas, top), theta_ref = bracketed(lambda: time_thetas(n, J))
         print(
-            f"n={n:<3} k={k} cold {scaled(seconds, ref)} ({budget.used} units, {calls} kernel calls,"
-            f" {budget.skipped} skipped, hilbert {scaled(hilbert, ref, '6.3f')})"
+            f"n={n:<3} k={k} cold {scaled(seconds, ref)} ({budget.used} units,"
+            f" {budget.kernel_calls} kernel calls, {budget.pairs} pairs, {budget.skipped} skipped,"
+            f" {budget.zeros} zeros, hilbert {scaled(hilbert, ref, '6.3f')})"
             f"   x_1..{k} {scaled(built * 1e3, ref, '6.2f', 'ms')}, {'/'.join(map(str, reps))} terms"
             f"   theta_{J} {len(top.keys)} terms in {scaled(thetas, theta_ref)}"
         )
@@ -154,13 +166,13 @@ def main():
     chain, basis, budget = wall_prefix()
     kept = kept_terms(basis, top)
     print(f"n={WALL_N:<3} theta_{WALL_J} {len(top.keys)} terms, {kept} kept, in {scaled(thetas, ref)}")
-    work, ref = bracketed(lambda: kernel_work(lambda: wall_append(chain, budget)))
-    seconds, calls, steps, kernel_seconds = work
+    seconds, kernel_seconds, counts = wall_append(chain, budget)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(
-        f"n={WALL_N:<3} theta_{WALL_J - 1} append {scaled(seconds, ref, '8.3f')} to {WALL_UNITS} units"
-        f" ({WALL_UNITS / seconds:.0f} units/s, {calls} kernel calls,"
-        f" {steps / kernel_seconds:.0f} kernel steps/s, {rss:.0f} MiB peak RSS)"
+        f"n={WALL_N:<3} theta_{WALL_J - 1} append {seconds:8.3f}s to {WALL_UNITS} units"
+        f" ({WALL_UNITS / seconds:.0f} units/s, {counts['pairs']} pairs, {counts['skipped']} skipped,"
+        f" {counts['zeros']} zeros, {counts['kernel_calls']} kernel calls, {counts['kernel_steps']} steps,"
+        f" {counts['kernel_steps'] / kernel_seconds:.0f} kernel steps/s, {rss:.0f} MiB peak RSS)"
     )
 
 

@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple
 
 from . import __version__, formsf2, spaces
 from .grobner import DEFAULT_BUDGET, BudgetExceeded
-from .poly import ExponentOverflow, ParseError, RingError, parse_poly
+from .poly import ExponentOverflow, parse_poly
 from .steenrod import bo_context, bso_context, bso_top_context, sq, theta
 
 FAMILIES = [f.lower() for f in spaces.FAMILIES]
@@ -279,7 +279,9 @@ def main(argv=None):
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
-    except (ParseError, RingError, ExponentOverflow, ValueError) as e:
+    # ParseError and RingError are ValueErrors; ExponentOverflow, an
+    # ArithmeticError, must be caught ahead of the clause below
+    except (ValueError, ExponentOverflow) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except ArithmeticError as e:

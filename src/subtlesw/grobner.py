@@ -61,13 +61,18 @@ class InhomogeneousError(ValueError):
 class Budget:
     """Shared counter of reduction work (processed pairs + division steps).
 
-    ``skipped`` counts the pairs the Hilbert criterion of a seeded append
-    skipped, ``coprime`` the pairs dropped for coprime leading terms and
-    ``chained`` those the chain criterion dropped (see ``_buchberger``);
-    none of them costs anything.
+    Beside ``used`` it counts, at no cost, what became of the work (see
+    ``_buchberger``).  ``pairs`` counts the pairs made; ``skipped`` those
+    the Hilbert criterion of a seeded append skipped, ``coprime`` those
+    dropped for coprime leading terms and ``chained`` those the chain
+    criterion dropped; ``zeros`` the processed pairs whose S-polynomial is
+    zero or reduces to zero.  ``kernel_calls`` and ``kernel_steps`` count
+    the reduction kernel's calls and their steps, which are part of
+    ``used``; a call stopped at the limit counts with the steps it took.
     """
 
-    __slots__ = ("limit", "used", "context", "skipped", "coprime", "chained")
+    __slots__ = ("limit", "used", "context", "pairs", "skipped", "coprime", "chained", "zeros",
+                 "kernel_calls", "kernel_steps")
 
     def __init__(self, limit=DEFAULT_BUDGET, context=""):
         limit = operator.index(limit)
@@ -76,7 +81,8 @@ class Budget:
         self.limit = limit
         self.used = 0
         self.context = context
-        self.skipped = self.coprime = self.chained = 0
+        self.pairs = self.skipped = self.coprime = self.chained = self.zeros = 0
+        self.kernel_calls = self.kernel_steps = 0
 
     @property
     def remaining(self):
@@ -108,6 +114,8 @@ def _resolve_budget(budget, context=""):
 
 def _kernel_nf(terms, basis, table, budget):
     nf, steps = _reduction.normal_form_terms(terms, basis, table, budget.remaining)
+    budget.kernel_calls += 1
+    budget.kernel_steps += steps
     budget.charge(steps + (nf is None))  # a kernel stopped at the limit raises
     return nf
 
@@ -208,6 +216,7 @@ def _buchberger(ring, key_polys, budget, known=None):
         G.append(f)
         lts.append(m)
         table.append(m)
+        budget.pairs += len(lcms)
         for i, lcm in enumerate(lcms):
             pairs.add((i, j))
             heapq.heappush(queue, (lcm, (i, j)))
@@ -257,11 +266,11 @@ def _buchberger(ring, key_polys, budget, known=None):
         qf = lcm - lti
         qg = lcm - ltj
         spoly = xor_runs([t + qf for t in G[i][1:]], [t + qg for t in G[j][1:]])
-        if not spoly:
-            continue
-        nf = _kernel_nf(spoly, G, table, budget)
+        nf = _kernel_nf(spoly, G, table, budget) if spoly else ()
         if nf:
             add(nf)
+        else:
+            budget.zeros += 1
 
     # Minimal generators, ascending, for the check and the interreduction;
     # every element of G was reduced by the ones before it, so no two share

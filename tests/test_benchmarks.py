@@ -29,12 +29,12 @@ from subtlesw.steenrod import bso_context, theta  # noqa: E402
 
 
 def test_bench_theta_cold_k():
-    seconds, k, budget, calls, hilbert, built, terms = bench_theta.cold_k(10)
+    seconds, k, budget, hilbert, built, terms = bench_theta.cold_k(10)
     assert k == 5 and budget.used == 10
     # x_1..x_5, each the square of the remainder before it, timed through
     # bench_kernel's spy on spaces.sq
     assert len(terms) == k and built > 0
-    assert calls > 0 and seconds >= hilbert >= 0
+    assert budget.kernel_calls > 0 and seconds >= hilbert >= 0
 
 
 def test_bench_theta_time_thetas():

@@ -11,12 +11,12 @@ import oracles
 from subtlesw import _reduction, grobner, spaces
 from subtlesw._reduction import DivisorTable
 from subtlesw.grobner import DEFAULT_BUDGET, Budget, BudgetExceeded, groebner_basis, normal_form
-from subtlesw.poly import MAX_EXPONENT, ExponentOverflow, Ring, bso_ring, parse_poly
+from subtlesw.poly import MAX_EXPONENT, ExponentOverflow, bso_ring, parse_poly
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
-# the fixed ideal of perfbench's gbasis workload, in bso_ring(8)
-from bench_kernel import GENS as BENCH_GENS  # noqa: E402
+# the fixed ideal of perfbench's gbasis workload, in bso_ring(8), and a spy on calls
+from bench_kernel import GENS as BENCH_GENS, spying  # noqa: E402
 
 
 def compare_with_reference():
@@ -122,49 +122,56 @@ def test_identical_groebner_runs_and_budgets(monkeypatch):
         assert k_units((8, 10, 11, 12)) == {n: used[n] for n in (8, 10, 11, 12)}
 
 
-def test_kernel_calls_of_the_bench_ideal_and_k13(monkeypatch):
+def test_kernel_calls_of_the_bench_ideal_and_k13():
     # the final interreduction sends only the tails that a later leading
     # term reaches to the kernel
-    kernel = _reduction.normal_form_terms
-    calls = [0]
-
-    def counting(*args):
-        calls[0] += 1
-        return kernel(*args)
-
-    monkeypatch.setattr(_reduction, "normal_form_terms", counting)
     ring = bso_ring(8)
-    groebner_basis(ring, [parse_poly(ring, s) for s in BENCH_GENS])
-    assert calls[0] == 493
-    calls[0] = 0
-    assert spaces.k_computed(13) == 7
-    assert calls[0] == 47
+    b = Budget()
+    groebner_basis(ring, [parse_poly(ring, s) for s in BENCH_GENS], budget=b)
+    assert b.kernel_calls == 493
+    b = Budget()
+    assert spaces.k_computed(13, b) == 7
+    assert b.kernel_calls == 47
 
 
-def test_pair_counts_of_the_bench_ideal(monkeypatch):
+def test_pair_counts_of_the_bench_ideal():
     # every pair made is skipped, dropped by one criterion or reduced; the
     # chain criterion scans only the divisor table's candidates for the
     # lcm's support, and drops the same pairs as a scan over every lead
-    kernel, lcms = _reduction.normal_form_terms, Ring.key_lcms
-    steps, made = [0], [0]
-
-    def counting_kernel(*args):
-        result = kernel(*args)
-        steps[0] += result[1]
-        return result
-
-    def counting_lcms(*args):
-        result = lcms(*args)
-        made[0] += len(result)
-        return result
-
-    monkeypatch.setattr(_reduction, "normal_form_terms", counting_kernel)
-    monkeypatch.setattr(Ring, "key_lcms", counting_lcms)
     ring = bso_ring(8)
     b = Budget(10**6)
     groebner_basis(ring, [parse_poly(ring, s) for s in BENCH_GENS], budget=b)
-    reduced = b.used - steps[0]  # one unit per reduced pair, beside the steps
-    assert (made[0], b.skipped, b.coprime, b.chained, reduced) == (8256, 0, 92, 7677, 487)
+    reduced = b.used - b.kernel_steps  # one unit per reduced pair, beside the steps
+    assert (b.pairs, b.skipped, b.coprime, b.chained, reduced) == (8256, 0, 92, 7677, 487)
+
+
+def test_the_budget_counts_kernel_work_pairs_and_zero_reductions():
+    # the Budget's kernel calls and steps against a spy on the kernel, for
+    # every k(n) run up to n = 16, the bench ideal and a run cut by its
+    # budget, which counts the kernel call it stopped in
+    runs = []  # (remainder, steps) of each kernel call since the last check
+
+    def spied(b):
+        seen = (b.kernel_calls, b.kernel_steps) == (len(runs), sum(steps for _, steps in runs))
+        runs.clear()
+        return seen
+
+    with spying(_reduction, "normal_form_terms", lambda result, _: runs.append(result)):
+        for n in range(2, 17):
+            b = Budget()
+            spaces.k_computed(n, b)
+            # the theta chain reduces two pairs to zero at n = 13, none elsewhere
+            assert spied(b) and b.zeros == (2 if n == 13 else 0), n
+        ring = bso_ring(8)
+        b = Budget()
+        groebner_basis(ring, [parse_poly(ring, s) for s in BENCH_GENS], budget=b)
+        assert spied(b) and (b.kernel_calls, b.kernel_steps, b.zeros) == (493, 24223, 362)
+        # every pair made is skipped, dropped or charged one unit beside the steps
+        assert b.pairs == b.skipped + b.coprime + b.chained + (b.used - b.kernel_steps)
+        b = Budget(100)
+        with pytest.raises(BudgetExceeded):
+            spaces.k_computed(13, b)
+        assert runs[-1][0] is None and spied(b)
 
 
 def test_bench_ideal_numerator_matches_the_reference():
