@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import re
 from operator import and_, mul
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 #: The largest exponent of one generator in a monomial.  Exponents stay
 #: below 2**9 in every computation here, k(17) included, and every operation
@@ -325,6 +325,20 @@ class Ring:
     def gen(self, name):
         return Poly(self, (self.unit_key + self.steps[self.index(name)],))
 
+    def tau_power(self, c):
+        """The key offset of t^c, c >= 0: adding it to the key of a
+        monomial multiplies that monomial by t^c.
+
+        For c past ``MAX_EXPONENT`` this raises ``ExponentOverflow`` before
+        any shift: a shift that far could carry out of the t field, unseen
+        by ``limit_mask``.  Up to the limit, the t exponent of a key in
+        range stays inside its field, so ``limit_mask`` catches a sum past
+        the limit.
+        """
+        if c > MAX_EXPONENT:
+            raise ExponentOverflow
+        return c * self.steps[self.tau_index]
+
     def monomial(self, exps):
         """Poly with the single monomial given by a name -> exponent mapping."""
         e = [0] * len(self.names)
@@ -436,34 +450,14 @@ class Poly:
             raise ExponentOverflow
         return ring.poly_of_keys(acc)
 
-    def shifted(self, step):
-        """This polynomial times the monomial with key ``unit_key + step``.
-
-        Adding one constant keeps the order, so nothing is multiplied or
-        sorted.  That key must be the key of a monomial with exponents up
-        to ``MAX_EXPONENT``, else ``ExponentOverflow`` is raised: a step
-        past a field would borrow out of it and wrap, with every guard and
-        limit bit of the sum looking in range.
-        """
-        ring = self.ring
-        mono = ring.unit_key + step
-        limit = ring.limit_mask
-        if mono & limit != limit or ring.sort_key(ring.from_sort_key(mono)) != mono:
-            raise ExponentOverflow
-        return self._moved(tuple(k + step for k in self.keys))
-
     def squared(self):
         """This polynomial squared: over F2 the sum of the squares of its terms.
 
-        Doubling every key keeps the order, so nothing is multiplied or sorted.
+        Doubling every key keeps the order, so nothing is multiplied or
+        sorted; the exponent limit is checked as in a product.
         """
-        one = self.ring.unit_key
-        return self._moved(tuple(k + k - one for k in self.keys))
-
-    def _moved(self, keys):
-        """The Poly of ``keys``, an order-keeping image of this one's keys;
-        the exponent limit is checked as in a product."""
-        limit = self.ring.limit_mask
+        one, limit = self.ring.unit_key, self.ring.limit_mask
+        keys = tuple(k + k - one for k in self.keys)
         if functools.reduce(and_, keys, limit) != limit:
             raise ExponentOverflow
         return Poly(self.ring, keys)

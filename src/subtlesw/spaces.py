@@ -26,9 +26,7 @@ from .grobner import (
     normal_form,
 )
 from .poly import (
-    MAX_EXPONENT,
     Bidegree,
-    ExponentOverflow,
     Poly,
     Ring,
     RingError,
@@ -365,18 +363,13 @@ def h_map(x):
     """
     f = _i_ringmap(x.ring)
     target = f.target
-    tau = target.steps[target.tau_index]
     out = set()
     # w_i to u_i sends distinct monomials to distinct ones, and so does the
     # tau shift, since it leaves the u-part alone.  Every u_i has q = i // 2,
-    # so c >= 0, and the image has no tau, so c is the new tau exponent;
-    # it is checked before the shift, which would carry out of the tau field
+    # so the power of tau is at least 0
     for key in f(x).keys:
         bd = target.key_bidegree(key)
-        c = bd.p // 2 - bd.q
-        if c > MAX_EXPONENT:
-            raise ExponentOverflow
-        out.add(key + c * tau)
+        out.add(key + target.tau_power(bd.p // 2 - bd.q))
     return target.poly_of_keys(out)
 
 

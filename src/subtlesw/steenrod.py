@@ -24,7 +24,6 @@ from operator import and_
 
 from .poly import (
     INHOMOGENEOUS,
-    MAX_EXPONENT,
     ZERO_DEGREE,
     Bidegree,
     ExponentOverflow,
@@ -154,7 +153,7 @@ def _cartan_sum(ctx, parts):
     acc = set()
     for a, b, part in parts:
         if ctx.motivic and a & b & 1:
-            part = part.shifted(ring.steps[ring.tau_index])
+            part = part * ring.gen("t")
         acc.symmetric_difference_update(part.keys)
     return ring.poly_of_keys(acc)
 
@@ -219,10 +218,9 @@ def _below_top(ctx, key, d, acc):
 
     So each part is the keys of Sq^{m-1}(u_m) shifted by one constant, and
     no two parts share a key.  Sq^{m-1}(u_m) is bihomogeneous, so the lift
-    is one power of tau per part.  Its exponent is checked against
-    ``MAX_EXPONENT`` before the shift, which would carry out of the tau
-    field unseen by ``limit_mask``; every key is then checked against
-    ``limit_mask`` before anything cancels, as in a product.
+    is one power of tau per part (:meth:`~subtlesw.poly.Ring.tau_power`);
+    every key is then checked against ``limit_mask`` before anything
+    cancels, as in a product.
     """
     ring = ctx.ring
     one = ring.unit_key
@@ -234,10 +232,7 @@ def _below_top(ctx, key, d, acc):
             continue
         shift = 2 * (key - ring.steps[pos] - one)
         if ctx.motivic:
-            c = d - ((left[0] + shift) >> ring.degree_shift)
-            if c > MAX_EXPONENT:
-                raise ExponentOverflow
-            shift += c * ring.steps[ring.tau_index]
+            shift += ring.tau_power(d - ((left[0] + shift) >> ring.degree_shift))
         part = [g + shift for g in left]
         seen = functools.reduce(and_, part, seen)
         acc.symmetric_difference_update(part)
@@ -256,7 +251,8 @@ def sq(ctx, k, x):
     u_i -> w_i) sends the motivic Sq^k to the classical one and is one-to-one
     on each bidegree (Q)[P], where a tau-free z comes only as tau^(Q - q_z) z.
     So the motivic square of a term is its classical square with each key z
-    raised to the combined degree d = deg(term) + k + k//2 by tau^(d - deg z).
+    raised to the combined degree d = deg(term) + k + k//2 by tau^(d - deg z),
+    one :meth:`~subtlesw.poly.Ring.tau_power` per key.
     """
     if k < 0:
         raise ValueError("Sq index must be nonnegative")
@@ -273,11 +269,8 @@ def sq(ctx, k, x):
             _below_top(ctx, key, d, acc)
             continue
         res = _sq_mono(ctx, k, key).keys
-        if tau_step and res:
-            # the lowest key has the lowest degree, so the most tau
-            if d - (res[-1] >> top) > MAX_EXPONENT:
-                raise ExponentOverflow
-            res = [z + (d - (z >> top)) * tau_step for z in res]
+        if tau_step:
+            res = [z + ring.tau_power(d - (z >> top)) for z in res]
         acc.symmetric_difference_update(res)
     return ring.poly_of_keys(acc)
 

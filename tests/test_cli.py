@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -352,6 +353,29 @@ def test_import_works_without_numpy():
         out, err = proc.communicate()
     assert proc.returncode == 0, err
     assert out.decode().split() == ["3", "False"]
+
+
+def test_every_module_level_import_is_used():
+    # __init__.py re-exports what it imports, so it is left out
+    root = Path(__file__).parents[1]
+    files = [*(root / "src" / "subtlesw").glob("*.py"), *(root / "benchmarks").glob("*.py")]
+    unused = {}
+    for path in files:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(alias.asname or alias.name for alias in node.names)
+        # the base of an attribute is a Name node too
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if bound - used:
+            unused[path.name] = sorted(bound - used)
+    assert len(files) > 10
+    assert unused == {}
 
 
 def test_numpy_provenance_reads_after_import():

@@ -25,7 +25,7 @@ from subtlesw.poly import (
     parse_poly,
 )
 from subtlesw.spaces import h_map
-from subtlesw.steenrod import bso_context, sq
+from subtlesw.steenrod import ThomModuleElement, bso_context, cartan, sq, thom_sq
 
 from oracles import (
     add_terms,
@@ -206,7 +206,13 @@ _ENTRY_POINTS = {
     "pow": (lambda e: _R5.gen("u2") ** e, 0),
     "product": (lambda e: _R5.monomial({"u2": e - 1}) * _R5.gen("u2"), 0),
     "squared": (lambda e: _R5.monomial({"u2": e // 2}).squared(), 1),
-    "shifted": (lambda e: _R5.gen("u2").shifted((e - 1) * _R5.steps[_R5.index("u2")]), 0),
+    # the twisted Cartan part Sq^1 x * Sq^1 u2 = t^e*u3^2 is the whole answer
+    "cartan": (lambda e: cartan(bso_context(5), 2, _R5.monomial({"t": e - 1, "u2": 1}), _R5.gen("u2")), 0),
+    # t^e*u3^2 comes from the twist, the other terms carry t^(e-1)
+    "thom_sq": (
+        lambda e: thom_sq(bso_context(5), 4, ThomModuleElement(bso_context(5), _R5.monomial({"t": e - 1, "u2": 1}))).coefficient,
+        0,
+    ),
     # the top square: Sq^6(u3^2) = t*u3^4
     "sq-top": (lambda e: sq(bso_context(5), 6, _R5.monomial({"t": e - 1, "u3": 2})), 0),
     # the closed form below it: Sq^9(u3^2*u4) = t*u3^5*u4 + t*u2*u3^4*u5
@@ -551,27 +557,6 @@ def test_product_overflow_counts_terms_that_cancel():
         mul_terms(ring, x.terms, y.terms, m)
     with pytest.raises(ExponentOverflow):
         x * y
-    u2 = ring.steps[ring.index("u2")]
-    with pytest.raises(ExponentOverflow):
-        ring.gen("u2").shifted(m * u2)
-    assert ring.gen("u2").shifted((m - 1) * u2) == ring.poly([(0, m, 0)])
-
-
-def test_shifted_raises_on_a_step_past_the_field():
-    # a step of 70,000 borrows out of the u2 field and one of 2^17 = 131,072
-    # moves one whole unit into the u3 field; neither may wrap to u2^4465*u3
-    # or u2*u3
-    ring = bso_ring(3)
-    u2, u3 = (ring.steps[ring.index(g)] for g in ("u2", "u3"))
-    for e in (40_000, 70_000, 131_072, 2 * FIELD_MAX + 2):
-        with pytest.raises(ExponentOverflow):
-            ring.gen("u2").shifted(e * u2)
-        with pytest.raises(ExponentOverflow):
-            ring.zero.shifted(e * u2)
-    x = parse_poly(ring, "u2+t*u3")
-    assert x.shifted(0) == x
-    assert x.shifted(3 * u2 + u3) == parse_poly(ring, "u2^4*u3+t*u2^3*u3^2")
-    assert ring.one.shifted(MAX_EXPONENT * u3) == ring.monomial({"u3": MAX_EXPONENT})
 
 
 def test_squares_parities_and_exponents_read_off_the_keys():
