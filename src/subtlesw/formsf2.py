@@ -327,12 +327,17 @@ def twisted_sequence(b, count):
 _H8 = {1: 0, 2: 1, 3: 1, 4: 1, 5: 2, 6: 3, 7: 3, 8: 3}
 
 
+def _period_8(name, residues, n):
+    """``name``(n) = 4l + residues[r] for n = 8l + r, r in 1..8 (h and k)."""
+    if n < 2:
+        raise ValueError(f"{name}(n) is defined for n >= 2")
+    l = (n - 1) // 8
+    return 4 * l + residues[n - 8 * l]
+
+
 def h_expected(n):
     """Closed form of h(n) by the residue of n mod 8."""
-    if n < 2:
-        raise ValueError("h(n) is defined for n >= 2")
-    l = (n - 1) // 8
-    return 4 * l + _H8[n - 8 * l]
+    return _period_8("h", _H8, n)
 
 
 def h_of(n):

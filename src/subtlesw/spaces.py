@@ -45,10 +45,7 @@ _K8 = {1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 3, 8: 3}
 
 def k_expected(n):
     """Length of the certified theta sequence, by the residue of n mod 8."""
-    if n < 2:
-        raise ValueError("k(n) is defined for n >= 2")
-    l = (n - 1) // 8
-    return 4 * l + _K8[n - 8 * l]
+    return formsf2._period_8("k", _K8, n)
 
 
 def _thetas(ctx, budget):
@@ -407,13 +404,13 @@ def j_lower_bound(n):
 # -- tables ----------------------------------------------------------------------
 
 
-def k_row(n, budget=None):
-    expected = k_expected(n)
-    computed = k_computed(n, budget)
+def _row(n, expected, computed):
     return {"n": n, "expected": expected, "computed": computed, "ok": expected == computed}
+
+
+def k_row(n, budget=None):
+    return _row(n, k_expected(n), k_computed(n, budget))
 
 
 def h_row(n):
-    expected = formsf2.h_expected(n)
-    computed = formsf2.h_of(n)
-    return {"n": n, "expected": expected, "computed": computed, "ok": expected == computed}
+    return _row(n, formsf2.h_expected(n), formsf2.h_of(n))

@@ -301,22 +301,22 @@ def test_version_flag(capsys):
     assert out.strip() == cli.__version__
 
 
-def _python(args, **env):
+def _python(args, stdout=subprocess.PIPE, **env):
     """A subprocess running ``python args`` on the package these tests
-    import, with ``env`` added to the environment."""
+    import, writing to ``stdout``, with ``env`` added to the environment."""
     src = str(Path(subtlesw.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, *args],
-        stdout=subprocess.PIPE,
+        stdout=stdout,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
-def _module_cli(argv, **env):
+def _module_cli(argv, stdout=subprocess.PIPE, **env):
     """A subprocess running ``python -m subtlesw.cli argv``, as ``_python``."""
-    return _python(["-m", "subtlesw.cli", *argv], **env)
+    return _python(["-m", "subtlesw.cli", *argv], stdout, **env)
 
 
 def test_the_cli_runs_neither_numpy_nor_traceback():
@@ -423,6 +423,17 @@ def test_a_closed_pipe_exits_quietly():
     with _module_cli(["theta", "--n", "13", "--j", "7"]) as proc:
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 0 and err == b""
+
+
+def test_a_pipe_closed_before_the_first_write_exits_quietly():
+    # the streamed rows (about 11 KB) would fit in a pipe's buffer, so the
+    # reader closes its end before the child starts: the first flush fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with _module_cli(["htable", "--to", "200", "--format", "jsonl"], write_end) as proc:
+        os.close(write_end)
         err = proc.stderr.read()
     assert proc.returncode == 0 and err == b""
 
