@@ -17,9 +17,15 @@ x_1..x_k (``spaces.sq`` builds them; perfbench's tracer wraps only
 theta_k's full terms, built only afterwards for the count by one cold
 ``theta`` call, and that call's seconds.
 
-A further row does the same for theta_8 at n = 17, the theta layer at the
-wall; k(17) itself is out of reach, so the kept terms of theta_8 are those
-that no variable leading the basis of theta_0..theta_6 divides.
+Then, for each spin family in SPIN and each n in NS, a row times a cold
+``present(family, n)`` and prints the units, kernel calls and skipped
+pairs its ``Budget`` counted: the topological flavor is the one that no
+perfbench workload runs past n = 9.
+
+A further row times theta_8 at n = 17 as the first rows time theta_k: the
+theta layer at the wall.  k(17) itself is out of reach, so the kept terms
+of theta_8 are those that no variable leading the basis of
+theta_0..theta_6 divides.
 
 The last row is the wall itself.  At n = 17 it runs the chain of
 ``spaces._thetas`` up to its yield of x_7 (the chain tests x_0..x_6 for
@@ -58,11 +64,12 @@ import hostspeed  # noqa: E402
 from bench_kernel import spying  # noqa: E402
 from subtlesw import _reduction, grobner, spaces, steenrod  # noqa: E402
 from subtlesw.grobner import Budget, BudgetExceeded  # noqa: E402
-from subtlesw.spaces import k_computed  # noqa: E402
+from subtlesw.spaces import k_computed, present  # noqa: E402
 from subtlesw.steenrod import bso_context, theta  # noqa: E402
 
 NS = range(13, 17)
 J = 7  # k(n) for every n in NS
+SPIN = ("BSpin", "BSpin_top")
 WALL_N, WALL_J = 17, 8
 WALL_UNITS = 150_000  # budget of the theta_7 append at n = WALL_N
 COUNTS = ("pairs", "skipped", "zeros", "kernel_calls", "kernel_steps")  # Budget counters of the wall row
@@ -114,6 +121,15 @@ def cold_k(n):
     return seconds, k, budget, sum(hilbert), built, [terms for terms, _ in squares]
 
 
+def cold_present(family, n):
+    """A cold present(family, n): its seconds and budget."""
+    clear_caches()
+    budget = Budget()
+    t0 = time.perf_counter()
+    present(family, n, budget)
+    return time.perf_counter() - t0, budget
+
+
 def kept_terms(basis, x):
     """The number of terms of ``x`` that no variable leading ``basis``
     divides: the terms a normal form by ``basis`` hands to the kernel."""
@@ -161,6 +177,12 @@ def main():
             f" {budget.zeros} zeros, hilbert {scaled(hilbert, ref, '6.3f')})"
             f"   x_1..{k} {scaled(built * 1e3, ref, '6.2f', 'ms')}, {'/'.join(map(str, reps))} terms"
             f"   theta_{J} {len(top.keys)} terms in {scaled(thetas, theta_ref)}"
+        )
+    for family, n in itertools.product(SPIN, NS):
+        (seconds, budget), ref = bracketed(lambda: cold_present(family, n))
+        print(
+            f"{family:<9} n={n:<3} present {scaled(seconds, ref)} ({budget.used} units,"
+            f" {budget.kernel_calls} kernel calls, {budget.skipped} skipped)"
         )
     (thetas, top), ref = bracketed(lambda: time_thetas(WALL_N, WALL_J))
     chain, basis, budget = wall_prefix()

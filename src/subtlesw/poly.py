@@ -594,36 +594,32 @@ class RingMap:
 
 
 @functools.lru_cache(maxsize=None)
+def _class_ring(n, start, motivic):
+    """F2[t][u_start..u_n] when ``motivic``, else F2[w_start..w_n]: the
+    class ring of every standard family.  Call it with all three arguments
+    positionally, so that one ring has one cache entry."""
+    if n < start:
+        raise RingError(f"need n >= {start}")
+    letter, gens = ("u", [("t", Bidegree(0, 1))]) if motivic else ("w", [])
+    gens += [(f"{letter}{i}", Bidegree(i, i // 2 if motivic else 0)) for i in range(start, n + 1)]
+    return Ring(gens)
+
+
 def bo_ring(n):
     """H(BO_n) = F2[t][u1..un]."""
-    if n < 1:
-        raise RingError("need n >= 1")
-    gens = [("t", Bidegree(0, 1))]
-    gens += [(f"u{i}", Bidegree(i, i // 2)) for i in range(1, n + 1)]
-    return Ring(gens)
+    return _class_ring(n, 1, True)
 
 
-@functools.lru_cache(maxsize=None)
 def bso_ring(n):
     """H(BSO_n) = F2[t][u2..un]."""
-    if n < 2:
-        raise RingError("need n >= 2")
-    gens = [("t", Bidegree(0, 1))]
-    gens += [(f"u{i}", Bidegree(i, i // 2)) for i in range(2, n + 1)]
-    return Ring(gens)
+    return _class_ring(n, 2, True)
 
 
-@functools.lru_cache(maxsize=None)
 def bo_top_ring(n):
     """Classical H(BO_n; F2) = F2[w1..wn]."""
-    if n < 1:
-        raise RingError("need n >= 1")
-    return Ring([(f"w{i}", Bidegree(i, 0)) for i in range(1, n + 1)])
+    return _class_ring(n, 1, False)
 
 
-@functools.lru_cache(maxsize=None)
 def bso_top_ring(n):
     """Classical H(BSO_n; F2) = F2[w2..wn]."""
-    if n < 2:
-        raise RingError("need n >= 2")
-    return Ring([(f"w{i}", Bidegree(i, 0)) for i in range(2, n + 1)])
+    return _class_ring(n, 2, False)

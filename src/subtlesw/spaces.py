@@ -25,17 +25,7 @@ from .grobner import (
     ideal_member,
     normal_form,
 )
-from .poly import (
-    Bidegree,
-    Poly,
-    Ring,
-    RingError,
-    RingMap,
-    bo_ring,
-    bo_top_ring,
-    bso_ring,
-    bso_top_ring,
-)
+from .poly import Bidegree, Poly, Ring, RingError, RingMap, _class_ring, bso_ring
 from .steenrod import SteenrodContext, bso_context, sq, theta
 
 FAMILIES = ("BO", "BSO", "BSpin", "BG2", "BO_top", "BSO_top", "BSpin_top")
@@ -189,7 +179,15 @@ class Presentation(NamedTuple):
         }
 
 
-_FREE_RINGS = {"BO": bo_ring, "BSO": bso_ring, "BO_top": bo_top_ring, "BSO_top": bso_top_ring}
+#: (first class index, motivic) of each family's class ring; BG2 has none
+_CLASSES = {
+    "BO": (1, True),
+    "BSO": (2, True),
+    "BSpin": (2, True),
+    "BO_top": (1, False),
+    "BSO_top": (2, False),
+    "BSpin_top": (2, False),
+}
 
 
 def present(family, n=None, budget=None):
@@ -203,11 +201,10 @@ def present(family, n=None, budget=None):
     chain that ends at its first member before J_k, that is a k past k(n),
     raises ``ArithmeticError``.
     """
-    fam = str(family)
-    key = fam.lower()
-    if key not in {f.lower() for f in FAMILIES}:
+    key = str(family).lower()
+    fam = next((f for f in FAMILIES if f.lower() == key), None)
+    if fam is None:
         raise ValueError(f"unknown family {family!r}")
-    fam = next(f for f in FAMILIES if f.lower() == key)
 
     if fam == "BG2":
         if n is not None:
@@ -222,25 +219,21 @@ def present(family, n=None, budget=None):
         )
         return Presentation(fam, None, ring, GroebnerBasis(ring, ()), None)
 
-    low = 1 if fam in ("BO", "BO_top") else 2  # the rings of w_1.. start at n = 1
-    if n is None or n < low:
-        raise ValueError(f"{fam} needs n >= {low}")
-
-    free = _FREE_RINGS.get(fam)
-    if free is not None:
-        ring = free(n)
-        return Presentation(fam, n, ring, GroebnerBasis(ring, ()), None)
+    start, motivic = _CLASSES[fam]
+    if n is None or n < start:
+        raise ValueError(f"{fam} needs n >= {start}")
+    classes = _class_ring(n, start, motivic)
+    if not fam.startswith("BSpin"):
+        return Presentation(fam, n, classes, GroebnerBasis(classes, ()), None)
 
     k = k_expected(n)
     vname = f"v{1 << k}"
-    motivic = fam == "BSpin"
     vdeg = Bidegree(1 << k, (1 << (k - 1)) if motivic else 0)
     if n == 2:
         gens = ([("t", Bidegree(0, 1))] if motivic else []) + [(vname, vdeg)]
         ring = Ring(gens)
         return Presentation(fam, n, ring, GroebnerBasis(ring, ()), k)
 
-    classes = bso_ring(n) if motivic else bso_top_ring(n)
     ambient = Ring(list(zip(classes.names, classes.bidegrees)) + [(vname, vdeg)])
     chain = _thetas(SteenrodContext(ambient), budget)
     bases = [basis for _, basis in itertools.islice(chain, k + 1)]
@@ -318,39 +311,29 @@ def torsor_relations(n):
 # -- grading maps ----------------------------------------------------------------
 
 
-def _classes(source, letter):
-    """The context of ``source``, which must hold the ``letter``-classes of
-    one range, t exactly when they are u-classes, and no other generator."""
+@functools.lru_cache(maxsize=None)
+def _renaming(source, letter):
+    """The map that renames each class of ``source`` into the class ring of
+    the other flavor, with the same n and first index, and sends t to 1.
+    ``source`` must hold the ``letter``-classes of one range, t exactly when
+    they are u-classes, and no other generator."""
     ctx = SteenrodContext(source)
     if ctx.motivic != (letter == "u") or len(source) != ctx.n - ctx.start + 1 + ctx.motivic:
         raise RingError(f"{source!r} is not a ring of {letter}-classes; map undefined")
-    return ctx
-
-
-@functools.lru_cache(maxsize=None)
-def _t_ringmap(source):
-    ctx = _classes(source, "u")
-    target = bo_top_ring(ctx.n) if ctx.start == 1 else bso_top_ring(ctx.n)
-    images = [target.one if name == "t" else target.gen("w" + name[1:]) for name in source.names]
+    target = _class_ring(ctx.n, ctx.start, not ctx.motivic)
+    other = "w" if ctx.motivic else "u"
+    images = [target.one if name == "t" else target.gen(other + name[1:]) for name in source.names]
     return RingMap(source, target, images)
 
 
 def t_map(x):
     """tau to 1 and u_i to w_i: the topological realization."""
-    return _t_ringmap(x.ring)(x)
-
-
-@functools.lru_cache(maxsize=None)
-def _i_ringmap(source):
-    ctx = _classes(source, "w")
-    target = bo_ring(ctx.n) if ctx.start == 1 else bso_ring(ctx.n)
-    images = [target.gen("u" + name[1:]) for name in source.names]
-    return RingMap(source, target, images)
+    return _renaming(x.ring, "u")(x)
 
 
 def i_map(x):
     """w_i to u_i into the motivic ring (no tau adjustment)."""
-    return _i_ringmap(x.ring)(x)
+    return _renaming(x.ring, "w")(x)
 
 
 def h_map(x):
@@ -358,7 +341,7 @@ def h_map(x):
 
     Not a ring map; it satisfies h(xy) = tau^(p(x)p(y) mod 2) h(x)h(y).
     """
-    f = _i_ringmap(x.ring)
+    f = _renaming(x.ring, "w")
     target = f.target
     out = set()
     # w_i to u_i sends distinct monomials to distinct ones, and so does the

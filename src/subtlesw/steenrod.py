@@ -74,12 +74,8 @@ class SteenrodContext:
             if i not in pos_map:
                 raise RingError(f"class {letter}{i} missing from the ring")
         self._class_pos = pos_map
-        allowed = set(self._class_pos.values())
-        if self.motivic:
-            allowed.add(ring.tau_index)
-        # guard bits of the generators the action is undefined on
-        off = ring.sort_key([0 if pos in allowed else 1 for pos in range(len(ring))])
-        self._forbidden = ring.support(off)
+        # guard bits of the generators the action is undefined on: all but t and the classes
+        self._forbidden = sum(p[0] for name, p in zip(ring.names, ring.pivots) if name[0] not in "tuw")
         self._hash = hash((ring, n))
 
     @property
@@ -104,8 +100,8 @@ class SteenrodContext:
         seen = functools.reduce(and_, x.keys, ring.unit_key)
         bad = ring.support(seen) & self._forbidden
         if bad:
-            pos = next(i for i, step in enumerate(ring.steps) if ring.support(ring.unit_key + step) & bad)
-            raise RingError(f"Steenrod action undefined on generator {ring.names[pos]}")
+            name = next(name for name, piv in zip(ring.names, ring.pivots) if piv[0] & bad)
+            raise RingError(f"Steenrod action undefined on generator {name}")
 
     def __eq__(self, other):
         return (

@@ -42,6 +42,16 @@ def test_bench_theta_time_thetas():
     assert str(top) == "u2^3*u3+u2^2*u5+u4*u5+u3*u6+u2*u7+t*u3^3" and seconds >= 0
 
 
+@pytest.mark.parametrize("family", bench_theta.SPIN)
+def test_bench_theta_cold_present(family):
+    # the row's budget counts what a direct present spends under a fresh one
+    seconds, budget = bench_theta.cold_present(family, 5)
+    direct = Budget()
+    spaces.present(family, 5, direct)
+    assert seconds >= 0 and budget.used == direct.used > 0
+    assert (budget.kernel_calls, budget.skipped) == (direct.kernel_calls, direct.skipped)
+
+
 def test_bench_theta_kept_terms():
     # theta_7 at n = 13 against the chain's basis of J_7: u2, u3, u5 and u9
     # lead it, and divide all but 364 of theta_7's 8,271 terms

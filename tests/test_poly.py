@@ -84,8 +84,9 @@ def test_standard_ring_factories():
     assert bso_top_ring(4).names == ("w2", "w3", "w4")
     assert bso_ring(5) is bso_ring(5)  # cached
     assert bso_top_ring(4).bidegrees == (Bidegree(2, 0), Bidegree(3, 0), Bidegree(4, 0))
+    # the BO rings start at u1/w1, the BSO rings at u2/w2
     for factory, n in ((bso_ring, 1), (bo_ring, 0), (bo_top_ring, 0), (bso_top_ring, 1)):
-        with pytest.raises(RingError):
+        with pytest.raises(RingError, match=f"^need n >= {n + 1}$"):
             factory(n)
 
 

@@ -225,8 +225,11 @@ def test_present_families_and_errors():
     assert top.ring is bso_top_ring(4)
     with pytest.raises(ValueError):
         present("BG2", 5)  # BG2 takes no n
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown family 'BSU'$"):
         present("BSU", 4)
+    with pytest.raises(ValueError, match="^BSO needs n >= 2$"):
+        present("BSO")
+    assert present("bSpIn_ToP", 5).family == "BSpin_top"
     # the w_1 families start at n = 1, every other one at n = 2
     assert present("BO", 1).ring is bo_ring(1)
     assert present("BO_top", 1).ring is bo_top_ring(1)
@@ -430,6 +433,16 @@ def test_map_literals():
     theta2 = parse_poly(mot, "u2*u3+u5")
     assert h_map(t_map(theta2)) == theta2
     assert i_map(parse_poly(top, "w2*w3")) == parse_poly(mot, "u2*u3")
+
+
+def test_maps_land_in_the_cached_class_rings():
+    # each renaming targets the builder's own ring object, in both ranges
+    ranges = [(bso_ring, bso_top_ring, 2), (bso_ring, bso_top_ring, 5)]
+    ranges += [(bo_ring, bo_top_ring, 1), (bo_ring, bo_top_ring, 5)]
+    for mot, top, n in ranges:
+        u, w = mot(n).gen(f"u{n}"), top(n).gen(f"w{n}")
+        assert t_map(u).ring is top(n)
+        assert i_map(w).ring is h_map(w).ring is mot(n)
 
 
 def test_t_then_h_roundtrip_random():

@@ -80,6 +80,15 @@ def test_sq_rejects_foreign_generators():
     sq(ctx, 2, parse_poly(ring, "t^7*u2^3*u3+u3^2+t"))
 
 
+def test_sq_names_the_first_foreign_generator_in_ring_order():
+    ring = Ring([("t", (0, 1)), ("u2", (2, 1)), ("u3", (3, 1)), ("v4", (4, 2)), ("x5", (5, 2))])
+    ctx = SteenrodContext(ring)
+    with pytest.raises(RingError, match="generator v4$"):
+        sq(ctx, 1, parse_poly(ring, "u2*v4*x5"))
+    with pytest.raises(RingError, match="generator x5$"):
+        sq(ctx, 1, ring.gen("x5"))
+
+
 def test_wu_examples_on_generators():
     ctx = bso_context(5)
     ring = ctx.ring
