@@ -254,9 +254,12 @@ class Subspace:
 def frobenius_stable(w):
     """Whether coordinatewise squaring maps the subspace into itself.
 
-    Over F_{2^e} this holds exactly for subspaces defined over F2.
+    Over F_{2^e} this holds exactly for subspaces defined over F2.  Squaring
+    is a field automorphism, so it maps the reduced echelon basis of W to
+    that of its image, of the same dimension; the reduced basis is unique,
+    so the image is W exactly when every entry of the basis is 0 or 1.
     """
-    return all(w.contains([w.field.frobenius(v) for v in row]) for row in w.basis)
+    return all(v <= 1 for row in w.basis for v in row)
 
 
 def right_radical(b):

@@ -267,44 +267,38 @@ class TorsorRow(NamedTuple):
 
 
 def chern_square_ideal(n):
-    """Monomials u_2, then u_{2i}^2 and t*u_{2i+1}^2 for class indices 2..n."""
+    """The square ideal's monomials as polynomials: u_2, then u_{2i}^2 and
+    t*u_{2i+1}^2 for class indices 2..n."""
     ring = bso_ring(n)
-    monos = [ring.gen("u2").lead_monomial()]
-    for c in range(2, n + 1):
-        exps = {f"u{c}": 2} if c % 2 == 0 else {"t": 1, f"u{c}": 2}
-        monos.append(ring.monomial(exps).lead_monomial())
-    return monos
+    return [ring.gen("u2")] + [
+        ring.monomial({f"u{c}": 2} if c % 2 == 0 else {"t": 1, f"u{c}": 2}) for c in range(2, n + 1)
+    ]
+
+
+def _torsor_rows(n):
+    """The j with 2^j + 1 <= n, that is 2^j <= n - 1."""
+    return range((n - 1).bit_length())
 
 
 def torsor_relations(n):
     """For each j with 2^j + 1 <= n, the relation sum_h u_{2^j-h} u_{2^j+1+h}
     and whether theta_{j+1} reduces to it modulo the square ideal.
 
-    Membership in a monomial ideal is per-term divisibility, so no basis
-    computation is involved.  There are at most log2(n) rows, and each
-    squares the theta of the row before.
+    The verdict is membership of their sum in the ideal, by the reduced
+    basis of ``chern_square_ideal(n)``, built once.  There are at most
+    log2(n) rows, and each squares the theta of the row before.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     ctx = bso_context(n)
-    ring = ctx.ring
-    guard = ring.guard_mask
-    squares = [ring.sort_key(m) | guard for m in chern_square_ideal(n)]
+    squares = groebner_basis(ctx.ring, chern_square_ideal(n))
     rows = []
     x = theta(ctx, 0)
-    j = 0
-    while (1 << j) + 1 <= n:
+    for j in _torsor_rows(n):
         w = 1 << j
-        acc = set()
-        for h in range(w + 1):
-            part = ctx.class_poly(w - h) * ctx.class_poly(w + 1 + h)
-            acc.symmetric_difference_update(part.keys)
-        rel = ring.poly_of_keys(acc)
+        rel = sum((ctx.class_poly(w - h) * ctx.class_poly(w + 1 + h) for h in range(w + 1)), ctx.ring.zero)
         x = sq(ctx, w, x)  # theta_{j+1}
-        diff = x + rel
-        ok = all(any((h - k) & guard == guard for h in squares) for k in diff.keys)
-        rows.append(TorsorRow(j, rel, ok))
-        j += 1
+        rows.append(TorsorRow(j, rel, ideal_member(x + rel, squares)))
     return rows
 
 
@@ -376,12 +370,7 @@ def j_lower_bound(n):
     """{2^{j-1} : j >= 1 and 2^j + 1 <= n}."""
     if n < 3:
         raise ValueError("need n >= 3")
-    out = set()
-    j = 1
-    while (1 << j) + 1 <= n:
-        out.add(1 << (j - 1))
-        j += 1
-    return out
+    return {1 << (j - 1) for j in _torsor_rows(n) if j}
 
 
 # -- tables ----------------------------------------------------------------------

@@ -398,6 +398,9 @@ def test_torsor_relation_literals():
     assert str(rows11[3].relation) == "u8*u9+u7*u10+u6*u11"
     assert all(r.verified for r in rows11)
     assert [r.j for r in rows11] == [0, 1, 2, 3]
+    # the rows stop where 2^j + 1 passes n, on both sides of a power of two
+    for n, last in ((8, 2), (9, 3), (16, 3), (17, 4)):
+        assert [r.j for r in torsor_relations(n)] == list(range(last + 1)), n
 
 
 def test_torsor_verdict_is_exponentwise_divisibility(monkeypatch):
@@ -412,16 +415,14 @@ def test_torsor_verdict_is_exponentwise_divisibility(monkeypatch):
             monkeypatch.setattr(spaces, "chern_square_ideal", lambda n: kept)
             for row in torsor_relations(n):
                 diff = theta(ctx, row.j + 1) + row.relation
-                want = all(any(all(map(ge, m, s)) for s in kept) for m in diff.terms)
+                want = all(any(all(map(ge, m, s.lead_monomial())) for s in kept) for m in diff.terms)
                 assert row.verified == want, (n, drop, row.j)
                 verdicts.add(want)
     assert verdicts == {True, False}
 
 
 def test_chern_square_ideal_shape():
-    ring = bso_ring(5)
-    monos = chern_square_ideal(5)
-    polys = sorted(str(ring.poly([m])) for m in monos)
+    polys = sorted(str(p) for p in chern_square_ideal(5))
     assert polys == sorted(["u2", "u2^2", "t*u3^2", "u4^2", "t*u5^2"])
 
 
@@ -599,6 +600,8 @@ def test_j_lower_bound():
     assert j_lower_bound(3) == {1}
     assert j_lower_bound(17) == {1, 2, 4, 8}
     assert j_lower_bound(16) == {1, 2, 4}
+    for n in range(3, 131):
+        assert j_lower_bound(n) == {2 ** (j - 1) for j in range(1, 20) if 2**j + 1 <= n}, n
     with pytest.raises(ValueError):
         j_lower_bound(2)
 
