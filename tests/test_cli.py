@@ -1,8 +1,11 @@
 import ast
+import contextlib
 import csv
+import gc
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -323,7 +326,7 @@ def test_the_cli_runs_neither_numpy_nor_traceback():
     # every top-level module that importing the CLI and running a few
     # subcommands loads: a new runtime dependency fails here until it is named
     # below. numpy is only registered (its body would load numpy.* submodules),
-    # and traceback is left to the exit-70 handler.
+    # traceback is left to the exit-70 handler and csv to --format csv.
     code = "\n".join([
         "import contextlib, io, sys",
         "before = set(sys.modules)",
@@ -339,7 +342,7 @@ def test_the_cli_runs_neither_numpy_nor_traceback():
     assert proc.returncode == 0, err
     new = set(out.decode().split())
     assert not {name for name in new if name.startswith("numpy.")}
-    assert "traceback" not in new
+    assert "traceback" not in new and "csv" not in new
     loaded = {name.split(".")[0] for name in new}
     assert "subtlesw" in loaded
     assert loaded - set(sys.stdlib_module_names) <= {"subtlesw", "numpy"}
@@ -395,11 +398,11 @@ def test_numpy_provenance_reads_after_import():
 
 
 def test_installed_entry_point():
-    # pyproject.toml installs cli.main as the console script; without it on
-    # PATH, the same main runs as a module of the package these tests import
+    # pyproject.toml installs cli.run, the exit step python -m also takes, as
+    # the console script; without it on PATH, the same run goes through -m
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
-    assert 'subtlesw = "subtlesw.cli:main"' in scripts.splitlines()
+    assert 'subtlesw = "subtlesw.cli:run"' in scripts.splitlines()
     argv = ["theta", "--flavor", "bso", "--n", "7", "--j", "2"]
     script = shutil.which("subtlesw")
     if script is not None:
@@ -409,6 +412,52 @@ def test_installed_entry_point():
     out, _ = proc.communicate()
     assert proc.returncode == 0
     assert out == b"u2*u3+u5\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["verify", "--n", "9", "--k", "5"], 1, r"n: 9\nk: 5\nh: 4\nregular: false\n.*: true\n.*: true\n", r""),
+        (["ktable", "--from", "5", "--to", "2"], 2, r"", r"usage error: --from must not exceed --to\n"),
+        (["ktable", "--verify"], 2, r"", r"(?s)usage: .*unrecognized arguments: --verify\n"),
+        (["verify", "--n", "13", "--budget", "10"], 3, r"", r"budget exceeded: .* of 10 reduction steps \(n=13\)\n"),
+    ],
+    ids=["mismatch", "usage", "argparse", "budget"],
+)
+def test_a_cli_process_exits_with_the_verdict(argv, code, out, err):
+    # exit codes 1-3 as a shell sees them, through run() and sys.exit; the
+    # goldens below exit 0
+    with _module_cli(argv) as proc:
+        stdout, stderr = proc.communicate()
+    assert proc.returncode == code
+    assert re.fullmatch(out, stdout.decode()) and re.fullmatch(err, stderr.decode())
+
+
+def test_cli_processes_print_the_benchmark_goldens():
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())["cli"]
+    assert len(golden) == 11
+    for cmd in golden:
+        with _module_cli(cmd["argv"]) as proc:
+            out, err = proc.communicate()
+        assert (proc.returncode, out.decode(), err) == (0, cmd["stdout"], b""), cmd["name"]
+
+
+def test_only_the_exit_step_freezes_the_collector():
+    # main is called in-process by tests and perfbench's traced passes, so it
+    # leaves the collector alone; run freezes it just before the exit
+    before = gc.get_freeze_count(), gc.isenabled()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["present", "--flavor", "bspin", "--n", "9"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+    code = "\n".join([
+        "import atexit, gc, sys, subtlesw.cli",
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, gc.isenabled(), file=sys.stderr))",
+        "sys.argv[1:] = ['theta', '--n', '7', '--j', '2']",
+        "subtlesw.cli.run()",
+    ])
+    with _python(["-c", code]) as proc:
+        out, err = proc.communicate()
+    assert (proc.returncode, out, err) == (0, b"u2*u3+u5\n", b"True True\n")
 
 
 @pytest.mark.parametrize("argv", [["theta", "--flavor", "bso", "--n", "5", "--j", "-1"]], ids=["theta-j"])
