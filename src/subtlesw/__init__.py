@@ -57,13 +57,11 @@ from .formsf2 import (
     BilinearFormF2,
     Field2e,
     Subspace,
-    beta_map,
     field_modulus,
     form_ring,
     frobenius_stable,
     h_expected,
     h_of,
-    pair_ring,
     quillen_form,
     right_radical,
     twisted_sequence,

@@ -21,11 +21,12 @@ import re
 from operator import and_, mul
 from typing import NamedTuple
 
-#: The largest exponent of one generator in a monomial.  Exponents stay
-#: below 2**9 in every computation here, k(17) included, and every operation
-#: on a packed key (add, compare, hash, guard test) costs in proportion to
-#: its width, so the limit is kept small; past it ``ExponentOverflow`` is
-#: raised, never a wrapped result.
+#: The largest exponent of one generator in a monomial.  Exponents grow
+#: with the thetas: at n = 7 theta_j's largest is 2**(j-1) - 1 for
+#: j = 2..11 (127 at j = 8, 1,023 at j = 11).  Every operation on a packed
+#: key (add, compare, hash, guard test) costs in proportion to its width,
+#: so the limit is kept small; past it ``ExponentOverflow`` is raised,
+#: never a wrapped result.
 MAX_EXPONENT = 2**15 - 1
 
 #: Width of one exponent field of a packed key, and its largest value.  A

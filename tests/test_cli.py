@@ -359,14 +359,37 @@ def test_import_works_without_numpy():
 
 
 def test_every_module_level_import_is_used():
-    # __init__.py re-exports what it imports, so it is left out
+    # __init__.py re-exports what it imports, so its imports are left out.
+    # A private module-level function, class or constant of src/subtlesw
+    # must be read by some module there, by name, as an attribute or in an
+    # import.
     root = Path(__file__).parents[1]
     files = [*(root / "src" / "subtlesw").glob("*.py"), *(root / "benchmarks").glob("*.py")]
     unused = {}
+    private, read = {}, set()
     for path in files:
+        tree = ast.parse(path.read_text())
+        if path.parent.name == "subtlesw":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(alias.name for alias in node.names)
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+                else:
+                    names = []
+                for name in names:
+                    if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                        private[name] = path.name
         if path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text())
         bound = set()
         for node in tree.body:
             if isinstance(node, ast.Import):
@@ -379,6 +402,8 @@ def test_every_module_level_import_is_used():
             unused[path.name] = sorted(bound - used)
     assert len(files) > 10
     assert unused == {}
+    assert len(private) > 10
+    assert {name: where for name, where in private.items() if name not in read} == {}
 
 
 def test_numpy_provenance_reads_after_import():

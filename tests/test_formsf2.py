@@ -7,20 +7,18 @@ from subtlesw.formsf2 import (
     BilinearFormF2,
     Field2e,
     Subspace,
-    beta_map,
-    beta_source_ring,
     field_modulus,
     form_ring,
     frobenius_stable,
     h_expected,
     h_of,
-    pair_ring,
     quillen_form,
     right_radical,
     twisted_sequence,
 )
 from subtlesw.grobner import groebner_basis, is_regular_sequence, krull_dimension
-from subtlesw.poly import parse_poly
+from subtlesw.poly import RingMap
+from subtlesw.steenrod import bso_context, theta
 
 
 def test_equality_of_fields_subspaces_and_forms():
@@ -159,8 +157,9 @@ def test_quillen_twisted_sequences_are_regular():
 
 
 def test_field_modulus_is_irreducible():
-    # no factor can evaluate to zero anywhere once payoff: verify by checking
-    # the field has no zero divisors and x^(2^e) = x on a sample
+    # a reducible modulus would give zero divisors: on 60 random nonzero
+    # pairs of each field, no product is zero, each element times its
+    # inverse is 1, and a^(2^e - 1) = 1
     for e in (1, 2, 3, 4, 8, 11, 16):
         f = Field2e(e)
         assert field_modulus(e) >> e == 1  # monic of degree e
@@ -311,38 +310,47 @@ def test_h_closed_form_table():
         assert h_of(n) == h_expected(n)
 
 
-def test_beta_map_images():
-    f = beta_map(4)
-    src = beta_source_ring(4)
-    assert str(f(src.gen("u2"))) == "y1+y2"
-    assert str(f(src.gen("u3"))) == "x2*y1+x1*y2"
-    assert str(f(src.gen("u1"))) == "x1+x2"
-    assert str(f(src.gen("u4"))) == "y1*y2"
-    # odd n adds the extra x_{m+1} leg
-    g = beta_map(5)
-    src5 = beta_source_ring(5)
-    assert str(g(src5.gen("u1"))) == "x1+x2+x3"
-    assert str(g(src5.gen("u3"))) == "x2*y1+x3*y1+x1*y2+x3*y2"
-    assert g(src5.gen("u5")) == parse_poly(g.target, "x3*y1*y2")
+def _elementary(values, k):
+    """e_k of the polynomials ``values``, all in one ring."""
+    e = [values[0].ring.one] + [values[0].ring.zero] * k
+    for v in values:
+        for i in range(k, 0, -1):
+            e[i] = e[i] + e[i - 1] * v
+    return e[k]
 
 
-def test_beta_preserves_p_degree():
-    rng = random.Random(43)
-    for n in (4, 5, 6):
-        f = beta_map(n)
-        src = beta_source_ring(n)
-        for name in src.names:
-            img = f(src.gen(name))
-            if img:
-                assert img.bidegree().p == src.gen(name).bidegree().p
-
-
-def test_pair_ring_shape():
-    r = pair_ring(2, False)
-    assert r.names == ("x1", "x2", "y1", "y2")
-    r5 = pair_ring(2, True)
-    assert r5.names == ("x1", "x2", "x3", "y1", "y2")
-    assert r5.gen("y1").bidegree().p == 2
+def test_tau_killed_theta_restricts_to_the_twisted_sequence():
+    # Quillen's restriction for even n = 2m: t -> 0, u_{2k} -> e_k(y_1..y_m)
+    # and u_{2k+1} -> sum_i x_i e_k(the y's without y_i), with
+    # x_m = x_1 + .. + x_{m-1} and y_m = y_1 + .. + y_{m-1}, so that u_1 and
+    # theta_0 = u_2 go to 0.  Then theta_j goes to B(x, y^{2^{j-1}}) for
+    # j = 1..h(n): the form side, which gives h(n), meets the theta chain.
+    # t goes to 0; its terms are dropped before mapping all the same, which
+    # spares RingMap the powers it builds for every term.  n = 14 is left
+    # out: it runs for minutes even so.
+    for n in (4, 6, 8, 10, 12):
+        m = n // 2
+        ring = form_ring(m - 1)
+        xs = [ring.gen(f"x{i}") for i in range(1, m)]
+        ys = [ring.gen(f"y{i}") for i in range(1, m)]
+        xs.append(sum(xs, ring.zero))
+        ys.append(sum(ys, ring.zero))
+        images = [ring.zero]  # t
+        for i in range(2, n + 1):
+            k = i // 2
+            if i % 2 == 0:
+                images.append(_elementary(ys, k))
+            else:
+                others = (ys[:d] + ys[d + 1 :] for d in range(m))
+                images.append(sum((x * _elementary(rest, k) for x, rest in zip(xs, others)), ring.zero))
+        ctx = bso_context(n)
+        restrict = RingMap(ctx.ring, ring, images)
+        h = h_of(n)
+        want = twisted_sequence(quillen_form(n), h)
+        for j in range(1, h + 1):
+            full = theta(ctx, j)
+            t_free = ctx.ring.poly(e for e in full.terms if e[0] == 0)
+            assert restrict(t_free) == want[j - 1], (n, j)
 
 
 @pytest.mark.parametrize(
@@ -350,9 +358,8 @@ def test_pair_ring_shape():
     [
         (lambda: Field2e(2).inv(0), ZeroDivisionError),
         (lambda: h_expected(1), ValueError),
-        (lambda: beta_map(1), ValueError),
     ],
-    ids=["inverse-of-0", "h-n", "beta-n"],
+    ids=["inverse-of-0", "h-n"],
 )
 def test_input_checks(call, error):
     with pytest.raises(error) as info:
