@@ -84,7 +84,7 @@ from .spaces import (
     torsor_relations,
     verify_theta,
 )
-# Only perfbench/ reads these two; they go with its next change (ROADMAP.md, "Delete numpy").
+# Only perfbench/ reads these two; they go with its next change (ROADMAP.md item 1, "Benchmark v2a").
 # No computation uses numpy, so its body runs only at the first read of one of
 # its attributes; without numpy, nothing is registered.
 

@@ -59,7 +59,8 @@ class InhomogeneousError(ValueError):
 
 
 class Budget:
-    """Shared counter of reduction work (processed pairs + division steps).
+    """Shared counter of reduction work: a unit per processed pair, division
+    step, term that ``GroebnerBasis._remainder`` drops and stopped kernel call.
 
     Beside ``used`` it counts, at no cost, what became of the work (see
     ``_buchberger``).  ``pairs`` counts the pairs made; ``skipped`` those

@@ -473,7 +473,7 @@ class Poly:
                 result = result * base
             n >>= 1
             if n:
-                base = base * base
+                base = base.squared()
         return result
 
     def lead_monomial(self):
@@ -582,7 +582,7 @@ class RingMap:
         for mono in x.terms:
             prod = self.target.one
             for img, e in zip(self.images, mono):
-                if e:
+                if e and prod:
                     prod = prod * img**e
             acc.symmetric_difference_update(prod.keys)
         return self.target.poly_of_keys(acc)

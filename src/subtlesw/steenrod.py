@@ -153,8 +153,7 @@ def _cartan_sum(ctx, parts):
 def _sq_gen(ctx, k, m):
     """Sq^k on the index-m class by the Wu formula, k <= m; classes past n are 0."""
     if k == m:
-        c = ctx.class_poly(m)
-        return c * c
+        return ctx.class_poly(m).squared()
     total = ctx.ring.zero
     for j in range(min(k, ctx.n - m) + 1):
         if binom_mod2(m + j - k - 1, j):

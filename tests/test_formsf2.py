@@ -325,9 +325,7 @@ def test_tau_killed_theta_restricts_to_the_twisted_sequence():
     # x_m = x_1 + .. + x_{m-1} and y_m = y_1 + .. + y_{m-1}, so that u_1 and
     # theta_0 = u_2 go to 0.  Then theta_j goes to B(x, y^{2^{j-1}}) for
     # j = 1..h(n): the form side, which gives h(n), meets the theta chain.
-    # t goes to 0; its terms are dropped before mapping all the same, which
-    # spares RingMap the powers it builds for every term.  n = 14 is left
-    # out: it runs for minutes even so.
+    # n = 14 is left out: it runs for minutes.
     for n in (4, 6, 8, 10, 12):
         m = n // 2
         ring = form_ring(m - 1)
@@ -348,9 +346,7 @@ def test_tau_killed_theta_restricts_to_the_twisted_sequence():
         h = h_of(n)
         want = twisted_sequence(quillen_form(n), h)
         for j in range(1, h + 1):
-            full = theta(ctx, j)
-            t_free = ctx.ring.poly(e for e in full.terms if e[0] == 0)
-            assert restrict(t_free) == want[j - 1], (n, j)
+            assert restrict(theta(ctx, j)) == want[j - 1], (n, j)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import ast
 import random
 from operator import add, le
+from pathlib import Path
 
 import pytest
 
@@ -638,12 +640,28 @@ def test_roundtrip_random():
 
 def test_pow():
     ring = bso_ring(3)
-    x = parse_poly(ring, "u2+u3")
-    assert x**0 == ring.one
-    assert x**1 == x
-    assert x**3 == x * x * x
+    rng = random.Random(5)
+    for _ in range(20):
+        x = random_bihomogeneous(ring, rng)
+        want = ring.one
+        for n in range(10):
+            assert x**n == want, (x, n)
+            want = want * x
     with pytest.raises(ValueError):
         x ** (-1)
+
+
+def test_src_squares_only_through_squared():
+    # Over F2 a square is termwise, and Poly.squared owns that rule: no
+    # product in src/subtlesw multiplies an expression by itself.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((Path(__file__).parents[1] / "src" / "subtlesw").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        and ast.unparse(node.left) == ast.unparse(node.right)
+    ]
+    assert found == []
 
 
 def test_ring_map_checks_and_homomorphism():
@@ -665,6 +683,17 @@ def test_ring_map_checks_and_homomorphism():
         y = random_bihomogeneous(src, rng)
         assert f(x + y) == f(x) + f(y)
         assert f(x * y) == f(x) * f(y)
+
+
+def test_ring_map_stops_a_term_at_a_zero_factor():
+    # t -> 0 kills the first term before u2^20000 -> y1^40000, past the limit
+    src = bso_ring(3)
+    dst = Ring([("y1", Bidegree(1, 0))])
+    y1 = dst.gen("y1")
+    f = RingMap(src, dst, [dst.zero, y1.squared(), y1])
+    assert f(parse_poly(src, "t*u2^20000+u3")) == y1
+    with pytest.raises(ExponentOverflow):
+        f(parse_poly(src, "u2^20000+u3"))
 
 
 def test_random_bihomogeneous_refuses_a_pool_past_the_limit():
