@@ -55,11 +55,8 @@ from .steenrod import (
 )
 from .formsf2 import (
     BilinearFormF2,
-    Field2e,
     Subspace,
-    field_modulus,
     form_ring,
-    frobenius_stable,
     h_expected,
     h_of,
     quillen_form,

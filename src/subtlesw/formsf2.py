@@ -1,21 +1,19 @@
-"""Bilinear forms over F2, radicals, Frobenius stability, and h(n).
+"""Bilinear forms over F2: radicals, the rank that gives h(n), and twisted
+sequences.
 
 The length h(n) of the tau-killed regular theta sequence is rank(B) + 1 for
 an explicit bilinear form B on a small F2 vector space (one form for even n,
-one for odd n).  This module builds those forms and computes h(n), right
-radicals, Frobenius stability of subspaces over small fields F_{2^e}, and
-the Frobenius-twisted sequences B(x, y^{2^l}).  The theta chain meets them
-through Quillen's restriction: for even n, theta_j with t = 0 restricts to
-B(x, y^{2^{j-1}}) for j = 1..h(n), an identity tests/test_formsf2.py pins
-for n <= 12.  No verdict reads it.
+one for odd n).  This module is F2 linear algebra on those forms: it builds
+them, computes their right radicals and h(n), and lists the Frobenius-twisted
+sequences B(x, y^{2^l}).  The theta chain meets them through Quillen's
+restriction: for even n, theta_j with t = 0 restricts to B(x, y^{2^{j-1}})
+for j = 1..h(n), an identity tests/test_formsf2.py pins for n <= 12.  No
+verdict reads it.
 
-Field elements of F_{2^e} are ints (bit i = coefficient of x^i) reduced
-modulo a fixed irreducible polynomial per e, chosen as the lexicographically
-smallest irreducible of that degree so the representation is reproducible
-without an external table.  A vector over F_{2^e} is one int, e bits per
-coordinate with the leftmost highest, so adding vectors is one XOR in every
-field.  A bilinear form is kept only as its matrix rows packed the same way
-over F2, so one eliminator on such rows serves subspaces, radicals and h(n).
+A vector over F2 is one int, one bit per coordinate with the leftmost
+highest, so adding vectors is one XOR.  A bilinear form is kept only as its
+matrix rows packed the same way, so one XOR eliminator on such rows serves
+subspaces, radicals and h(n).
 """
 
 from __future__ import annotations
@@ -61,173 +59,66 @@ class BilinearFormF2:
         return f"BilinearFormF2({self.to_json()})"
 
 
-# -- F_{2^e} arithmetic ----------------------------------------------------------
-
-MAX_FIELD_EXP = 16
-
-
-def _cl_mul(a, b):
-    res = 0
-    while b:
-        if b & 1:
-            res ^= a
-        a <<= 1
-        b >>= 1
-    return res
-
-
-def _cl_mod(a, m):
-    dm = m.bit_length()
-    while a.bit_length() >= dm:
-        a ^= m << (a.bit_length() - dm)
-    return a
-
-
-def _is_irreducible(m, e):
-    for d in range(1, e // 2 + 1):
-        for cand in range(1 << d, 1 << (d + 1)):
-            if _cl_mod(m, cand) == 0:
-                return False
-    return True
-
-
-@functools.lru_cache(maxsize=None)
-def field_modulus(e):
-    """Smallest irreducible polynomial of degree e over F2, as a bitmask."""
-    if not 1 <= e <= MAX_FIELD_EXP:
-        raise ValueError(f"field exponent must be in 1..{MAX_FIELD_EXP}")
-    for m in range((1 << e) | 1, 1 << (e + 1), 2):
-        if _is_irreducible(m, e):
-            return m
-    raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-class Field2e:
-    """F_{2^e} with elements 0..2^e-1."""
-
-    __slots__ = ("e", "modulus")
-
-    def __init__(self, e):
-        self.e = e
-        self.modulus = field_modulus(e)
-
-    @property
-    def order(self):
-        return 1 << self.e
-
-    def mul(self, a, b):
-        return _cl_mod(_cl_mul(a, b), self.modulus)
-
-    def pow(self, a, k):
-        res, base = 1, a
-        while k:
-            if k & 1:
-                res = self.mul(res, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return res
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.pow(a, self.order - 2)
-
-    def frobenius(self, a):
-        return self.mul(a, a)
-
-    def __eq__(self, other):
-        return isinstance(other, Field2e) and self.e == other.e
-
-    def __hash__(self):
-        return self.e
-
-    def __repr__(self):
-        return f"Field2e({self.e})"
-
-
-def _scale(field, c, row):
-    """c times the packed row, one field multiply per coordinate."""
-    e, mask = field.e, field.order - 1
-    out = shift = 0
-    while row:
-        out |= field.mul(c, row & mask) << shift
-        row >>= e
-        shift += e
-    return out
-
-
-def _pivot_rows(field, rows):
-    """Forward elimination over F_{2^e} of packed rows: one pivot per leading
-    coordinate, scaled to lead with 1, as {top bit length: row}.
-
-    Rows that lead with 1 in the same coordinate have the same top bit, and
-    one XOR cancels it in every field.  Only a remainder leading with another
-    coefficient is multiplied out, which over F2 never happens.
-    """
-    e = field.e
+def _pivot_rows(rows):
+    """Forward elimination over F2 of packed rows: one pivot per leading
+    coordinate, as {top bit length: row}.  Rows that lead in the same
+    coordinate have the same top bit, and one XOR cancels it."""
     pivots = {}
     for r in rows:
         while r:
             top = r.bit_length()
             pivot = pivots.get(top)
-            if pivot is not None:
-                r ^= pivot
-            elif e > 1 and (c := r >> (top - 1) // e * e) != 1:
-                r = _scale(field, field.inv(c), r)
-            else:
+            if pivot is None:
                 pivots[top] = r
                 break
+            r ^= pivot
     return pivots
 
 
-def _back_substitute(field, pivots):
+def _back_substitute(pivots):
     """The reduced echelon rows of _pivot_rows' pivots, keyed the same way,
     the leftmost lead first.  Clearing in ascending order: every row already
     cleared has zeros at the other leads, so clearing one disturbs no other."""
-    mask = field.order - 1
     done = {}
     for top in sorted(pivots):
         r = pivots[top]
         for low, b in done.items():
-            c = r >> (low - 1) & mask
-            if c:
-                r ^= b if c == 1 else _scale(field, c, b)
+            if r >> (low - 1) & 1:
+                r ^= b
         done[top] = r
     return dict(reversed(done.items()))
 
 
 class Subspace:
-    """Row space of vectors over F_{2^e} (e = 1 is plain F2), kept as the
-    packed rows of its reduced echelon basis."""
+    """Row space of vectors over F2, kept as the packed rows of its reduced
+    echelon basis."""
 
-    __slots__ = ("field", "ambient_dim", "_rows")
+    __slots__ = ("ambient_dim", "_rows")
 
-    def __init__(self, vectors, ambient_dim=None, e=1):
-        self.field = Field2e(e)
+    def __init__(self, vectors, ambient_dim=None):
         vectors = [[int(v) for v in vec] for vec in vectors]
         if ambient_dim is None:
             if not vectors:
                 raise ValueError("ambient dimension needed for an empty basis")
             ambient_dim = len(vectors[0])
         self.ambient_dim = ambient_dim
-        pivots = _pivot_rows(self.field, [self._pack(vec) for vec in vectors])
-        self._rows = tuple(_back_substitute(self.field, pivots).values())
+        self._rows = tuple(_back_substitute(_pivot_rows([self._pack(vec) for vec in vectors])).values())
 
     def _pack(self, row):
-        """The int list ``row`` as one int, e bits per coordinate with the
+        """The int list ``row`` as one int, one bit per coordinate with the
         leftmost highest.  Raise ValueError unless it is a vector of the
-        ambient space: the right length, every coordinate in the field."""
+        ambient space: the right length, every coordinate 0 or 1."""
         if len(row) != self.ambient_dim:
             raise ValueError("vector of wrong length")
-        if any(not 0 <= v < self.field.order for v in row):
+        if any(v not in (0, 1) for v in row):
             raise ValueError("coordinate outside the field")
-        return functools.reduce(lambda acc, v: acc << self.field.e | v, row, 0)
+        return functools.reduce(lambda acc, v: acc << 1 | v, row, 0)
 
     @property
     def basis(self):
         """The reduced echelon basis as coordinate tuples, leftmost lead first."""
-        e, mask, width = self.field.e, self.field.order - 1, self.ambient_dim
-        return tuple(tuple(r >> (width - 1 - j) * e & mask for j in range(width)) for r in self._rows)
+        width = self.ambient_dim
+        return tuple(tuple(r >> (width - 1 - j) & 1 for j in range(width)) for r in self._rows)
 
     @property
     def dim(self):
@@ -236,39 +127,22 @@ class Subspace:
     def contains(self, vec):
         row = self._pack([int(v) for v in vec])
         # the reduced rows are pivots already; a vector outside adds one
-        return len(_pivot_rows(self.field, (*self._rows, row))) == self.dim
+        return len(_pivot_rows((*self._rows, row))) == self.dim
 
     def to_json(self):
         return [list(r) for r in self.basis]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.field == other.field
-            and self.ambient_dim == other.ambient_dim
-            and self._rows == other._rows
-        )
+        return isinstance(other, Subspace) and (self.ambient_dim, self._rows) == (other.ambient_dim, other._rows)
 
     def __repr__(self):
-        return f"Subspace(e={self.field.e}, basis={self.to_json()})"
-
-
-def frobenius_stable(w):
-    """Whether coordinatewise squaring maps the subspace into itself.
-
-    Over F_{2^e} this holds exactly for subspaces defined over F2.  Squaring
-    is a field automorphism, so it maps the reduced echelon basis of W to
-    that of its image, of the same dimension; the reduced basis is unique,
-    so the image is W exactly when every entry of the basis is 0 or 1.
-    """
-    return all(v <= 1 for row in w.basis for v in row)
+        return f"Subspace({self.to_json()}, ambient_dim={self.ambient_dim})"
 
 
 def right_radical(b):
     """rad_r(B) = {y : B(x, y) = 0 for all x}, the nullspace of the matrix."""
-    f2 = Field2e(1)
     m = b.dim
-    rows = _back_substitute(f2, _pivot_rows(f2, b._rows))
+    rows = _back_substitute(_pivot_rows(b._rows))
     # one basis vector per free column: 1 there, and in each pivot column the
     # entry of that pivot's reduced row in the free column
     basis = []
@@ -352,4 +226,4 @@ def h_of(n):
         raise ValueError("h(n) is defined for n >= 2")
     if n in (2, 3):
         return 1
-    return len(_pivot_rows(Field2e(1), quillen_form(n)._rows)) + 1
+    return len(_pivot_rows(quillen_form(n)._rows)) + 1

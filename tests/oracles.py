@@ -469,9 +469,9 @@ def thom_sq_by_fold(ctx, k, w):
 
 
 class PlainF2:
-    """F2 for ``echelonize`` without ``Field2e``: multiplying is AND, and 1 is
-    its own inverse.  The reference over the Quillen forms of n = 4..200 runs
-    about 3x faster with it than with ``Field2e(1)``."""
+    """F2 for ``echelonize`` and ``nullspace``, the reference for the F2
+    linear algebra of the form side (subspaces, radicals, the rank that gives
+    h(n)): multiplying is AND, and 1 is its own inverse."""
 
     mul = staticmethod(operator.and_)
 

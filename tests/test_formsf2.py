@@ -5,11 +5,8 @@ import pytest
 import oracles
 from subtlesw.formsf2 import (
     BilinearFormF2,
-    Field2e,
     Subspace,
-    field_modulus,
     form_ring,
-    frobenius_stable,
     h_expected,
     h_of,
     quillen_form,
@@ -22,17 +19,25 @@ from subtlesw.steenrod import bso_context, theta
 
 
 def test_equality_of_fields_subspaces_and_forms():
-    assert Field2e(3) == Field2e(3) and hash(Field2e(3)) == hash(Field2e(3))
-    assert Field2e(3) != Field2e(4) and Field2e(3) != 3
     s = Subspace([[1, 1, 0], [0, 1, 1]])
     assert s == Subspace([[1, 0, 1], [0, 1, 1]])  # the same span from another basis
-    assert s != Subspace([[1, 1, 0], [0, 1, 1]], e=2)  # another field
     assert s != Subspace([[1, 1, 0, 0], [0, 1, 1, 0]])  # another ambient dimension
     assert s != Subspace([[1, 1, 0]])  # other rows
     b = BilinearFormF2([[1, 0], [1, 1]])
     assert b == BilinearFormF2([[3, 2], [1, 1]])  # entries reduced mod 2
     assert b != BilinearFormF2([[1, 1], [0, 1]]) and b != BilinearFormF2([[1, 0, 0], [1, 1, 0], [0, 0, 0]])
     assert b != b.to_json()
+
+
+def test_reprs_rebuild_subspaces_and_forms():
+    s = Subspace([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    assert repr(s) == "Subspace([[1, 0, 1], [0, 1, 1]], ambient_dim=3)"
+    empty = Subspace([], ambient_dim=2)
+    assert repr(empty) == "Subspace([], ambient_dim=2)"
+    b = BilinearFormF2([[1, 0], [3, 2]])
+    assert repr(b) == "BilinearFormF2([[1, 0], [1, 0]])"
+    for value in (s, empty, b, quillen_form(9)):
+        assert eval(repr(value)) == value
 
 
 def test_form_basics():
@@ -156,34 +161,6 @@ def test_quillen_twisted_sequences_are_regular():
     assert krull_dimension(groebner_basis(ring, seq9)) == 2 * 4 - 3
 
 
-def test_field_modulus_is_irreducible():
-    # a reducible modulus would give zero divisors: on 60 random nonzero
-    # pairs of each field, no product is zero, each element times its
-    # inverse is 1, and a^(2^e - 1) = 1
-    for e in (1, 2, 3, 4, 8, 11, 16):
-        f = Field2e(e)
-        assert field_modulus(e) >> e == 1  # monic of degree e
-        rng = random.Random(e)
-        for _ in range(60):
-            a = rng.randrange(1, f.order)
-            b = rng.randrange(1, f.order)
-            assert f.mul(a, b) != 0
-            assert f.mul(a, f.inv(a)) == 1
-            assert f.pow(a, f.order - 1) == 1
-    assert field_modulus(1) == 0b11
-    assert field_modulus(2) == 0b111
-    assert field_modulus(3) == 0b1011
-    with pytest.raises(ValueError):
-        field_modulus(17)
-
-
-def test_field_frobenius_is_additive():
-    f = Field2e(4)
-    for a in range(16):
-        for b in range(16):
-            assert f.frobenius(a ^ b) == f.frobenius(a) ^ f.frobenius(b)
-
-
 def test_subspace_echelon_and_contains():
     s = Subspace([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     assert s.dim == 2  # third row is the sum of the first two
@@ -195,9 +172,6 @@ def test_subspace_echelon_and_contains():
         Subspace([], ambient_dim=None)
     with pytest.raises(ValueError):
         Subspace([[1, 0], [1, 0, 0]])
-    for e in (0, 17):  # F_{2^e} exists here for e in 1..16 only
-        with pytest.raises(ValueError):
-            Subspace([[1]], e=e)
 
 
 def test_subspace_contains_checks_coordinates_as_the_constructor_does():
@@ -209,72 +183,38 @@ def test_subspace_contains_checks_coordinates_as_the_constructor_does():
             line.contains(bad)
     with pytest.raises(ValueError, match="wrong length"):
         line.contains([1, 0, 0])
-    twisted = Subspace([[1, 2]], e=2)  # coordinates up to 3 lie in F_4
-    assert twisted.contains([3, 1])  # 3 * (1, 2) in F_4
-    assert not twisted.contains([1, 1])
-    with pytest.raises(ValueError, match="coordinate outside the field"):
-        twisted.contains([4, 0])
-
-
-def test_frobenius_stability_over_f4():
-    # F_4 = {0, 1, w, w^2} with w = 2 in the packed encoding
-    full = Subspace([[1, 0], [0, 1]], e=2)
-    assert frobenius_stable(full)
-    line_rational = Subspace([[1, 1]], e=2)
-    assert frobenius_stable(line_rational)
-    line_twisted = Subspace([[1, 2]], e=2)
-    assert not frobenius_stable(line_twisted)
-
-
-def test_frobenius_stable_for_f2_spans():
-    rng = random.Random(42)
-    for e in (2, 3, 4):
-        for _ in range(25):
-            dim = rng.randint(1, 4)
-            vecs = [[rng.randint(0, 1) for _ in range(dim)] for _ in range(rng.randint(1, 3))]
-            if not any(any(v) for v in vecs):
-                continue
-            assert frobenius_stable(Subspace(vecs, ambient_dim=dim, e=e))
 
 
 def test_eliminator_matches_the_reference():
-    # bases, membership and Frobenius stability over F_2..F_16, then radicals
+    # bases and membership over F2, then radicals
     rng = random.Random(15)
     seen = set()
-    for e in (1, 2, 3, 4):
-        field = oracles.PlainF2 if e == 1 else Field2e(e)
-        q = 1 << e
-        for _ in range(150):
-            dim = rng.randint(0, 6)
-            vecs = []
-            for _ in range(rng.randint(0, 5)):
-                pick = rng.random()
-                if pick < 0.15:
-                    vecs.append([0] * dim)
-                elif pick < 0.3 and vecs:
-                    vecs.append(list(rng.choice(vecs)))
-                elif pick < 0.45:
-                    vecs.append([rng.randint(0, 1) for _ in range(dim)])  # defined over F2
-                else:
-                    vecs.append([rng.randrange(q) for _ in range(dim)])
-            s = Subspace(vecs, ambient_dim=dim, e=e)
-            want = tuple(oracles.echelonize(field, vecs))
-            assert s.basis == want and s.dim == len(want)
+    for _ in range(150):
+        dim = rng.randint(0, 6)
+        vecs = []
+        for _ in range(rng.randint(0, 5)):
+            pick = rng.random()
+            if pick < 0.15:
+                vecs.append([0] * dim)
+            elif pick < 0.3 and vecs:
+                vecs.append(list(rng.choice(vecs)))
+            else:
+                vecs.append([rng.randint(0, 1) for _ in range(dim)])
+        s = Subspace(vecs, ambient_dim=dim)
+        want = tuple(oracles.echelonize(oracles.PlainF2, vecs))
+        assert s.basis == want and s.dim == len(want)
 
-            def member(v):
-                return len(oracles.echelonize(field, [*vecs, v])) == len(want)
+        def member(v):
+            return len(oracles.echelonize(oracles.PlainF2, [*vecs, v])) == len(want)
 
-            combo = [0] * dim
-            for vec in vecs:
-                c = rng.randrange(q)
-                combo = [a ^ field.mul(c, b) for a, b in zip(combo, vec)]
-            for v in ([rng.randrange(q) for _ in range(dim)], combo):
-                assert s.contains(v) == member(v)
-                seen.add(("contains", member(v)))
-            stable = all(member([field.mul(v, v) for v in row]) for row in want)
-            assert frobenius_stable(s) == stable
-            seen.add(("stable", stable))
-    assert seen == {(k, v) for k in ("contains", "stable") for v in (True, False)}
+        combo = [0] * dim
+        for vec in vecs:
+            if rng.randint(0, 1):
+                combo = [a ^ b for a, b in zip(combo, vec)]
+        for v in ([rng.randint(0, 1) for _ in range(dim)], combo):
+            assert s.contains(v) == member(v)
+            seen.add(member(v))
+    assert seen == {True, False}
     for _ in range(150):
         d = rng.randint(1, 10)
         matrix = [[rng.randint(0, 1) for _ in range(d)] for _ in range(d)]
@@ -352,10 +292,9 @@ def test_tau_killed_theta_restricts_to_the_twisted_sequence():
 @pytest.mark.parametrize(
     "call, error",
     [
-        (lambda: Field2e(2).inv(0), ZeroDivisionError),
         (lambda: h_expected(1), ValueError),
     ],
-    ids=["inverse-of-0", "h-n"],
+    ids=["h-n"],
 )
 def test_input_checks(call, error):
     with pytest.raises(error) as info:
