@@ -82,8 +82,9 @@ from .spaces import (
     verify_theta,
 )
 # Only perfbench/ reads these two; they go with its next change (ROADMAP.md item 1, "Benchmark v2a").
-# No computation uses numpy, so its body runs only at the first read of one of
-# its attributes; without numpy, nothing is registered.
+# numpy is not a dependency: pyproject.toml lists it only in the test extra.
+# No computation uses it, so when it is installed its body runs only at the
+# first read of one of its attributes; without numpy, nothing is registered.
 
 
 def _register_lazily(name):

@@ -1,14 +1,14 @@
 """Independent slow-path oracles for the test suite.
 
-Everything here is deliberately naive (exhaustive enumeration, dense F2
-linear algebra, textbook formulas) and shares no code with the kernels under
-test, so agreement is meaningful.
+Everything here is deliberately naive (exhaustive enumeration, textbook
+formulas, one F2 eliminator on sets of columns for Macaulay-matrix membership,
+echelon forms and nullspaces) and shares no code with the kernels under test,
+so agreement is meaningful.
 """
 
 import functools
 import itertools
 import math
-import operator
 
 
 def _exponent_cap(ring, i, p, q):
@@ -87,26 +87,52 @@ def krull_dimension_by_subsets(ring, lead_exponents):
     return best
 
 
-def _row_reduce(rows, target):
-    """F2 span membership by Gaussian elimination on sets of monomials."""
+def reduced_echelon(rows):
+    """The reduced echelon basis over F2 of the span of ``rows``, as
+    {lead: row} in ascending order of the leads.
+
+    Each row is the set of its 1-columns (column indices, exponent tuples:
+    any labels that compare) and is led by its smallest column.  Every basis
+    row holds its own lead and no other, so one pass over the basis reduces
+    a new row fully.
+    """
     basis = {}
-
-    def reduce(row):
-        row = set(row)
-        while row:
-            lead = max(row)
-            if lead in basis:
-                row ^= basis[lead]
-            else:
-                return lead, row
-        return None, row
-
     for row in rows:
-        lead, reduced = reduce(row)
-        if lead is not None:
-            basis[lead] = reduced
-    lead, reduced = reduce(target)
-    return lead is None
+        row = set(row)
+        for lead, pivot in basis.items():
+            if lead in row:
+                row ^= pivot
+        if row:
+            lead = min(row)
+            for pivot in basis.values():
+                if lead in pivot:
+                    pivot ^= row
+            basis[lead] = row
+    return dict(sorted(basis.items()))
+
+
+def _columns(vec):
+    return {j for j, v in enumerate(vec) if v}
+
+
+def _dense(cols, dim):
+    return tuple(int(j in cols) for j in range(dim))
+
+
+def echelonize(rows):
+    """Reduced row echelon form over F2 of equal-length 0/1 rows, no zero row."""
+    dim = len(rows[0]) if rows else 0
+    return [_dense(row, dim) for row in reduced_echelon(map(_columns, rows)).values()]
+
+
+def nullspace(matrix):
+    """Reduced echelon basis of {y : M y = 0} for a square 0/1 matrix M, from
+    one vector per free column of its reduced echelon form: the free column
+    f, and each pivot column whose row holds f (-r[f] = r[f] over F2)."""
+    m = len(matrix)
+    pivots = reduced_echelon(map(_columns, matrix))
+    free = [{f, *(p for p, row in pivots.items() if f in row)} for f in range(m) if f not in pivots]
+    return tuple(_dense(row, m) for row in reduced_echelon(free).values())
 
 
 def macaulay_member(x, gens):
@@ -130,7 +156,8 @@ def macaulay_member(x, gens):
             continue
         for m in monomials_of_bidegree(ring, dp, dq):
             rows.append({tuple(a + b for a, b in zip(m, t)) for t in g.terms})
-    return _row_reduce(rows, set(x.terms))
+    basis = reduced_echelon(rows)
+    return len(reduced_echelon([*basis.values(), x.terms])) == len(basis)
 
 
 # -- the monomial order as key tuples -----------------------------------------
@@ -466,62 +493,6 @@ def thom_sq_by_fold(ctx, k, w):
             part = _fold_tau(ctx, part)
         acc = acc + part
     return acc
-
-
-class PlainF2:
-    """F2 for ``echelonize`` and ``nullspace``, the reference for the F2
-    linear algebra of the form side (subspaces, radicals, the rank that gives
-    h(n)): multiplying is AND, and 1 is its own inverse."""
-
-    mul = staticmethod(operator.and_)
-
-    @staticmethod
-    def inv(a):
-        return a
-
-
-def echelonize(field, rows):
-    """Reduced row echelon form over the field; drops zero rows."""
-    rows = [list(r) for r in rows]
-    basis = []
-    pivots = []
-    for row in rows:
-        for pcol, pivot_row in zip(pivots, basis):
-            if row[pcol]:
-                c = row[pcol]
-                for j in range(len(row)):
-                    row[j] ^= field.mul(c, pivot_row[j])
-        lead = next((j for j, v in enumerate(row) if v), None)
-        if lead is None:
-            continue
-        c = field.inv(row[lead])
-        row = [field.mul(c, v) for v in row]
-        # clear the new pivot column above
-        for pcol, pivot_row in zip(pivots, basis):
-            if pivot_row[lead]:
-                cc = pivot_row[lead]
-                for j in range(len(row)):
-                    pivot_row[j] ^= field.mul(cc, row[j])
-        basis.append(row)
-        pivots.append(lead)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [tuple(basis[i]) for i in order]
-
-
-def nullspace(field, matrix):
-    """Reduced echelon basis of {y : M y = 0} for a square matrix M, from one
-    vector per free column of its reduced echelon form."""
-    m = len(matrix)
-    rows = echelonize(field, matrix)
-    pivots = [next(j for j, v in enumerate(r) if v) for r in rows]
-    basis = []
-    for f in (j for j in range(m) if j not in pivots):
-        vec = [0] * m
-        vec[f] = 1
-        for r, p in zip(rows, pivots):
-            vec[p] = r[f]  # -r[f] in characteristic 2
-        basis.append(vec)
-    return tuple(echelonize(field, basis))
 
 
 # -- Hilbert numerators by the plain pivot recursion ----------------------------

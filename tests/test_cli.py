@@ -424,10 +424,20 @@ def test_numpy_provenance_reads_after_import():
 
 def test_installed_entry_point():
     # pyproject.toml installs cli.run, the exit step python -m also takes, as
-    # the console script; without it on PATH, the same run goes through -m
+    # the console script; without it on PATH, the same run goes through -m.
+    # The package's version has one owner, and a bare install pulls in no
+    # dependency (the file is read as text: 3.10 has no tomllib)
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
-    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
-    assert 'subtlesw = "subtlesw.cli:run"' in scripts.splitlines()
+
+    def section(name):
+        return pyproject.split(f"[{name}]\n", 1)[1].split("\n[", 1)[0].splitlines()
+
+    assert 'subtlesw = "subtlesw.cli:run"' in section("project.scripts")
+    project = section("project")
+    assert not [line for line in project if line.startswith("version")]
+    assert 'dynamic = ["version"]' in project
+    assert 'version = {attr = "subtlesw.__version__"}' in section("tool.setuptools.dynamic")
+    assert "dependencies = []" in project
     argv = ["theta", "--flavor", "bso", "--n", "7", "--j", "2"]
     script = shutil.which("subtlesw")
     if script is not None:

@@ -201,11 +201,11 @@ def test_eliminator_matches_the_reference():
             else:
                 vecs.append([rng.randint(0, 1) for _ in range(dim)])
         s = Subspace(vecs, ambient_dim=dim)
-        want = tuple(oracles.echelonize(oracles.PlainF2, vecs))
+        want = tuple(oracles.echelonize(vecs))
         assert s.basis == want and s.dim == len(want)
 
         def member(v):
-            return len(oracles.echelonize(oracles.PlainF2, [*vecs, v])) == len(want)
+            return len(oracles.echelonize([*vecs, v])) == len(want)
 
         combo = [0] * dim
         for vec in vecs:
@@ -218,10 +218,10 @@ def test_eliminator_matches_the_reference():
     for _ in range(150):
         d = rng.randint(1, 10)
         matrix = [[rng.randint(0, 1) for _ in range(d)] for _ in range(d)]
-        assert right_radical(BilinearFormF2(matrix)).basis == oracles.nullspace(oracles.PlainF2, matrix)
+        assert right_radical(BilinearFormF2(matrix)).basis == oracles.nullspace(matrix)
     for n in range(4, 201):
         b = quillen_form(n)
-        assert right_radical(b).basis == oracles.nullspace(oracles.PlainF2, b.to_json())
+        assert right_radical(b).basis == oracles.nullspace(b.to_json())
 
 
 def test_h_examples_and_base_cases():

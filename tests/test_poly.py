@@ -7,7 +7,7 @@ import pytest
 
 from subtlesw import _reduction
 from subtlesw._reduction import DivisorTable
-from subtlesw.grobner import groebner_basis
+from subtlesw.grobner import groebner_basis, hilbert_series
 from subtlesw.poly import (
     FIELD_BITS,
     FIELD_MAX,
@@ -694,6 +694,16 @@ def test_ring_map_stops_a_term_at_a_zero_factor():
     assert f(parse_poly(src, "t*u2^20000+u3")) == y1
     with pytest.raises(ExponentOverflow):
         f(parse_poly(src, "u2^20000+u3"))
+
+
+def test_reprs_of_polys_maps_series_and_thom_elements():
+    ring = bso_ring(3)
+    t, u2, u3 = (ring.gen(name) for name in ("t", "u2", "u3"))
+    assert repr(u2 * u3 + t * u2) == "<u2*u3+t*u2>"
+    assert repr(RingMap(ring, ring, [t, u2, u3])) == "RingMap(Ring(t,u2,u3) -> Ring(t,u2,u3))"
+    series = hilbert_series(groebner_basis(ring, [u2]))
+    assert repr(series) == "HilbertSeries({(0, 0): 1, (2, 1): -1} / ((0, 1), (2, 1), (3, 1)))"
+    assert repr(ThomModuleElement(bso_context(3), u2)) == "ThomModuleElement((u2)*alpha)"
 
 
 def test_random_bihomogeneous_refuses_a_pool_past_the_limit():
